@@ -26,8 +26,6 @@ from .driver import (
     DiscreteSchedule,
     RunRecord,
     StoppingRule,
-    make_schedule_continuous,
-    make_schedule_discrete,
     run_euler,
     run_iteration,
 )
@@ -98,8 +96,6 @@ __all__ = [
     "gronwall_recipe",
     "inner",
     "make_noise",
-    "make_schedule_continuous",
-    "make_schedule_discrete",
     "matvec",
     "norm",
     "rel_error",

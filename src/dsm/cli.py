@@ -30,40 +30,35 @@ from .regsolve import ConvergenceError, SingularShiftError
 
 __all__ = ["main"]
 
-_INT_KEYS = {"n_points", "shift", "max_iter", "seed"}
-_FLOAT_KEYS = {"c0", "p", "h", "stop_c", "gamma"}
-_FLOAT_LIST_KEYS = {"delta_rel"}
-_INT_LIST_KEYS = {"seeds"}
-_STR_KEYS = {"preset", "model", "exact", "noise", "mode", "out"}
-_CONFIG_KEYS = _INT_KEYS | _FLOAT_KEYS | _FLOAT_LIST_KEYS | _INT_LIST_KEYS | _STR_KEYS
+def _comma_list(kind):
+    """Parser for comma-separated values such as ``0.01, 0.001``.  The same
+    parser reads a flag and a config-file value, so both reject the same
+    input with ValueError."""
+
+    def parse(text: str) -> tuple:
+        return tuple(kind(part) for part in text.split(",") if part.strip())
+
+    parse.__name__ = f"comma-separated {kind.__name__}"
+    return parse
 
 
-def _float_list(text: str) -> tuple:
-    try:
-        return tuple(float(part) for part in text.split(",") if part.strip())
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected comma-separated floats, got {text!r}")
-
-
-def _int_list(text: str) -> tuple:
-    try:
-        return tuple(int(part) for part in text.split(",") if part.strip())
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}")
+# config-file key -> parser of its string value
+_CONFIG_KEYS = {
+    **dict.fromkeys(("n_points", "shift", "max_iter", "seed"), int),
+    **dict.fromkeys(("c0", "p", "h", "stop_c", "gamma"), float),
+    "delta_rel": _comma_list(float),
+    "seeds": _comma_list(int),
+    **dict.fromkeys(("preset", "model", "exact", "noise", "mode", "out"), str),
+}
 
 
 def _coerce(key: str, value: str):
     if key not in _CONFIG_KEYS:
         raise ValueError(f"unknown config key {key!r}")
-    if key in _INT_KEYS:
-        return int(value)
-    if key in _FLOAT_KEYS:
-        return float(value)
-    if key in _FLOAT_LIST_KEYS:
-        return tuple(float(part) for part in value.split(",") if part.strip())
-    if key in _INT_LIST_KEYS:
-        return tuple(int(part) for part in value.split(",") if part.strip())
-    return value
+    try:
+        return _CONFIG_KEYS[key](value)
+    except ValueError as exc:
+        raise ValueError(f"config key {key!r}: {exc}") from None
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -78,9 +73,9 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("--config", help="config file with 'key = value' lines")
     run.add_argument("--n-points", type=int, dest="n_points", help="grid size")
     run.add_argument("--c0", type=float, help="schedule amplitude C0")
-    run.add_argument("--delta-rel", type=_float_list, dest="delta_rel",
+    run.add_argument("--delta-rel", type=_CONFIG_KEYS["delta_rel"], dest="delta_rel",
                      help="comma-separated relative noise levels")
-    run.add_argument("--seeds", type=_int_list, help="comma-separated noise seeds")
+    run.add_argument("--seeds", type=_CONFIG_KEYS["seeds"], help="comma-separated noise seeds")
     run.add_argument("--mode", choices=("iterate", "euler"), help="driver to use")
     run.add_argument("--h", type=float, help="Euler step size")
     run.add_argument("--gamma", type=float, help="stopping exponent")

@@ -7,22 +7,23 @@ integrators for the damped-Newton dynamical system
 with the discrepancy-principle stop: quit at the first iterate with
 ``||F(u_n) - f_delta|| < C * delta**gamma``.
 
-Residuals here, and the noise level ``delta`` passed in, use the plain
-Euclidean vector norm on node values.  That is the working convention of
-the experiment layer (see :mod:`dsm.harness`); the function-space layer
-(:mod:`dsm.hilbert`, :mod:`dsm.checks`) uses quadrature-weighted norms.
+The discrepancy ``||F(u_n) - f_delta||`` and the noise level ``delta``
+passed in use the plain Euclidean vector norm on node values, the working
+convention of the experiment layer (see :mod:`dsm.harness`).
 
-Each step is globalized by a backtracking line search on the regularized
-residual ||F(u) + a_n u - f_delta||: the full step (scaled by h) is taken
-whenever it decreases that residual, so wherever the raw iteration is
-stable the damping never engages; halving kicks in only when a step would
-run away (saturating nonlinearities at small a_n can trap raw Newton on a
-plateau it never leaves).
+Each step is globalized by :func:`dsm.regsolve.line_search`, the same
+backtracking search :func:`dsm.regsolve.solve_regularized` uses, on the
+regularized residual ||F(u) + a_n u - f_delta|| in the quadrature-weighted
+norm.  The full step (scaled by h) is taken whenever it passes the Armijo
+test, so wherever the raw iteration is stable the damping never engages;
+halving kicks in only when a step would run away (saturating
+nonlinearities at small a_n can trap raw Newton on a plateau it never
+leaves).  When no step length passes, the run takes the candidate with the
+smallest regularized residual.
 """
 
 from __future__ import annotations
 
-import math
 import time
 from dataclasses import dataclass, field
 
@@ -30,13 +31,11 @@ import numpy as np
 
 from .hilbert import GridFunction
 from .operators import OperatorModel
-from .regsolve import solve_shifted_linear
+from .regsolve import line_search, regularized_residual, solve_shifted_linear, start_values
 
 __all__ = [
     "DiscreteSchedule",
     "ContinuousSchedule",
-    "make_schedule_discrete",
-    "make_schedule_continuous",
     "StoppingRule",
     "RunRecord",
     "run_iteration",
@@ -103,14 +102,6 @@ class ContinuousSchedule:
         return self.b * self.d / (self.c + t) ** (self.b + 1.0)
 
 
-def make_schedule_discrete(c0: float, delta: float, p: float, shift: int) -> DiscreteSchedule:
-    return DiscreteSchedule(c0, delta, p, shift)
-
-
-def make_schedule_continuous(d: float, c: float, b: float) -> ContinuousSchedule:
-    return ContinuousSchedule(d, c, b)
-
-
 @dataclass(frozen=True)
 class StoppingRule:
     """Discrepancy threshold C * delta**gamma with C > 1 and gamma in (0, 1)."""
@@ -147,38 +138,20 @@ class RunRecord:
     wall_time: float = field(default=0.0)
 
 
-def _regularized_residual_norm(model, values, f_values, a):
-    # inf marks a candidate the model cannot evaluate (overflowed values);
-    # GridFunction itself rejects non-finite entries with ValueError
-    if not np.all(np.isfinite(values)):
-        return math.inf
-    try:
-        fu = model.apply(GridFunction(model.grid, values)).values
-    except ValueError:
-        return math.inf
-    g_norm = float(np.linalg.norm(fu - f_values + a * values))
-    return g_norm if math.isfinite(g_norm) else math.inf
-
-
-_BACKTRACK_HALVINGS = 40
-_DECREASE_SLACK = 1e-4
-
-
 def _drive(model, f_delta, schedule_a, threshold, u0, max_steps, h):
     grid = model.grid
-    if f_delta.grid != grid:
-        raise ValueError("data and model live on different grids")
-    u = np.zeros(grid.n) if u0 is None else u0.values.copy()
+    u = start_values(model, f_delta, u0)
     f_values = f_delta.values
+    # F(u) is evaluated here once; afterwards every iterate's F comes back
+    # from the line search trial that produced it
+    fu = model.apply(GridFunction(grid, u)).values
     residuals = []
     a_values = []
     start = time.perf_counter()
     n = 0
     stopped = False
     while True:
-        fu = model.apply(GridFunction(grid, u)).values
-        discrepancy = fu - f_values
-        res = float(np.linalg.norm(discrepancy))
+        res = float(np.linalg.norm(fu - f_values))
         a_n = schedule_a(n)
         residuals.append(res)
         a_values.append(a_n)
@@ -187,29 +160,10 @@ def _drive(model, f_delta, schedule_a, threshold, u0, max_steps, h):
             break
         if n >= max_steps:
             break
-        g_values = discrepancy + a_n * u
-        rhs = GridFunction(grid, g_values)
-        g_norm = float(np.linalg.norm(g_values))
+        g_values, g_norm = regularized_residual(grid, fu, u, a_n, f_values)
         jac = model.jacobian(GridFunction(grid, u))
-        step = solve_shifted_linear(jac, a_n, rhs).values
-        # Newton direction: d/dlam ||G(u - lam*step)|| at lam=0 is -||G||,
-        # so some scale always gives decrease; lam=1 wherever stable
-        lam = 1.0
-        accepted = False
-        best, best_norm = None, math.inf
-        with np.errstate(over="ignore", invalid="ignore"):
-            for _ in range(_BACKTRACK_HALVINGS + 1):
-                candidate = u - (h * lam) * step
-                cand_norm = _regularized_residual_norm(model, candidate, f_values, a_n)
-                if cand_norm <= (1.0 - _DECREASE_SLACK * lam) * g_norm:
-                    u = candidate
-                    accepted = True
-                    break
-                if cand_norm < best_norm:
-                    best_norm, best = cand_norm, candidate
-                lam *= 0.5
-        if not accepted and best is not None:
-            u = best
+        step = solve_shifted_linear(jac, a_n, GridFunction(grid, g_values)).values
+        u, fu, _, _ = line_search(model, u, h * step, a_n, f_values, g_norm)
         n += 1
     wall = time.perf_counter() - start
     return RunRecord(

@@ -5,7 +5,7 @@ add calibrated noise, drive the iteration to the discrepancy stop, and
 record iteration count, relative error, and wall time.
 
 Noise calibration fixes ||f_delta - f|| = delta_rel * ||f|| in the
-quadrature-weighted norm.  The drivers measure residuals in the plain
+quadrature-weighted norm.  The drivers' discrepancy stop is in the plain
 Euclidean vector norm, so each cell hands them the Euclidean size of the
 injected noise as its delta.  Both conventions are exposed in the result
 rows (``delta_abs`` is the weighted one).
@@ -260,8 +260,8 @@ def run_cells(config: ExperimentConfig) -> Iterable[RunCell]:
         for seed in sorted(config.seeds):
             noise = make_noise(config.noise, grid, seed)
             f_delta, delta_abs = calibrate_noise(f, noise, delta_rel)
-            # the drivers measure residuals in the Euclidean vector norm,
-            # so hand them the noise level on the same scale
+            # the drivers' discrepancy stop is in the Euclidean vector
+            # norm, so hand them the noise level on the same scale
             delta_run = float(np.linalg.norm(f_delta.values - f.values))
             start = time.perf_counter()
             if config.mode == "iterate":

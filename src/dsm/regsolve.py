@@ -1,18 +1,22 @@
-"""Damped Newton solver for the regularized equation F(v) + a*v = f_delta.
+"""Damped Newton for the regularized equation F(v) + a*v = f_delta.
 
 For monotone F and a > 0 the regularized equation has a unique solution;
-Newton with residual-halving backtracking finds it from any reasonable
-starting point.  Residual tolerances here are in the weighted L2 norm.
+Newton with a backtracking line search on the regularized residual finds
+it from any reasonable starting point.  :func:`line_search` is the one
+globalization in the package: :func:`solve_regularized` and the run drivers
+in :mod:`dsm.driver` both take their steps through it.  Regularized
+residuals, and the tolerance here, are in the weighted L2 norm.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
 
-from .hilbert import GridFunction, norm
+from .hilbert import GridFunction, GridMismatchError
 from .operators import OperatorModel
 
 __all__ = [
@@ -21,6 +25,9 @@ __all__ = [
     "SingularShiftError",
     "ConvergenceError",
     "solve_shifted_linear",
+    "regularized_residual",
+    "start_values",
+    "line_search",
     "solve_regularized",
 ]
 
@@ -39,20 +46,17 @@ class ConvergenceError(RuntimeError):
 
 @dataclass(frozen=True)
 class NewtonOptions:
-    """Solver knobs: absolute residual tolerance in the weighted norm,
-    Newton iteration cap, and number of step-halvings allowed per step."""
+    """Solver knobs: absolute residual tolerance in the weighted norm and
+    Newton iteration cap."""
 
     tol: float = 1e-12
     max_iter: int = 100
-    backtracking: int = 30
 
     def __post_init__(self):
         if not self.tol > 0:
             raise ValueError(f"tol must be positive, got {self.tol}")
         if self.max_iter < 1:
             raise ValueError(f"max_iter must be >= 1, got {self.max_iter}")
-        if self.backtracking < 0:
-            raise ValueError(f"backtracking must be >= 0, got {self.backtracking}")
 
 
 @dataclass
@@ -84,16 +88,66 @@ def solve_shifted_linear(jacobian: np.ndarray, a: float, rhs: GridFunction) -> G
     return GridFunction(rhs.grid, scipy.linalg.lu_solve((lu, piv), rhs.values))
 
 
-def _reg_residual(model, values, a, f_values):
-    # residual of F(v) + a v - f_delta on raw arrays; None marks a point the
-    # model cannot evaluate (overflow), so backtracking can reject it
+def regularized_residual(grid, fv, v, a, f_values):
+    """G(v) = F(v) - f_delta + a*v on raw arrays, with its weighted norm.
+
+    ``fv`` holds F(v).  The norm is inf or nan where G overflows.
+    """
+    g = fv - f_values + a * v
+    return g, float(np.sqrt(np.sum(grid.weights * g * g)))
+
+
+def _apply(model, values):
+    # F(values), or None where the model cannot evaluate them: non-finite
+    # values or an overflowing F are rejected by GridFunction
+    try:
+        return model.apply(GridFunction(model.grid, values)).values
+    except ValueError:
+        return None
+
+
+def start_values(model: OperatorModel, f_delta: GridFunction, start: GridFunction | None):
+    """Raw values of a Newton start point (default 0), after checking that
+    the data and the start point live on the model's grid."""
+    for u in (f_delta, start):
+        if u is not None and u.grid != model.grid:
+            raise GridMismatchError(f"function on {u.grid!r}, model on {model.grid!r}")
+    return np.zeros(model.grid.n) if start is None else start.values
+
+
+_HALVINGS = 40
+_DECREASE_SLACK = 1e-4
+
+
+def line_search(model: OperatorModel, v, step, a: float, f_values, g_norm: float):
+    """Backtracking line search on the regularized residual along v - lam*step.
+
+    ``g_norm`` is the weighted norm of G(v) = F(v) - f_delta + a*v.  Tries
+    lam = 1, 1/2, ... (``_HALVINGS`` halvings) and accepts the first
+    candidate with ||G|| <= (1 - 1e-4*lam) * g_norm (Armijo).  For a Newton
+    direction the slope of ||G(v - lam*step)|| at lam = 0 is -g_norm, so a
+    small enough lam always passes unless rounding intervenes.
+
+    Returns ``(iterate, F(iterate), ||G(iterate)||, accepted)``.  When no
+    candidate passes, the iterate is the finite candidate with the smallest
+    residual, or v itself if the model could evaluate none of them.
+    """
+    lam = 1.0
+    best, best_norm = None, math.inf
     with np.errstate(over="ignore", invalid="ignore"):
-        try:
-            fu = model.apply(GridFunction(model.grid, values)).values
-        except ValueError:
-            return None
-        out = fu + a * values - f_values
-    return out if np.all(np.isfinite(out)) else None
+        for _ in range(_HALVINGS + 1):
+            candidate = v - lam * step
+            fc = _apply(model, candidate)
+            if fc is not None:
+                _, cand_norm = regularized_residual(model.grid, fc, candidate, a, f_values)
+                if cand_norm <= (1.0 - _DECREASE_SLACK * lam) * g_norm:
+                    return candidate, fc, cand_norm, True
+                if cand_norm < best_norm:
+                    best, best_norm = (candidate, fc, cand_norm, False), cand_norm
+            lam *= 0.5
+    if best is None:
+        return v, _apply(model, v), g_norm, False
+    return best
 
 
 def solve_regularized(
@@ -105,49 +159,32 @@ def solve_regularized(
 ) -> RegularizedSolveReport:
     """Solve F(v) + a*v = f_delta by damped Newton from v = start (default 0).
 
-    Each step solves (F'(v) + a*I) s = F(v) + a*v - f_delta and halves the
-    step until the weighted residual norm decreases, up to
-    ``options.backtracking`` times.  Returns the best iterate with
-    ``converged=False`` if progress stalls or the iteration cap is hit.
+    Each step solves (F'(v) + a*I) s = G(v) = F(v) + a*v - f_delta and
+    backtracks along v - lam*s with :func:`line_search`.  When no step length
+    passes its Armijo test, or the iteration cap is hit, the current iterate
+    is returned with ``converged=False`` unless it already meets ``tol``.
     """
     if not a > 0:
         raise ValueError(f"regularization parameter a must be positive, got {a}")
     opts = options or NewtonOptions()
     grid = model.grid
-    if f_delta.grid != grid:
-        raise ValueError("data and model live on different grids")
-    v = np.zeros(grid.n) if start is None else start.values.copy()
+    v = start_values(model, f_delta, start)
     f_values = f_delta.values
-
-    residual = _reg_residual(model, v, a, f_values)
-    if residual is None:
+    with np.errstate(over="ignore", invalid="ignore"):
+        fv = _apply(model, v)
+    if fv is None:
         raise ValueError("cannot evaluate the model at the start point")
-    res_norm = norm(GridFunction(grid, residual))
+    residual, res_norm = regularized_residual(grid, fv, v, a, f_values)
     iterations = 0
-    for _ in range(opts.max_iter):
-        if res_norm <= opts.tol:
-            break
+    while res_norm > opts.tol and iterations < opts.max_iter:
         jac = model.jacobian(GridFunction(grid, v))
         step = solve_shifted_linear(jac, a, GridFunction(grid, residual)).values
-        scale = 1.0
-        accepted = False
-        for _ in range(opts.backtracking + 1):
-            candidate = v - scale * step
-            if np.all(np.isfinite(candidate)):
-                cand_residual = _reg_residual(model, candidate, a, f_values)
-                if cand_residual is not None:
-                    cand_norm = norm(GridFunction(grid, cand_residual))
-                    if cand_norm < res_norm:
-                        v, residual, res_norm = candidate, cand_residual, cand_norm
-                        accepted = True
-                        break
-            scale *= 0.5
         iterations += 1
+        candidate, fc, _, accepted = line_search(model, v, step, a, f_values, res_norm)
         if not accepted:
-            # no step length reduced the residual; report the best iterate
-            return RegularizedSolveReport(
-                GridFunction(grid, v), res_norm, iterations, res_norm <= opts.tol
-            )
+            break
+        v = candidate
+        residual, res_norm = regularized_residual(grid, fc, v, a, f_values)
     return RegularizedSolveReport(
         GridFunction(grid, v), res_norm, iterations, res_norm <= opts.tol
     )

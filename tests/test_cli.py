@@ -58,6 +58,22 @@ def test_bad_flag_value_is_usage_error():
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("flag, value", [("--delta-rel", "0.03,x"), ("--seeds", "1,y")])
+def test_malformed_list_flag_is_usage_error(flag, value, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["run", "--preset", "exp2-const", flag, value])
+    assert exc.value.code == 2
+    assert "comma-separated" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("line", ["delta_rel = 0.03, x", "seeds = 1, 2.5"])
+def test_malformed_list_in_config_exit_2(tmp_path, capsys, line):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text("preset = exp2-const\n" + line + "\n")
+    assert main(["run", "--config", str(cfg)]) == 2
+    assert line.split()[0] in capsys.readouterr().err
+
+
 def test_config_file_sets_preset_and_flags_win(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text(

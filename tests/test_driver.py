@@ -9,12 +9,10 @@ from dsm.driver import (
     ContinuousSchedule,
     DiscreteSchedule,
     StoppingRule,
-    make_schedule_continuous,
-    make_schedule_discrete,
     run_euler,
     run_iteration,
 )
-from dsm.hilbert import GridFunction, QuadratureGrid
+from dsm.hilbert import GridFunction, GridMismatchError, QuadratureGrid
 from dsm.operators import OperatorModel
 
 
@@ -63,11 +61,6 @@ def test_schedule_condition_flags():
     tight = ContinuousSchedule(d=1.0, c=1.0, b=1.0)
     assert not tight.lemma25_ok
     assert not tight.lemma28_ok
-
-
-def test_make_schedule_helpers():
-    assert make_schedule_discrete(2.0, 0.1, 0.9, 6) == DiscreteSchedule(2.0, 0.1, 0.9, 6)
-    assert make_schedule_continuous(1.0, 7.0, 1.0) == ContinuousSchedule(1.0, 7.0, 1.0)
 
 
 def test_stopping_rule():
@@ -199,6 +192,33 @@ def test_grid_mismatch_rejected(identity_setup):
     other = QuadratureGrid(31).zero()
     with pytest.raises(ValueError):
         run_iteration(model, other, 0.01, DiscreteSchedule(1.0, 0.01, 0.9, 1))
+
+
+def test_start_on_other_grid_rejected(identity_setup):
+    grid, model, f_delta = identity_setup
+    other = QuadratureGrid(31).zero()
+    # the error names the start point's grid, not just a length mismatch
+    with pytest.raises(GridMismatchError, match=r"QuadratureGrid\(n=31\)"):
+        run_iteration(model, f_delta, 0.01, DiscreteSchedule(1.0, 0.01, 0.9, 1), u0=other)
+
+
+class _CountingModel(OperatorModel):
+    calls = 0
+
+    def apply(self, u):
+        self.calls += 1
+        return super().apply(u)
+
+
+def test_accepted_trial_supplies_next_residual(identity_setup):
+    """F is evaluated once at the start and then only by the line search:
+    on F = I every full step is accepted, so a run costs n_stop + 1 applies."""
+    grid, _, f_delta = identity_setup
+    model = _CountingModel("identity", grid)
+    delta = 0.05
+    record = run_iteration(model, f_delta, delta, DiscreteSchedule(2.0, delta, 0.9, 1))
+    assert record.stopped_by_discrepancy and record.n_stop > 1
+    assert model.calls == record.n_stop + 1
 
 
 @pytest.fixture

@@ -2,12 +2,17 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
-from dsm.hilbert import GridFunction, QuadratureGrid, norm
-from dsm.operators import OperatorModel
+from dsm.hilbert import GridFunction, GridMismatchError, QuadratureGrid, norm
+from dsm.operators import MODEL_KINDS, OperatorModel
 from dsm.regsolve import (
     NewtonOptions,
     SingularShiftError,
+    line_search,
+    regularized_residual,
     solve_regularized,
     solve_shifted_linear,
 )
@@ -65,8 +70,6 @@ def test_newton_options_validation():
         NewtonOptions(tol=0.0)
     with pytest.raises(ValueError):
         NewtonOptions(max_iter=0)
-    with pytest.raises(ValueError):
-        NewtonOptions(backtracking=-1)
 
 
 def test_identity_model_solved_in_one_step(grid):
@@ -154,3 +157,43 @@ def test_grid_mismatch_rejected():
     model = OperatorModel("identity", QuadratureGrid(10))
     with pytest.raises(ValueError):
         solve_regularized(model, QuadratureGrid(11).zero(), 1.0)
+
+
+def test_start_on_other_grid_rejected(grid):
+    model = OperatorModel("cubic", grid)
+    f = grid.sample(lambda x: 1.0 + x)
+    with pytest.raises(GridMismatchError):
+        solve_regularized(model, f, 1.0, start=QuadratureGrid(grid.n + 1).zero())
+
+
+_N = 12
+_values = arrays(np.float64, _N, elements=st.floats(-5.0, 5.0))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    kind=st.sampled_from(MODEL_KINDS),
+    a=st.floats(1e-4, 10.0),
+    v=_values,
+    direction=arrays(np.float64, _N, elements=st.floats(-100.0, 100.0)),
+    scale=st.sampled_from([1.0, 1e3, 1e200]),
+    data=_values,
+)
+def test_line_search_result_is_consistent(kind, a, v, direction, scale, data):
+    """Whatever the direction, the search returns a finite iterate, the
+    model's own F there, its regularized residual norm, and an Armijo
+    decrease whenever it reports acceptance.  Scale 1e200 makes every
+    candidate overflow F or the residual."""
+    direction = direction * scale
+    grid = QuadratureGrid(_N)
+    model = OperatorModel(kind, grid)
+    fv = model.apply(GridFunction(grid, v)).values
+    _, g_norm = regularized_residual(grid, fv, v, a, data)
+    new, f_new, new_norm, accepted = line_search(model, v, direction, a, data, g_norm)
+    assert np.all(np.isfinite(new))
+    np.testing.assert_array_equal(f_new, model.apply(GridFunction(grid, new)).values)
+    assert new_norm == regularized_residual(grid, f_new, new, a, data)[1]
+    if accepted:
+        lams = [0.5 ** k for k in range(41)
+                if np.array_equal(new, v - 0.5 ** k * direction)]
+        assert any(new_norm <= (1.0 - 1e-4 * lam) * g_norm for lam in lams)
