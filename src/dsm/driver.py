@@ -161,8 +161,9 @@ def _drive(model, f_delta, schedule_a, threshold, u0, max_steps, h):
         if n >= max_steps:
             break
         g_values, g_norm = regularized_residual(grid, fu, u, a_n, f_values)
-        jac = model.jacobian(GridFunction(grid, u))
-        step = solve_shifted_linear(jac, a_n, GridFunction(grid, g_values)).values
+        step = solve_shifted_linear(
+            model, GridFunction(grid, u), a_n, GridFunction(grid, g_values)
+        ).values
         u, fu, _, _ = line_search(model, u, h * step, a_n, f_values, g_norm)
         n += 1
     wall = time.perf_counter() - start

@@ -14,10 +14,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .hilbert import GridFunction, GridMismatchError
-from .operators import OperatorModel
+from .operators import OperatorModel, SingularShiftError
 
 __all__ = [
     "NewtonOptions",
@@ -30,14 +29,6 @@ __all__ = [
     "line_search",
     "solve_regularized",
 ]
-
-
-class SingularShiftError(RuntimeError):
-    """The shifted matrix J + a*I factors with a numerically singular pivot."""
-
-    def __init__(self, pivot_index: int):
-        self.pivot_index = int(pivot_index)
-        super().__init__(f"numerically singular pivot at index {self.pivot_index}")
 
 
 class ConvergenceError(RuntimeError):
@@ -67,25 +58,20 @@ class RegularizedSolveReport:
     converged: bool
 
 
-def solve_shifted_linear(jacobian: np.ndarray, a: float, rhs: GridFunction) -> GridFunction:
-    """Solve (J + a*I) w = rhs by dense LU with partial pivoting."""
+def solve_shifted_linear(
+    model: OperatorModel, u: GridFunction, a: float, rhs: GridFunction
+) -> GridFunction:
+    """Solve the Newton system (F'(u) + a*I) w = rhs for a shift a > 0.
+
+    The one shifted solve of the package: :func:`solve_regularized` and the
+    run drivers take every Newton step through it.  It costs O(n) via
+    :meth:`OperatorModel.solve_shifted` (the exp kernel's tridiagonal
+    inverse, then one refinement step) and raises
+    :class:`SingularShiftError` at a zero or non-finite pivot or step.
+    """
     if not a > 0:
         raise ValueError(f"shift a must be positive, got {a}")
-    n = rhs.grid.n
-    jacobian = np.asarray(jacobian, dtype=float)
-    if jacobian.shape != (n, n):
-        raise ValueError(f"jacobian shape {jacobian.shape} does not match grid n={n}")
-    shifted = jacobian + a * np.eye(n)
-    import warnings
-
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
-        lu, piv = scipy.linalg.lu_factor(shifted)
-    diag = np.diag(lu)
-    bad = np.flatnonzero(~np.isfinite(diag) | (diag == 0.0))
-    if bad.size:
-        raise SingularShiftError(bad[0])
-    return GridFunction(rhs.grid, scipy.linalg.lu_solve((lu, piv), rhs.values))
+    return model.solve_shifted(u, a, rhs)
 
 
 def regularized_residual(grid, fv, v, a, f_values):
@@ -177,8 +163,9 @@ def solve_regularized(
     residual, res_norm = regularized_residual(grid, fv, v, a, f_values)
     iterations = 0
     while res_norm > opts.tol and iterations < opts.max_iter:
-        jac = model.jacobian(GridFunction(grid, v))
-        step = solve_shifted_linear(jac, a, GridFunction(grid, residual)).values
+        step = solve_shifted_linear(
+            model, GridFunction(grid, v), a, GridFunction(grid, residual)
+        ).values
         iterations += 1
         candidate, fc, _, accepted = line_search(model, v, step, a, f_values, res_norm)
         if not accepted:

@@ -283,3 +283,18 @@ def test_backtracking_recovers_saturating_runaway():
     record = run_iteration(model, f_delta, delta, sched, max_iter=200)
     assert record.stopped_by_discrepancy
     assert np.max(np.abs(record.final.values)) < 5.0
+
+
+def test_large_grid_run_builds_no_dense_kernel():
+    # n = 1e5: a dense kernel would take 80 GB, the O(n) Newton step none
+    grid = QuadratureGrid(100_000)
+    model = OperatorModel("arctan3", grid)
+    f = model.apply(grid.sample(lambda x: 1.0 - x))
+    noise = 1e-4 * np.sin(40.0 * grid.nodes)
+    f_delta = GridFunction(grid, f.values + noise)
+    delta = float(np.linalg.norm(noise))
+    sched = DiscreteSchedule(c0=7.0, delta=delta, p=0.99, shift=1)
+    record = run_iteration(model, f_delta, delta, sched, max_iter=3)
+    assert record.n_stop == 3 and not record.stopped_by_discrepancy
+    assert np.all(np.diff(record.residuals) < 0)
+    assert "kernel" not in model.__dict__

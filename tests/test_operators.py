@@ -1,4 +1,5 @@
-"""Operator models: kernel discretization, monotonicity, Jacobians."""
+"""Operator models: kernel discretization, monotonicity, Jacobians, the O(n)
+apply and shifted solve."""
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis.extra.numpy import arrays
 
 from dsm.hilbert import GridFunction, GridMismatchError, QuadratureGrid, inner, norm
 from dsm.operators import MODEL_KINDS, OperatorModel, matvec
+from dsm.regsolve import solve_shifted_linear
 
 
 def kernel_image_of_one(x):
@@ -169,3 +171,72 @@ def test_cubic_nonlinearity_is_odd(values):
     g_u = model.apply(u) - model.apply_kernel(u)
     g_neg = model.apply(-u) - model.apply_kernel(-u)
     np.testing.assert_allclose(g_neg.values, -g_u.values, atol=1e-12)
+
+
+# the nonlinearities and their derivatives, written out independently of the
+# model so the O(n) paths are checked against the definitions
+_G = {
+    "arctan3": lambda u: np.arctan(u) ** 3,
+    "cubic": lambda u: u ** 3,
+    "linear": np.zeros_like,
+}
+_GPRIME = {
+    "arctan3": lambda u: 3.0 * np.arctan(u) ** 2 / (1.0 + u * u),
+    "cubic": lambda u: 3.0 * u * u,
+    "linear": np.zeros_like,
+}
+
+
+def _shifted_operator(model, u, a, s):
+    """(F'(u) + a*I) s through the O(n) kernel image."""
+    if model.kind == "identity":
+        return (1.0 + a) * s.values
+    return model.apply_kernel(s).values + (_GPRIME[model.kind](u.values) + a) * s.values
+
+
+@given(
+    kind=st.sampled_from(MODEL_KINDS),
+    n=st.integers(min_value=2, max_value=300),
+    a=st.floats(min_value=1e-8, max_value=1e2),
+    data=st.data(),
+)
+@settings(max_examples=200, deadline=None)
+def test_matrix_free_apply_and_shifted_solve(kind, n, a, data):
+    """The O(n) apply matches the dense kernel, the O(n) step solves the
+    shifted system to rounding level, and repeated solves are bit-identical."""
+    grid = QuadratureGrid(n)
+    model = OperatorModel(kind, grid)
+    draw = arrays(np.float64, n, elements=bounded_values)
+    u = GridFunction(grid, data.draw(draw))
+    rhs = GridFunction(grid, data.draw(draw))
+
+    if kind == "identity":
+        np.testing.assert_array_equal(model.apply(u).values, u.values)
+    else:
+        dense = model.kernel @ u.values + _G[kind](u.values)
+        scale = np.abs(model.kernel) @ np.abs(u.values) + np.abs(_G[kind](u.values))
+        gap = np.abs(model.apply(u).values - dense)
+        assert np.all(gap <= 1e-13 * scale + 1e-300)
+
+    step = solve_shifted_linear(model, u, a, rhs)
+    residual = rhs.values - _shifted_operator(model, u, a, step)
+    assert np.linalg.norm(residual) <= 1e-10 * np.linalg.norm(rhs.values)
+    again = solve_shifted_linear(model, u, a, rhs)
+    np.testing.assert_array_equal(again.values, step.values)
+
+
+@pytest.mark.parametrize("kind", ["arctan3", "cubic", "linear"])
+def test_shifted_solve_at_large_n(kind):
+    # a dense kernel at n = 1e5 would take 80 GB; the step needs none, and
+    # its refinement step keeps the residual at rounding level
+    n = 100_000
+    grid = QuadratureGrid(n)
+    model = OperatorModel(kind, grid)
+    rng = np.random.default_rng(31)
+    u = GridFunction(grid, rng.standard_normal(n))
+    rhs = GridFunction(grid, rng.standard_normal(n))
+    for a in (1e-4, 1e-2, 1.0):
+        step = solve_shifted_linear(model, u, a, rhs)
+        residual = rhs.values - _shifted_operator(model, u, a, step)
+        assert np.linalg.norm(residual) <= 1e-10 * np.linalg.norm(rhs.values)
+    assert "kernel" not in model.__dict__

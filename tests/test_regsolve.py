@@ -23,46 +23,60 @@ def grid():
     return QuadratureGrid(40)
 
 
-def test_zero_jacobian_divides_by_shift(grid):
+def test_identity_model_divides_by_one_plus_shift(grid):
+    # F' = I for the identity model, so the step is rhs / (1 + a) exactly
+    model = OperatorModel("identity", grid)
     rhs = GridFunction(grid, np.linspace(-1.0, 1.0, grid.n))
-    out = solve_shifted_linear(np.zeros((grid.n, grid.n)), 2.0, rhs)
-    np.testing.assert_allclose(out.values, rhs.values / 2.0, rtol=1e-14)
+    for a in (1e-8, 0.3, 2.0, 1e3):
+        out = solve_shifted_linear(model, grid.zero(), a, rhs)
+        np.testing.assert_array_equal(out.values, rhs.values / (1.0 + a))
 
 
 def test_identity_jacobian_halves(grid):
+    model = OperatorModel("identity", grid)
     rhs = GridFunction(grid, np.ones(grid.n))
-    out = solve_shifted_linear(np.eye(grid.n), 1.0, rhs)
-    np.testing.assert_allclose(out.values, 0.5, rtol=1e-14)
+    out = solve_shifted_linear(model, grid.sample(np.sin), 1.0, rhs)
+    np.testing.assert_array_equal(out.values, 0.5)
 
 
 def test_multiply_back(grid):
+    # the O(n) solve against the dense diagnostic matrix F'(u) + a*I
     rng = np.random.default_rng(8)
-    jac = rng.standard_normal((grid.n, grid.n))
-    jac = jac @ jac.T  # SPD, well conditioned after the shift
-    rhs = GridFunction(grid, rng.standard_normal(grid.n))
     a = 0.7
-    w = solve_shifted_linear(jac, a, rhs)
-    back = (jac + a * np.eye(grid.n)) @ w.values
-    assert np.linalg.norm(back - rhs.values) <= 1e-10 * np.linalg.norm(rhs.values)
+    for kind in MODEL_KINDS:
+        model = OperatorModel(kind, grid)
+        u = GridFunction(grid, rng.standard_normal(grid.n))
+        rhs = GridFunction(grid, rng.standard_normal(grid.n))
+        w = solve_shifted_linear(model, u, a, rhs)
+        back = (model.jacobian(u) + a * np.eye(grid.n)) @ w.values
+        assert np.linalg.norm(back - rhs.values) <= 1e-12 * np.linalg.norm(rhs.values), kind
 
 
 def test_singular_shift_reports_pivot(grid):
-    # J + a*I is exactly the zero matrix
+    # g'(u) = 3u^2 overflows to inf at the one node holding 1e200
+    model = OperatorModel("cubic", grid)
+    values = np.zeros(grid.n)
+    values[7] = 1e200
     with pytest.raises(SingularShiftError) as err:
-        solve_shifted_linear(-2.0 * np.eye(grid.n), 2.0, grid.zero())
-    assert err.value.pivot_index == 0
+        solve_shifted_linear(model, GridFunction(grid, values), 1.0, grid.sample(np.cos))
+    assert err.value.pivot_index == 7
 
 
 def test_nonpositive_shift_rejected(grid):
-    with pytest.raises(ValueError):
-        solve_shifted_linear(np.eye(grid.n), 0.0, grid.zero())
-    with pytest.raises(ValueError):
-        solve_shifted_linear(np.eye(grid.n), -1.0, grid.zero())
+    model = OperatorModel("linear", grid)
+    for a in (0.0, -1.0, float("nan")):
+        with pytest.raises(ValueError):
+            solve_shifted_linear(model, grid.zero(), a, grid.zero())
 
 
-def test_jacobian_shape_mismatch_rejected(grid):
-    with pytest.raises(ValueError):
-        solve_shifted_linear(np.eye(grid.n + 1), 1.0, grid.zero())
+def test_length_mismatch_rejected(grid):
+    other = QuadratureGrid(grid.n + 1).zero()
+    for kind in MODEL_KINDS:
+        model = OperatorModel(kind, grid)
+        with pytest.raises(GridMismatchError):
+            solve_shifted_linear(model, other, 1.0, grid.zero())
+        with pytest.raises(GridMismatchError):
+            solve_shifted_linear(model, grid.zero(), 1.0, other)
 
 
 def test_newton_options_validation():
