@@ -20,6 +20,12 @@ halving kicks in only when a step would run away (saturating
 nonlinearities at small a_n can trap raw Newton on a plateau it never
 leaves).  When no step length passes, the run takes the candidate with the
 smallest regularized residual.
+
+The loop runs on raw node arrays through the model's unchecked kernels
+(:meth:`~dsm.operators.OperatorModel.apply_values`,
+:meth:`~dsm.operators.OperatorModel.solve_shifted_values`).  The start point's
+F goes through the checked :meth:`~dsm.operators.OperatorModel.apply`, and the
+final iterate is wrapped as a :class:`~dsm.hilbert.GridFunction` once per run.
 """
 
 from __future__ import annotations
@@ -31,7 +37,9 @@ import numpy as np
 
 from .hilbert import GridFunction
 from .operators import OperatorModel
-from .regsolve import line_search, regularized_residual, solve_shifted_linear, start_values
+from .regsolve import line_search, regularized_residual, start_values
+# unused here; imported only because benchmarks/spans.py patches this name
+from .regsolve import solve_shifted_linear  # noqa: F401
 
 __all__ = [
     "DiscreteSchedule",
@@ -142,8 +150,8 @@ def _drive(model, f_delta, schedule_a, threshold, u0, max_steps, h):
     grid = model.grid
     u = start_values(model, f_delta, u0)
     f_values = f_delta.values
-    # F(u) is evaluated here once; afterwards every iterate's F comes back
-    # from the line search trial that produced it
+    # F(u) is evaluated here once, checked; afterwards every iterate's F
+    # comes back from the line search trial that produced it
     fu = model.apply(GridFunction(grid, u)).values
     residuals = []
     a_values = []
@@ -161,9 +169,7 @@ def _drive(model, f_delta, schedule_a, threshold, u0, max_steps, h):
         if n >= max_steps:
             break
         g_values, g_norm = regularized_residual(grid, fu, u, a_n, f_values)
-        step = solve_shifted_linear(
-            model, GridFunction(grid, u), a_n, GridFunction(grid, g_values)
-        ).values
+        step = model.solve_shifted_values(u, a_n, g_values)
         u, fu, _, _ = line_search(model, u, h * step, a_n, f_values, g_norm)
         n += 1
     wall = time.perf_counter() - start

@@ -256,10 +256,11 @@ def run_cells(config: ExperimentConfig) -> Iterable[RunCell]:
     u_exact = exact_solution(config.exact, grid)
     f = model.apply(u_exact)
     rule = StoppingRule(config.stop_c, config.gamma)
+    # one draw per seed, reused at every noise level
+    noises = {seed: make_noise(config.noise, grid, seed) for seed in config.seeds}
     for delta_rel in sorted(config.delta_rel, reverse=True):
         for seed in sorted(config.seeds):
-            noise = make_noise(config.noise, grid, seed)
-            f_delta, delta_abs = calibrate_noise(f, noise, delta_rel)
+            f_delta, delta_abs = calibrate_noise(f, noises[seed], delta_rel)
             # the drivers' discrepancy stop is in the Euclidean vector
             # norm, so hand them the noise level on the same scale
             delta_run = float(np.linalg.norm(f_delta.values - f.values))

@@ -22,6 +22,12 @@ tridiagonal: (1 - rho^2) E^{-1} = T with diagonal (1, 1 + rho^2, ...,
 1 + rho^2, 1) and off-diagonals -rho.  Applying F and solving the shifted
 Newton system (F'(u) + a I) s = r therefore cost O(n) each; no n x n
 matrix is formed on that path.
+
+Both live on raw node arrays as the unchecked kernels
+:meth:`OperatorModel.apply_values` and :meth:`OperatorModel.solve_shifted_values`,
+which the Newton loops call directly.  The public :meth:`~OperatorModel.apply`,
+:meth:`~OperatorModel.apply_kernel` and :meth:`~OperatorModel.solve_shifted`
+wrap them with a grid check and a :class:`~dsm.hilbert.GridFunction` result.
 """
 
 from __future__ import annotations
@@ -76,9 +82,10 @@ class OperatorModel:
     """One of the operator models above, bound to a grid.
 
     :meth:`apply` and :meth:`solve_shifted` cost O(n) and allocate no n x n
-    array.  The dense kernel matrix K_ij = w_j * exp(-|x_i - x_j|) and
-    :meth:`jacobian` are O(n^2) diagnostics: ``kernel`` is built on first
-    access and cached.
+    array; :meth:`apply_values` and :meth:`solve_shifted_values` are the same
+    kernels on raw node arrays, without the checks.  The dense kernel matrix
+    K_ij = w_j * exp(-|x_i - x_j|) and :meth:`jacobian` are O(n^2)
+    diagnostics: ``kernel`` is built on first access and cached.
     """
 
     def __init__(self, kind: str, grid: QuadratureGrid):
@@ -87,8 +94,12 @@ class OperatorModel:
         self.kind = kind
         self.grid = grid
         self._g, self._gprime = _NONLINEARITY[kind]
+        # exp(+-x), with the quadrature weights folded into the factors the
+        # running sums multiply by; the reversed copy feeds the sum from the right
         self._up = np.exp(grid.nodes)
         self._down = np.exp(-grid.nodes)
+        self._up_w = self._up * grid.weights
+        self._down_w_rev = (self._down * grid.weights)[::-1].copy()
         # T = (1 - rho^2) E^{-1}: its off-diagonal -rho and its diagonal, and
         # the (1 - rho^2) W term of the Newton system
         self._rho = math.exp(-grid.h)
@@ -115,9 +126,21 @@ class OperatorModel:
         # E (w*u) as two running sums: exp(-|x_i - x_j|) is exp(-x_i) exp(x_j)
         # for j <= i and exp(x_i) exp(-x_j) for j >= i, so the diagonal term is
         # counted twice.  Every factor lies in [1/e, e].
-        v = self.grid.weights * values
-        up, down = self._up, self._down
-        return down * np.cumsum(up * v) + up * np.cumsum((down * v)[::-1])[::-1] - v
+        out = np.add.accumulate(self._up_w * values)
+        out *= self._down
+        out += self._up * np.add.accumulate(self._down_w_rev * values[::-1])[::-1]
+        out -= self.grid.weights * values
+        return out
+
+    def apply_values(self, values: np.ndarray) -> np.ndarray:
+        """F on raw node values, unchecked: a non-finite input or an
+        overflowing g gives non-finite entries instead of an error."""
+        if self.kind == "identity":
+            return np.array(values, dtype=float)
+        out = self._kernel_values(values)
+        if self._g is not None:
+            out += self._g(values)
+        return out
 
     def apply_kernel(self, u: GridFunction) -> GridFunction:
         """The integral term B(u) alone."""
@@ -125,14 +148,9 @@ class OperatorModel:
         return GridFunction(self.grid, self._kernel_values(u.values))
 
     def apply(self, u: GridFunction) -> GridFunction:
-        """F(u)."""
+        """F(u); raises ``ValueError`` where F(u) is not finite."""
         self._check(u)
-        if self.kind == "identity":
-            return GridFunction(self.grid, u.values)
-        out = self._kernel_values(u.values)
-        if self._g is not None:
-            out += self._g(u.values)
-        return GridFunction(self.grid, out)
+        return GridFunction(self.grid, self.apply_values(u.values))
 
     def jacobian(self, u: GridFunction) -> np.ndarray:
         """Dense derivative matrix F'(u) = K + diag(g'(u)), an O(n^2) diagnostic."""
@@ -146,7 +164,13 @@ class OperatorModel:
         return jac
 
     def solve_shifted(self, u: GridFunction, a: float, rhs: GridFunction) -> GridFunction:
-        """Solve (F'(u) + a*I) s = rhs in O(n).
+        """Solve (F'(u) + a*I) s = rhs; see :meth:`solve_shifted_values`."""
+        self._check(u)
+        self._check(rhs)
+        return GridFunction(self.grid, self.solve_shifted_values(u.values, a, rhs.values))
+
+    def solve_shifted_values(self, values: np.ndarray, a: float, rhs: np.ndarray) -> np.ndarray:
+        """Solve (F'(u) + a*I) s = rhs in O(n) on raw node values, unchecked.
 
         F'(u) + a*I = E W + D with W = diag(w) and D = diag(g'(u) + a).
         Multiplying by T = (1 - rho^2) E^{-1} gives the tridiagonal system
@@ -160,18 +184,16 @@ class OperatorModel:
         Raises :class:`SingularShiftError` at a zero or non-finite pivot or
         a non-finite solution.
         """
-        self._check(u)
-        self._check(rhs)
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             if self.kind == "identity":
-                step = rhs.values / (1.0 + a)
+                step = rhs / (1.0 + a)
             elif self._gprime is None:
-                step = self._solve_refined(np.full(self.grid.n, float(a)), rhs.values)
+                step = self._solve_refined(np.full(self.grid.n, float(a)), rhs)
             else:
-                step = self._solve_refined(self._gprime(u.values) + a, rhs.values)
+                step = self._solve_refined(self._gprime(values) + a, rhs)
         if not np.isfinite(step).all():
             raise SingularShiftError(np.flatnonzero(~np.isfinite(step))[0])
-        return GridFunction(self.grid, step)
+        return step
 
     def _solve_refined(self, shift, rhs):
         rho, t = self._rho, self._t_diag

@@ -6,6 +6,13 @@ it from any reasonable starting point.  :func:`line_search` is the one
 globalization in the package: :func:`solve_regularized` and the run drivers
 in :mod:`dsm.driver` both take their steps through it.  Regularized
 residuals, and the tolerance here, are in the weighted L2 norm.
+
+The Newton loops work on raw node arrays: they call the model's unchecked
+kernels :meth:`~dsm.operators.OperatorModel.apply_values` and
+:meth:`~dsm.operators.OperatorModel.solve_shifted_values` and wrap a
+:class:`~dsm.hilbert.GridFunction` only for the returned solution.
+A trial point where F or the residual is not finite has a non-finite norm,
+which fails every comparison of the line search.
 """
 
 from __future__ import annotations
@@ -63,11 +70,10 @@ def solve_shifted_linear(
 ) -> GridFunction:
     """Solve the Newton system (F'(u) + a*I) w = rhs for a shift a > 0.
 
-    The one shifted solve of the package: :func:`solve_regularized` and the
-    run drivers take every Newton step through it.  It costs O(n) via
-    :meth:`OperatorModel.solve_shifted` (the exp kernel's tridiagonal
-    inverse, then one refinement step) and raises
-    :class:`SingularShiftError` at a zero or non-finite pivot or step.
+    The checked form of :meth:`OperatorModel.solve_shifted_values`, the O(n)
+    step (the exp kernel's tridiagonal inverse, then one refinement step)
+    that :func:`solve_regularized` and the run drivers take on raw arrays.
+    Raises :class:`SingularShiftError` at a zero or non-finite pivot or step.
     """
     if not a > 0:
         raise ValueError(f"shift a must be positive, got {a}")
@@ -80,16 +86,7 @@ def regularized_residual(grid, fv, v, a, f_values):
     ``fv`` holds F(v).  The norm is inf or nan where G overflows.
     """
     g = fv - f_values + a * v
-    return g, float(np.sqrt(np.sum(grid.weights * g * g)))
-
-
-def _apply(model, values):
-    # F(values), or None where the model cannot evaluate them: non-finite
-    # values or an overflowing F are rejected by GridFunction
-    try:
-        return model.apply(GridFunction(model.grid, values)).values
-    except ValueError:
-        return None
+    return g, math.sqrt(g @ (grid.weights * g))
 
 
 def start_values(model: OperatorModel, f_delta: GridFunction, start: GridFunction | None):
@@ -115,24 +112,24 @@ def line_search(model: OperatorModel, v, step, a: float, f_values, g_norm: float
     small enough lam always passes unless rounding intervenes.
 
     Returns ``(iterate, F(iterate), ||G(iterate)||, accepted)``.  When no
-    candidate passes, the iterate is the finite candidate with the smallest
-    residual, or v itself if the model could evaluate none of them.
+    candidate passes, the iterate is the candidate with the smallest finite
+    residual norm, or v itself if no candidate has one.
     """
+    grid = model.grid
     lam = 1.0
     best, best_norm = None, math.inf
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(_HALVINGS + 1):
             candidate = v - lam * step
-            fc = _apply(model, candidate)
-            if fc is not None:
-                _, cand_norm = regularized_residual(model.grid, fc, candidate, a, f_values)
-                if cand_norm <= (1.0 - _DECREASE_SLACK * lam) * g_norm:
-                    return candidate, fc, cand_norm, True
-                if cand_norm < best_norm:
-                    best, best_norm = (candidate, fc, cand_norm, False), cand_norm
+            fc = model.apply_values(candidate)
+            _, cand_norm = regularized_residual(grid, fc, candidate, a, f_values)
+            if cand_norm <= (1.0 - _DECREASE_SLACK * lam) * g_norm:
+                return candidate, fc, cand_norm, True
+            if cand_norm < best_norm:
+                best, best_norm = (candidate, fc, cand_norm, False), cand_norm
             lam *= 0.5
     if best is None:
-        return v, _apply(model, v), g_norm, False
+        return v, model.apply_values(v), g_norm, False
     return best
 
 
@@ -157,15 +154,13 @@ def solve_regularized(
     v = start_values(model, f_delta, start)
     f_values = f_delta.values
     with np.errstate(over="ignore", invalid="ignore"):
-        fv = _apply(model, v)
-    if fv is None:
+        fv = model.apply_values(v)
+    if not np.isfinite(fv).all():
         raise ValueError("cannot evaluate the model at the start point")
     residual, res_norm = regularized_residual(grid, fv, v, a, f_values)
     iterations = 0
     while res_norm > opts.tol and iterations < opts.max_iter:
-        step = solve_shifted_linear(
-            model, GridFunction(grid, v), a, GridFunction(grid, residual)
-        ).values
+        step = model.solve_shifted_values(v, a, residual)
         iterations += 1
         candidate, fc, _, accepted = line_search(model, v, step, a, f_values, res_norm)
         if not accepted:

@@ -14,6 +14,7 @@ from dsm.driver import (
 )
 from dsm.hilbert import GridFunction, GridMismatchError, QuadratureGrid
 from dsm.operators import OperatorModel
+from dsm.regsolve import NewtonOptions, solve_regularized
 
 
 def test_discrete_schedule_values():
@@ -205,14 +206,15 @@ def test_start_on_other_grid_rejected(identity_setup):
 class _CountingModel(OperatorModel):
     calls = 0
 
-    def apply(self, u):
+    def apply_values(self, values):
         self.calls += 1
-        return super().apply(u)
+        return super().apply_values(values)
 
 
 def test_accepted_trial_supplies_next_residual(identity_setup):
     """F is evaluated once at the start and then only by the line search:
-    on F = I every full step is accepted, so a run costs n_stop + 1 applies."""
+    on F = I every full step is accepted, so a run costs n_stop + 1
+    evaluations of the raw F kernel (the checked start included)."""
     grid, _, f_delta = identity_setup
     model = _CountingModel("identity", grid)
     delta = 0.05
@@ -283,6 +285,47 @@ def test_backtracking_recovers_saturating_runaway():
     record = run_iteration(model, f_delta, delta, sched, max_iter=200)
     assert record.stopped_by_discrepancy
     assert np.max(np.abs(record.final.values)) < 5.0
+
+
+def _count_wraps(monkeypatch, fn):
+    calls = []
+    init = GridFunction.__init__
+
+    def counting_init(self, grid, values):
+        calls.append(1)
+        init(self, grid, values)
+
+    monkeypatch.setattr(GridFunction, "__init__", counting_init)
+    result = fn()
+    monkeypatch.setattr(GridFunction, "__init__", init)
+    return len(calls), result
+
+
+# each call runs to its cap: the stop threshold 1.01 * 1e-12**0.99 is never
+# reached, nor is the Newton tolerance
+_CAPPED_RUNS = {
+    "run_iteration": lambda model, f_delta, delta, cap: run_iteration(
+        model, f_delta, 1e-12, DiscreteSchedule(3.0, delta, 0.9, 1), max_iter=cap,
+    ).n_stop,
+    "run_euler": lambda model, f_delta, delta, cap: run_euler(
+        model, f_delta, 1e-12, ContinuousSchedule(d=3.0 * delta ** 0.9, c=1.0, b=1.0),
+        h=0.5, max_steps=cap,
+    ).n_stop,
+    "solve_regularized": lambda model, f_delta, delta, cap: solve_regularized(
+        model, f_delta, 1e-3, NewtonOptions(tol=1e-300, max_iter=cap),
+    ).iterations,
+}
+
+
+@pytest.mark.parametrize("name", sorted(_CAPPED_RUNS))
+def test_newton_loops_wrap_only_at_the_boundary(monkeypatch, arctan_setup, name):
+    """The Newton loops run on raw arrays: a call builds the same few
+    GridFunction objects whether it takes two steps or ten."""
+    model, f_delta, delta = arctan_setup
+    short = _count_wraps(monkeypatch, lambda: _CAPPED_RUNS[name](model, f_delta, delta, 2))
+    long = _count_wraps(monkeypatch, lambda: _CAPPED_RUNS[name](model, f_delta, delta, 10))
+    assert (short[1], long[1]) == (2, 10)
+    assert short[0] == long[0] <= 3
 
 
 def test_large_grid_run_builds_no_dense_kernel():

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+import dsm.harness as harness
 from dsm.harness import (
     CSV_HEADER,
     PRESETS,
@@ -186,6 +187,20 @@ def test_cell_rel_error_recomputes():
     assert cell.delta_run == pytest.approx(
         float(np.linalg.norm(cell.f_delta.values - cell.f.values)), rel=1e-15
     )
+
+
+def test_noise_drawn_once_per_seed(monkeypatch):
+    drawn = []
+
+    def counting_make_noise(kind, grid, seed):
+        drawn.append(seed)
+        return make_noise(kind, grid, seed)
+
+    monkeypatch.setattr(harness, "make_noise", counting_make_noise)
+    config = FAST.override(noise="gaussian", delta_rel=(0.05, 0.03, 0.01))
+    cells = list(run_cells(config))
+    assert len(cells) == 3 * len(config.seeds)
+    assert sorted(drawn) == sorted(config.seeds)
 
 
 def test_csv_header_and_formatting():

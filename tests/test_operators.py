@@ -225,6 +225,37 @@ def test_matrix_free_apply_and_shifted_solve(kind, n, a, data):
     np.testing.assert_array_equal(again.values, step.values)
 
 
+@given(
+    kind=st.sampled_from(MODEL_KINDS),
+    n=st.integers(min_value=2, max_value=300),
+    a=st.floats(min_value=1e-8, max_value=1e2),
+    bad=st.sampled_from([np.nan, np.inf, -np.inf]),
+    data=st.data(),
+)
+@settings(max_examples=200, deadline=None)
+def test_raw_kernels_match_checked_wrappers(kind, n, a, bad, data):
+    """The raw-array kernels the Newton loops call give the checked
+    wrappers' values bit for bit; the raw F passes a non-finite input
+    through as a non-finite output instead of raising."""
+    grid = QuadratureGrid(n)
+    model = OperatorModel(kind, grid)
+    draw = arrays(np.float64, n, elements=bounded_values)
+    u = GridFunction(grid, data.draw(draw))
+    rhs = GridFunction(grid, data.draw(draw))
+
+    np.testing.assert_array_equal(model.apply_values(u.values), model.apply(u).values)
+    np.testing.assert_array_equal(
+        model.solve_shifted_values(u.values, a, rhs.values),
+        model.solve_shifted(u, a, rhs).values,
+    )
+
+    values = u.values.copy()
+    values[data.draw(st.integers(min_value=0, max_value=n - 1))] = bad
+    with np.errstate(invalid="ignore", over="ignore"):
+        out = model.apply_values(values)
+    assert not np.all(np.isfinite(out))
+
+
 @pytest.mark.parametrize("kind", ["arctan3", "cubic", "linear"])
 def test_shifted_solve_at_large_n(kind):
     # a dense kernel at n = 1e5 would take 80 GB; the step needs none, and
