@@ -26,6 +26,7 @@ from .driver import (
     DiscreteSchedule,
     RunRecord,
     StoppingRule,
+    run_batch,
     run_euler,
     run_iteration,
 )
@@ -99,6 +100,7 @@ __all__ = [
     "matvec",
     "norm",
     "rel_error",
+    "run_batch",
     "run_cells",
     "run_euler",
     "run_experiment",

@@ -21,11 +21,16 @@ nonlinearities at small a_n can trap raw Newton on a plateau it never
 leaves).  When no step length passes, the run takes the candidate with the
 smallest regularized residual.
 
-The loop runs on raw node arrays through the model's unchecked kernels
+There is one loop, and it advances a batch: :func:`run_batch` stacks one
+row of node values per run, each with its own data, schedule and stopping
+threshold, and every step calls the model's unchecked kernels
 (:meth:`~dsm.operators.OperatorModel.apply_values`,
-:meth:`~dsm.operators.OperatorModel.solve_shifted_values`).  The start point's
-F goes through the checked :meth:`~dsm.operators.OperatorModel.apply`, and the
-final iterate is wrapped as a :class:`~dsm.hilbert.GridFunction` once per run.
+:meth:`~dsm.operators.OperatorModel.solve_shifted_values`) and the line
+search once for all the rows still running.  A row leaves the stack when it
+stops; its record is bit for bit the one it gets when run alone.
+:func:`run_iteration` and :func:`run_euler` are the one-row case.  F at the
+start point must be finite, and each final iterate is wrapped as a
+:class:`~dsm.hilbert.GridFunction` once per run.
 """
 
 from __future__ import annotations
@@ -36,7 +41,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .hilbert import GridFunction
-from .operators import OperatorModel
+from .operators import OperatorModel, SingularShiftError
 from .regsolve import line_search, regularized_residual, start_values
 # unused here; imported only because benchmarks/spans.py patches this name
 from .regsolve import solve_shifted_linear  # noqa: F401
@@ -46,6 +51,7 @@ __all__ = [
     "ContinuousSchedule",
     "StoppingRule",
     "RunRecord",
+    "run_batch",
     "run_iteration",
     "run_euler",
 ]
@@ -136,6 +142,8 @@ class RunRecord:
     ``residuals[k]`` and ``a_values[k]`` belong to iterate k; both have
     length ``n_stop + 1``.  ``stopped_by_discrepancy`` is False when the
     step cap ran out first (the caller treats that as divergence).
+    ``wall_time`` runs from the start of the batch the run belonged to (see
+    :func:`run_batch`) to the run's stop.
     """
 
     final: GridFunction
@@ -146,41 +154,118 @@ class RunRecord:
     wall_time: float = field(default=0.0)
 
 
-def _drive(model, f_delta, schedule_a, threshold, u0, max_steps, h):
-    grid = model.grid
-    u = start_values(model, f_delta, u0)
-    f_values = f_delta.values
-    # F(u) is evaluated here once, checked; afterwards every iterate's F
-    # comes back from the line search trial that produced it
-    fu = model.apply(GridFunction(grid, u)).values
-    residuals = []
-    a_values = []
+def _a_values(schedule, h, steps):
+    # a_n at the given step indices: a discrete schedule at the index, a
+    # continuous one at t = n*h
+    if isinstance(schedule, DiscreteSchedule):
+        return schedule.a(steps)
+    return schedule.a(steps * h)
+
+
+_FIRST_STEPS = 64
+
+
+def _drive(model, f_values, schedules, thresholds, u, h, max_steps):
+    # Rows still running are stacked in u, fu and f_values, next to their
+    # tables of a_n and of residuals; ``rows`` maps them back to the batch.
+    # The stack is compacted only when a row stops.  The tables start with
+    # room for _FIRST_STEPS steps and double when full.
     start = time.perf_counter()
-    n = 0
-    stopped = False
-    while True:
-        res = float(np.linalg.norm(fu - f_values))
-        a_n = schedule_a(n)
-        residuals.append(res)
-        a_values.append(a_n)
-        if res < threshold:
-            stopped = True
-            break
-        if n >= max_steps:
-            break
-        g_values, g_norm = regularized_residual(grid, fu, u, a_n, f_values)
-        step = model.solve_shifted_values(u, a_n, g_values)
-        u, fu, _, _ = line_search(model, u, h * step, a_n, f_values, g_norm)
-        n += 1
-    wall = time.perf_counter() - start
-    return RunRecord(
-        final=GridFunction(grid, u),
-        n_stop=n,
-        residuals=np.asarray(residuals),
-        a_values=np.asarray(a_values),
-        stopped_by_discrepancy=stopped,
-        wall_time=wall,
-    )
+    grid = model.grid
+
+    def a_columns(live, first, stop):
+        steps = np.arange(first, stop)
+        return np.array([_a_values(schedules[k], h, steps) for k in live])
+
+    records = [None] * len(u)
+    rows = np.arange(len(u))
+    a_table = a_columns(rows, 0, min(_FIRST_STEPS, max_steps + 1))
+    residuals = np.empty_like(a_table)
+    # trial points may overflow; the line search rejects them by their norm
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        # F(u) is evaluated here once, checked; afterwards every iterate's F
+        # comes back from the line search trial that produced it
+        fu = model.apply_values(u)
+        if not np.isfinite(fu).all():
+            raise ValueError("cannot evaluate the model at the start point")
+        n = 0
+        while True:
+            if n == residuals.shape[1]:
+                more = a_columns(rows, n, min(2 * n, max_steps + 1))
+                a_table = np.hstack([a_table, more])
+                residuals = np.hstack([residuals, np.empty_like(more)])
+            d = fu - f_values
+            res = np.sqrt(np.vecdot(d, d))
+            residuals[:, n] = res
+            stopped = res < thresholds
+            if n == max_steps or np.count_nonzero(stopped):
+                out = stopped | (n == max_steps)
+                wall = time.perf_counter() - start
+                for i in np.flatnonzero(out):
+                    records[rows[i]] = RunRecord(
+                        final=GridFunction(grid, u[i]),
+                        n_stop=n,
+                        residuals=residuals[i, : n + 1].copy(),
+                        a_values=a_table[i, : n + 1].copy(),
+                        stopped_by_discrepancy=bool(stopped[i]),
+                        wall_time=wall,
+                    )
+                if out.all():
+                    return records
+                keep = ~out
+                rows, u, fu, f_values = rows[keep], u[keep], fu[keep], f_values[keep]
+                a_table, residuals, thresholds = a_table[keep], residuals[keep], thresholds[keep]
+            a_n = a_table[:, n : n + 1]
+            g_values, g_norm = regularized_residual(grid, fu, u, a_n, f_values)
+            try:
+                step = model.solve_shifted_values(u, a_n, g_values)
+            except SingularShiftError as err:
+                raise SingularShiftError(err.pivot_index, rows[err.row]) from err
+            u, fu, _, _, _ = line_search(model, u, fu, h * step, a_n, f_values, g_norm)
+            n += 1
+
+
+def run_batch(
+    model: OperatorModel,
+    f_deltas,
+    deltas,
+    schedules,
+    rule: StoppingRule | None = None,
+    u0: GridFunction | None = None,
+    h: float = 1.0,
+    max_steps: int = 500,
+) -> list:
+    """Run one trajectory per row of data, all rows as one iteration.
+
+    Row k starts at ``u0`` (default 0) and solves for the data
+    ``f_deltas[k]`` with noise level ``deltas[k]`` and schedule
+    ``schedules[k]``: a :class:`DiscreteSchedule` drives the iteration
+    (h = 1), a :class:`ContinuousSchedule` is sampled at t = n*h for the
+    explicit Euler step h.  Each row stops at its own discrepancy threshold
+    or after ``max_steps`` steps.
+
+    Each step calls each Newton kernel once for all the rows still running,
+    and a row's record is bit for bit the one it gets when run alone.
+    ``RunRecord.wall_time`` is the time from the start of the batch to that
+    row's stop.  A :class:`~dsm.operators.SingularShiftError` names the
+    batch row it arose in.
+    """
+    if not h > 0:
+        raise ValueError(f"step size h must be positive, got {h}")
+    if max_steps < 0:
+        raise ValueError(f"max_steps must be >= 0, got {max_steps}")
+    if not len(f_deltas) == len(deltas) == len(schedules) > 0:
+        raise ValueError("need one delta and one schedule per data row, and at least one row")
+    for schedule in schedules:
+        if not isinstance(schedule, (DiscreteSchedule, ContinuousSchedule)):
+            raise ValueError(f"not a DiscreteSchedule or ContinuousSchedule: {schedule!r}")
+        if isinstance(schedule, DiscreteSchedule) and h != 1.0:
+            raise ValueError(f"a DiscreteSchedule steps with h = 1, got h = {h}")
+    rule = rule or StoppingRule()
+    thresholds = np.array([rule.threshold(delta) for delta in deltas])
+    u = np.array([start_values(model, f_delta, u0) for f_delta in f_deltas])
+    f_values = np.array([f_delta.values for f_delta in f_deltas])
+    return _drive(model, f_values, list(schedules), thresholds, u, h, max_steps)
 
 
 def run_iteration(
@@ -192,14 +277,13 @@ def run_iteration(
     u0: GridFunction | None = None,
     max_iter: int = 500,
 ) -> RunRecord:
-    """Run the damped-Newton iteration with the discrete schedule (h = 1)."""
+    """Run the damped-Newton iteration with the discrete schedule (h = 1):
+    the one-row case of :func:`run_batch`."""
     if not isinstance(schedule, DiscreteSchedule):
         raise ValueError("run_iteration needs a DiscreteSchedule")
     if max_iter < 1:
         raise ValueError(f"max_iter must be >= 1, got {max_iter}")
-    rule = rule or StoppingRule()
-    threshold = rule.threshold(delta)
-    return _drive(model, f_delta, schedule.a, threshold, u0, max_iter, 1.0)
+    return run_batch(model, [f_delta], [delta], [schedule], rule, u0, 1.0, max_iter)[0]
 
 
 def run_euler(
@@ -212,7 +296,8 @@ def run_euler(
     h: float = 1.0,
     max_steps: int = 500,
 ) -> RunRecord:
-    """Explicit-Euler integration of the continuous dynamical system.
+    """Explicit-Euler integration of the continuous dynamical system: the
+    one-row case of :func:`run_batch`.
 
     a(t) is sampled at the start of each step (t = n*h for iterate n), so
     with h = 1 and matched schedule parameters the trace coincides with
@@ -220,10 +305,4 @@ def run_euler(
     """
     if not isinstance(schedule, ContinuousSchedule):
         raise ValueError("run_euler needs a ContinuousSchedule")
-    if not h > 0:
-        raise ValueError(f"step size h must be positive, got {h}")
-    if max_steps < 0:
-        raise ValueError(f"max_steps must be >= 0, got {max_steps}")
-    rule = rule or StoppingRule()
-    threshold = rule.threshold(delta)
-    return _drive(model, f_delta, lambda n: schedule.a(n * h), threshold, u0, max_steps, h)
+    return run_batch(model, [f_delta], [delta], [schedule], rule, u0, h, max_steps)[0]

@@ -2,7 +2,10 @@
 
 A run cell is one (delta_rel, seed) pair: build f from the exact solution,
 add calibrated noise, drive the iteration to the discrepancy stop, and
-record iteration count, relative error, and wall time.
+record iteration count, relative error, and wall time.  All cells of a
+config share one grid and one model, and run as one batch
+(:func:`dsm.driver.run_batch`); a cell's wall time is the time from the
+start of the batch to its stop.
 
 Noise calibration fixes ||f_delta - f|| = delta_rel * ||f|| in the
 quadrature-weighted norm.  The drivers' discrepancy stop is in the plain
@@ -14,7 +17,6 @@ rows (``delta_abs`` is the weighted one).
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass, field, replace
 from typing import Iterable, NamedTuple
 
@@ -25,9 +27,10 @@ from .driver import (
     DiscreteSchedule,
     RunRecord,
     StoppingRule,
-    run_euler,
-    run_iteration,
+    run_batch,
 )
+# unused here; imported only because benchmarks/spans.py patches these names
+from .driver import run_euler, run_iteration  # noqa: F401
 from .hilbert import GridFunction, QuadratureGrid, norm, rel_error
 from .operators import MODEL_KINDS, OperatorModel
 
@@ -76,13 +79,14 @@ _MASK = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 
 
-def _mix(seed: int, counter: int) -> int:
+def _mix(seed: int, counters: np.ndarray) -> np.ndarray:
     # SplitMix64 output function on seed + (counter+1)*golden: a counter-based
-    # stream, identical across platforms and numpy versions
-    z = (seed + (counter + 1) * _GOLDEN) & _MASK
-    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
-    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK
-    return (z ^ (z >> 31)) & _MASK
+    # stream, identical across platforms and numpy versions.  uint64 array
+    # arithmetic wraps mod 2^64, as the generator's does.
+    z = np.uint64(seed & _MASK) + (counters + np.uint64(1)) * np.uint64(_GOLDEN)
+    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    return z ^ (z >> np.uint64(31))
 
 
 def gaussian_noise(grid: QuadratureGrid, seed: int) -> GridFunction:
@@ -90,15 +94,19 @@ def gaussian_noise(grid: QuadratureGrid, seed: int) -> GridFunction:
 
     Box-Muller on two 53-bit uniforms per node; u1 is shifted into (0, 1]
     so the log never sees zero.  The stream depends only on (seed, node
-    index), never on numpy's generator internals.
+    index), never on numpy's generator internals; the integer mixing runs
+    on whole arrays, the log and cosine per node in ``math``, whose results
+    do not depend on numpy's vectorized kernels.
     """
     if seed < 0:
         raise ValueError(f"seed must be nonnegative, got {seed}")
-    values = np.empty(grid.n)
-    for i in range(grid.n):
-        u1 = ((_mix(seed, 2 * i) >> 11) + 1) * 2.0 ** -53
-        u2 = (_mix(seed, 2 * i + 1) >> 11) * 2.0 ** -53
-        values[i] = math.sqrt(-2.0 * math.log(u1)) * math.cos(2.0 * math.pi * u2)
+    bits = _mix(seed, np.arange(2 * grid.n, dtype=np.uint64)) >> np.uint64(11)
+    u1 = ((bits[0::2] + np.uint64(1)) * 2.0 ** -53).tolist()
+    u2 = (bits[1::2] * 2.0 ** -53).tolist()
+    values = [
+        math.sqrt(-2.0 * math.log(x1)) * math.cos(2.0 * math.pi * x2)
+        for x1, x2 in zip(u1, u2)
+    ]
     return GridFunction(grid, values)
 
 
@@ -250,7 +258,12 @@ class RunCell:
 
 
 def run_cells(config: ExperimentConfig) -> Iterable[RunCell]:
-    """Yield cells ordered by delta_rel descending, then seed ascending."""
+    """Yield cells ordered by delta_rel descending, then seed ascending.
+
+    All cells of the config run as one batch (:func:`dsm.driver.run_batch`),
+    so the first cell comes out once every cell has stopped, and a cell's
+    ``wall_time_s`` is the time from the start of the batch to its stop.
+    """
     grid = QuadratureGrid(config.n_points)
     model = OperatorModel(config.model, grid)
     u_exact = exact_solution(config.exact, grid)
@@ -258,46 +271,46 @@ def run_cells(config: ExperimentConfig) -> Iterable[RunCell]:
     rule = StoppingRule(config.stop_c, config.gamma)
     # one draw per seed, reused at every noise level
     noises = {seed: make_noise(config.noise, grid, seed) for seed in config.seeds}
+    cells, f_deltas, deltas, schedules = [], [], [], []
     for delta_rel in sorted(config.delta_rel, reverse=True):
         for seed in sorted(config.seeds):
             f_delta, delta_abs = calibrate_noise(f, noises[seed], delta_rel)
             # the drivers' discrepancy stop is in the Euclidean vector
             # norm, so hand them the noise level on the same scale
             delta_run = float(np.linalg.norm(f_delta.values - f.values))
-            start = time.perf_counter()
+            cells.append((delta_rel, seed, delta_abs))
+            f_deltas.append(f_delta)
+            deltas.append(delta_run)
             if config.mode == "iterate":
-                schedule = DiscreteSchedule(config.c0, delta_run, config.p, config.shift)
-                record = run_iteration(
-                    model, f_delta, delta_run, schedule,
-                    rule=rule, max_iter=config.max_iter,
-                )
+                schedules.append(DiscreteSchedule(config.c0, delta_run, config.p, config.shift))
             else:
-                schedule = ContinuousSchedule(
-                    d=config.c0 * delta_run ** config.p,
-                    c=float(config.shift), b=1.0,
-                )
-                record = run_euler(
-                    model, f_delta, delta_run, schedule,
-                    rule=rule, h=config.h, max_steps=config.max_iter,
-                )
-            wall = time.perf_counter() - start
-            row = ResultRow(
-                delta_rel=delta_rel,
-                delta_abs=delta_abs,
-                n_iterations=record.n_stop,
-                rel_error=rel_error(record.final, u_exact),
-                c0=config.c0,
-                n_points=config.n_points,
-                seed=seed,
-                model=config.model,
-                exact=config.exact,
-                stopped=record.stopped_by_discrepancy,
-                wall_time_s=wall,
-            )
-            yield RunCell(
-                row=row, record=record, u_exact=u_exact, f=f,
-                f_delta=f_delta, delta_run=delta_run, rule=rule, model=model,
-            )
+                schedules.append(ContinuousSchedule(
+                    d=config.c0 * delta_run ** config.p, c=float(config.shift), b=1.0,
+                ))
+    h = 1.0 if config.mode == "iterate" else config.h
+    records = run_batch(
+        model, f_deltas, deltas, schedules, rule=rule, h=h, max_steps=config.max_iter
+    )
+    for (delta_rel, seed, delta_abs), f_delta, delta_run, record in zip(
+        cells, f_deltas, deltas, records
+    ):
+        row = ResultRow(
+            delta_rel=delta_rel,
+            delta_abs=delta_abs,
+            n_iterations=record.n_stop,
+            rel_error=rel_error(record.final, u_exact),
+            c0=config.c0,
+            n_points=config.n_points,
+            seed=seed,
+            model=config.model,
+            exact=config.exact,
+            stopped=record.stopped_by_discrepancy,
+            wall_time_s=record.wall_time,
+        )
+        yield RunCell(
+            row=row, record=record, u_exact=u_exact, f=f,
+            f_delta=f_delta, delta_run=delta_run, rule=rule, model=model,
+        )
 
 
 def run_experiment(config: ExperimentConfig) -> list:

@@ -25,7 +25,10 @@ matrix is formed on that path.
 
 Both live on raw node arrays as the unchecked kernels
 :meth:`OperatorModel.apply_values` and :meth:`OperatorModel.solve_shifted_values`,
-which the Newton loops call directly.  The public :meth:`~OperatorModel.apply`,
+which the Newton loops call directly.  They take one row of node values or
+a stack of rows of shape ``(S, n)``, one row per run of a batch, and treat
+every row on its own: a row of a stack gives bit for bit what it gives
+alone.  The public :meth:`~OperatorModel.apply`,
 :meth:`~OperatorModel.apply_kernel` and :meth:`~OperatorModel.solve_shifted`
 wrap them with a grid check and a :class:`~dsm.hilbert.GridFunction` result.
 """
@@ -47,15 +50,39 @@ MODEL_KINDS = ("arctan3", "cubic", "linear", "identity")
 
 class SingularShiftError(RuntimeError):
     """The shifted Newton system F'(u) + a*I meets a zero or non-finite
-    pivot, or its solution is not finite."""
+    pivot, or its solution is not finite.
 
-    def __init__(self, pivot_index: int):
+    ``row`` is the row of a stacked solve (0 for a single one) and
+    ``pivot_index`` the node within that row.
+    """
+
+    def __init__(self, pivot_index: int, row: int = 0):
         self.pivot_index = int(pivot_index)
-        super().__init__(f"numerically singular pivot at index {self.pivot_index}")
+        self.row = int(row)
+        super().__init__(
+            f"numerically singular pivot at index {self.pivot_index} of row {self.row}"
+        )
 
 
+def _all_finite(x):
+    # np.isfinite(x).all() without the Python-level reduction wrapper
+    return np.count_nonzero(np.isfinite(x)) == x.size
+
+
+def _raise_singular(n, *masks):
+    # the first flagged (row, node) of the first mask that flags any
+    for mask in masks:
+        hits = np.flatnonzero(mask)
+        if hits.size:
+            row, node = divmod(int(hits[0]), n)
+            raise SingularShiftError(node, row)
+
+
+# cubes by multiplication: x ** 3 on an array goes through np.power, several
+# times slower than two multiplications
 def _g_arctan3(u):
-    return np.arctan(u) ** 3
+    t = np.arctan(u)
+    return t * t * t
 
 
 def _gprime_arctan3(u):
@@ -63,7 +90,7 @@ def _gprime_arctan3(u):
 
 
 def _g_cubic(u):
-    return u ** 3
+    return u * u * u
 
 
 def _gprime_cubic(u):
@@ -83,7 +110,8 @@ class OperatorModel:
 
     :meth:`apply` and :meth:`solve_shifted` cost O(n) and allocate no n x n
     array; :meth:`apply_values` and :meth:`solve_shifted_values` are the same
-    kernels on raw node arrays, without the checks.  The dense kernel matrix
+    kernels on raw node arrays, one row or a stack of rows, without the
+    checks.  The dense kernel matrix
     K_ij = w_j * exp(-|x_i - x_j|) and :meth:`jacobian` are O(n^2)
     diagnostics: ``kernel`` is built on first access and cached.
     """
@@ -94,18 +122,22 @@ class OperatorModel:
         self.kind = kind
         self.grid = grid
         self._g, self._gprime = _NONLINEARITY[kind]
+        # Node constants are stored as (1, n) rows, so that a single row meets
+        # them shape for shape and a stack of rows broadcasts against them.
         # exp(+-x), with the quadrature weights folded into the factors the
         # running sums multiply by; the reversed copy feeds the sum from the right
-        self._up = np.exp(grid.nodes)
-        self._down = np.exp(-grid.nodes)
-        self._up_w = self._up * grid.weights
-        self._down_w_rev = (self._down * grid.weights)[::-1].copy()
+        nodes, weights = grid.nodes[None, :], grid.weights[None, :]
+        self._w = weights
+        self._up = np.exp(nodes)
+        self._down = np.exp(-nodes)
+        self._up_w = self._up * weights
+        self._down_w_rev = (self._down * weights)[:, ::-1].copy()
         # T = (1 - rho^2) E^{-1}: its off-diagonal -rho and its diagonal, and
         # the (1 - rho^2) W term of the Newton system
         self._rho = math.exp(-grid.h)
-        self._t_diag = np.full(grid.n, 1.0 + self._rho ** 2)
-        self._t_diag[[0, -1]] = 1.0
-        self._cw = -math.expm1(-2.0 * grid.h) * grid.weights
+        self._t_diag = np.full((1, grid.n), 1.0 + self._rho ** 2)
+        self._t_diag[0, [0, -1]] = 1.0
+        self._cw = -math.expm1(-2.0 * grid.h) * weights
 
     def __repr__(self):
         return f"OperatorModel({self.kind!r}, n={self.grid.n})"
@@ -122,30 +154,39 @@ class OperatorModel:
         kernel.flags.writeable = False
         return kernel
 
-    def _kernel_values(self, values):
+    def _rows(self, values):
+        # a view of one row or a stack of rows as shape (S, n)
+        return values.reshape(-1, self.grid.n)
+
+    def _kernel_values(self, rows):
         # E (w*u) as two running sums: exp(-|x_i - x_j|) is exp(-x_i) exp(x_j)
         # for j <= i and exp(x_i) exp(-x_j) for j >= i, so the diagonal term is
-        # counted twice.  Every factor lies in [1/e, e].
-        out = np.add.accumulate(self._up_w * values)
+        # counted twice.  Every factor lies in [1/e, e].  The sums run along
+        # each row on its own.
+        out = np.add.accumulate(self._up_w * rows, axis=1)
         out *= self._down
-        out += self._up * np.add.accumulate(self._down_w_rev * values[::-1])[::-1]
-        out -= self.grid.weights * values
+        rev = np.add.accumulate(self._down_w_rev * rows[:, ::-1], axis=1)
+        out += self._up * rev[:, ::-1]
+        out -= self._w * rows
         return out
 
     def apply_values(self, values: np.ndarray) -> np.ndarray:
-        """F on raw node values, unchecked: a non-finite input or an
-        overflowing g gives non-finite entries instead of an error."""
+        """F on raw node values, one row or a stack of rows ``(S, n)``,
+        unchecked: a non-finite input or an overflowing g gives non-finite
+        entries instead of an error."""
+        rows = self._rows(values)
         if self.kind == "identity":
-            return np.array(values, dtype=float)
-        out = self._kernel_values(values)
-        if self._g is not None:
-            out += self._g(values)
-        return out
+            out = np.array(rows, dtype=float)
+        else:
+            out = self._kernel_values(rows)
+            if self._g is not None:
+                out += self._g(rows)
+        return out.reshape(values.shape)
 
     def apply_kernel(self, u: GridFunction) -> GridFunction:
         """The integral term B(u) alone."""
         self._check(u)
-        return GridFunction(self.grid, self._kernel_values(u.values))
+        return GridFunction(self.grid, self._kernel_values(self._rows(u.values))[0])
 
     def apply(self, u: GridFunction) -> GridFunction:
         """F(u); raises ``ValueError`` where F(u) is not finite."""
@@ -167,52 +208,82 @@ class OperatorModel:
         """Solve (F'(u) + a*I) s = rhs; see :meth:`solve_shifted_values`."""
         self._check(u)
         self._check(rhs)
-        return GridFunction(self.grid, self.solve_shifted_values(u.values, a, rhs.values))
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            step = self.solve_shifted_values(u.values, a, rhs.values)
+        return GridFunction(self.grid, step)
 
-    def solve_shifted_values(self, values: np.ndarray, a: float, rhs: np.ndarray) -> np.ndarray:
+    def solve_shifted_values(self, values: np.ndarray, a, rhs: np.ndarray) -> np.ndarray:
         """Solve (F'(u) + a*I) s = rhs in O(n) on raw node values, unchecked.
+
+        ``values`` and ``rhs`` are one row of node values or a stack of rows
+        ``(S, n)``, each row its own system; ``a`` is a scalar or a column
+        ``(S, 1)`` of per-row shifts.  Like :meth:`apply_values` it leaves
+        numpy's floating-point warnings to the caller.
 
         F'(u) + a*I = E W + D with W = diag(w) and D = diag(g'(u) + a).
         Multiplying by T = (1 - rho^2) E^{-1} gives the tridiagonal system
         ((1 - rho^2) W + T D) s = T rhs, which LAPACK ``dgtsv`` solves by
-        Gaussian elimination with partial pivoting.  One step of iterative
-        refinement against the O(n) operator follows: multiplying by T
-        amplifies rounding by up to about 1/h^2, and the refinement brings
-        the residual back to rounding level.  The identity model's step is
-        rhs / (1 + a).
+        Gaussian elimination with partial pivoting.  The rows go to it as one
+        block-diagonal system of S*n unknowns with zero couplings across row
+        boundaries: partial pivoting never swaps across a zero subdiagonal
+        below a finite nonzero pivot, so every row's solution is the one it
+        has alone.  One step of iterative refinement against the O(n)
+        operator follows: multiplying by T amplifies rounding by up to about
+        1/h^2, and the refinement brings the residual back to rounding level.
+        The identity model's step is rhs / (1 + a).
 
-        Raises :class:`SingularShiftError` at a zero or non-finite pivot or
-        a non-finite solution.
+        Raises :class:`SingularShiftError` at a non-finite entry of the
+        system, a zero or non-finite pivot, or a non-finite solution; it
+        names the first such row and the node within it.
         """
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            if self.kind == "identity":
-                step = rhs / (1.0 + a)
-            elif self._gprime is None:
-                step = self._solve_refined(np.full(self.grid.n, float(a)), rhs)
-            else:
-                step = self._solve_refined(self._gprime(values) + a, rhs)
-        if not np.isfinite(step).all():
-            raise SingularShiftError(np.flatnonzero(~np.isfinite(step))[0])
-        return step
+        rows, b = self._rows(values), self._rows(rhs)
+        if self.kind == "identity":
+            step = b / (1.0 + a)
+            if not _all_finite(step):
+                _raise_singular(self.grid.n, ~np.isfinite(step))
+        elif self._gprime is None:
+            step = self._solve_refined(np.broadcast_to(a, rows.shape), b)
+        else:
+            shift = self._gprime(rows)
+            shift += a
+            step = self._solve_refined(shift, b)
+        return step.reshape(values.shape)
+
+    def _t_times(self, rows):
+        # T = (1 - rho^2) E^{-1} applied to each row, flattened for dgtsv
+        out = self._t_diag * rows
+        out[:, 1:] -= self._rho * rows[:, :-1]
+        out[:, :-1] -= self._rho * rows[:, 1:]
+        return out.ravel()
 
     def _solve_refined(self, shift, rhs):
-        rho, t = self._rho, self._t_diag
-        diag = self._cw + t * shift
-        lower = -rho * shift[:-1]
-        upper = -rho * shift[1:]
-
-        def solve(b):
-            tb = t * b
-            tb[1:] -= rho * b[:-1]
-            tb[:-1] -= rho * b[1:]
-            return dgtsv(lower, diag, upper, tb)
-
-        _, pivots, _, step, info = solve(rhs)
-        if info > 0:
-            raise SingularShiftError(info - 1)
-        if not np.isfinite(pivots).all():
-            raise SingularShiftError(np.flatnonzero(~np.isfinite(pivots))[0])
-        return step + solve(rhs - self._kernel_values(step) - shift * step)[3]
+        n = self.grid.n
+        diag = self._t_diag * shift
+        diag += self._cw
+        diag = diag.ravel()
+        off = shift * -self._rho
+        # no coupling between the last node of a row and the first of the next
+        upper = off.ravel()[1:].copy()
+        upper[n - 1::n] = 0.0
+        off[:, -1] = 0.0
+        lower = off.ravel()[:-1]
+        _, pivots, _, step, info = dgtsv(lower, diag, upper, self._t_times(rhs), overwrite_b=1)
+        step = step.reshape(shift.shape)
+        if info == 0 and _all_finite(pivots):
+            correction = rhs - self._kernel_values(step)
+            correction -= shift * step
+            refined = dgtsv(lower, diag, upper, self._t_times(correction), 1, 1, 1, 1)[3]
+            step += refined.reshape(shift.shape)
+            if _all_finite(step):
+                return step
+        # a non-finite row can spill into its neighbours' pivots and
+        # solutions, so blame a non-finite system first, then the pivots
+        _raise_singular(
+            n,
+            ~np.isfinite(diag) | ~np.isfinite(rhs.ravel()),
+            (pivots == 0.0) | ~np.isfinite(pivots),
+            ~np.isfinite(step),
+        )
 
 
 def matvec(matrix: np.ndarray, w: GridFunction) -> GridFunction:

@@ -4,16 +4,19 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dsm.driver import (
     ContinuousSchedule,
     DiscreteSchedule,
     StoppingRule,
+    run_batch,
     run_euler,
     run_iteration,
 )
 from dsm.hilbert import GridFunction, GridMismatchError, QuadratureGrid
-from dsm.operators import OperatorModel
+from dsm.operators import MODEL_KINDS, OperatorModel, SingularShiftError
 from dsm.regsolve import NewtonOptions, solve_regularized
 
 
@@ -341,3 +344,76 @@ def test_large_grid_run_builds_no_dense_kernel():
     assert record.n_stop == 3 and not record.stopped_by_discrepancy
     assert np.all(np.diff(record.residuals) < 0)
     assert "kernel" not in model.__dict__
+
+
+@given(
+    kind=st.sampled_from(MODEL_KINDS),
+    n=st.integers(min_value=2, max_value=200),
+    mode=st.sampled_from(["iterate", "euler-1", "euler-0.5"]),
+    levels=st.lists(st.floats(1e-4, 0.2), min_size=1, max_size=6),
+    c0=st.floats(0.05, 10.0),
+)
+@settings(max_examples=40, deadline=None)
+def test_batch_rows_match_runs_alone(kind, n, mode, levels, c0):
+    """Each row of a batch, with its own noise level, schedule and stop,
+    gets bit for bit the record it gets from run_iteration / run_euler
+    alone, wherever the other rows stop."""
+    grid = QuadratureGrid(n)
+    model = OperatorModel(kind, grid)
+    f = model.apply(grid.sample(lambda x: 1.0 - x + 0.5 * np.sin(4.0 * x)))
+    f_deltas, deltas, schedules = [], [], []
+    for k, level in enumerate(levels):
+        noise = level * np.cos((3.0 + k) * np.pi * grid.nodes)
+        f_deltas.append(GridFunction(grid, f.values + noise))
+        deltas.append(float(np.linalg.norm(noise)))
+        if mode == "iterate":
+            schedules.append(DiscreteSchedule(c0, deltas[-1], 0.9, 1))
+        else:
+            schedules.append(ContinuousSchedule(d=c0 * deltas[-1] ** 0.9, c=1.0, b=1.0))
+    h = 1.0 if mode in ("iterate", "euler-1") else 0.5
+    batch = run_batch(model, f_deltas, deltas, schedules, h=h, max_steps=60)
+    assert len(batch) == len(levels)
+    for record, f_delta, delta, schedule in zip(batch, f_deltas, deltas, schedules):
+        if mode == "iterate":
+            alone = run_iteration(model, f_delta, delta, schedule, max_iter=60)
+        else:
+            alone = run_euler(model, f_delta, delta, schedule, h=h, max_steps=60)
+        assert record.n_stop == alone.n_stop
+        assert record.stopped_by_discrepancy == alone.stopped_by_discrepancy
+        np.testing.assert_array_equal(record.residuals, alone.residuals)
+        np.testing.assert_array_equal(record.a_values, alone.a_values)
+        np.testing.assert_array_equal(record.final.values, alone.final.values)
+
+
+class _SingularModel(OperatorModel):
+    """Raises for the second row of every stack it is asked to solve."""
+
+    def solve_shifted_values(self, values, a, rhs):
+        if len(values) > 1:
+            raise SingularShiftError(5, row=1)
+        return super().solve_shifted_values(values, a, rhs)
+
+
+def test_batch_names_the_singular_row(identity_setup):
+    # row 0 stops before any step, so the running stack holds rows 1..3 and
+    # its row 1 is batch row 2
+    grid, _, f_delta = identity_setup
+    model = _SingularModel("identity", grid)
+    deltas = [10.0, 0.05, 0.05, 0.05]
+    schedules = [DiscreteSchedule(2.0, delta, 0.9, 1) for delta in deltas]
+    with pytest.raises(SingularShiftError) as err:
+        run_batch(model, [f_delta] * 4, deltas, schedules)
+    assert (err.value.row, err.value.pivot_index) == (2, 5)
+
+
+def test_batch_validation(identity_setup):
+    grid, model, f_delta = identity_setup
+    discrete = DiscreteSchedule(2.0, 0.05, 0.9, 1)
+    with pytest.raises(ValueError):
+        run_batch(model, [], [], [])
+    with pytest.raises(ValueError):
+        run_batch(model, [f_delta, f_delta], [0.05], [discrete, discrete])
+    with pytest.raises(ValueError):
+        run_batch(model, [f_delta], [0.05], [discrete], h=0.5)
+    with pytest.raises(ValueError):
+        run_batch(model, [f_delta], [0.05], [lambda n: 1.0])

@@ -1,6 +1,7 @@
 """Experiment harness: solutions, noise, calibration, presets, CSV."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -63,6 +64,20 @@ def test_gaussian_noise_matches_box_muller_oracle():
         u2 = (_splitmix_reference(42, 2 * i + 1) >> 11) * 2.0 ** -53
         expected = math.sqrt(-2.0 * math.log(u1)) * math.cos(2.0 * math.pi * u2)
         assert values[i] == expected
+
+
+@pytest.mark.parametrize("seed", [0, 12, 2 ** 40, 2 ** 64 - 1, 2 ** 70 + 5])
+def test_gaussian_noise_matches_scalar_reference_at_scale(seed):
+    # the array mixing reproduces the scalar generator draw for draw; at
+    # seed 2^64 - 1 the counter sum wraps past 2^64 from the first draw on,
+    # and 2^70 + 5 is wider than the generator's 64-bit state
+    n = 1000
+    expected = []
+    for i in range(n):
+        u1 = ((_splitmix_reference(seed, 2 * i) >> 11) + 1) * 2.0 ** -53
+        u2 = (_splitmix_reference(seed, 2 * i + 1) >> 11) * 2.0 ** -53
+        expected.append(math.sqrt(-2.0 * math.log(u1)) * math.cos(2.0 * math.pi * u2))
+    np.testing.assert_array_equal(gaussian_noise(QuadratureGrid(n), seed).values, expected)
 
 
 def test_gaussian_noise_reproducible_and_seed_sensitive():
@@ -201,6 +216,31 @@ def test_noise_drawn_once_per_seed(monkeypatch):
     cells = list(run_cells(config))
     assert len(cells) == 3 * len(config.seeds)
     assert sorted(drawn) == sorted(config.seeds)
+
+
+@pytest.mark.parametrize("mode", ["iterate", "euler"])
+def test_batched_cells_match_cells_run_alone(mode):
+    """run_cells runs a config's cells as one batch; every cell, in the
+    same order, is the one its (delta_rel, seed) config gives alone."""
+    config = PRESETS["exp1"].override(
+        n_points=40, delta_rel=(0.01, 0.05, 0.02), seeds=(3, 1, 2), mode=mode, h=0.5,
+    )
+    batch = list(run_cells(config))
+    assert [(c.row.delta_rel, c.row.seed) for c in batch] == [
+        (d, s) for d in (0.05, 0.02, 0.01) for s in (1, 2, 3)
+    ]
+    for cell in batch:
+        alone = next(iter(run_cells(
+            config.override(delta_rel=(cell.row.delta_rel,), seeds=(cell.row.seed,))
+        )))
+        assert replace(cell.row, wall_time_s=0.0) == replace(alone.row, wall_time_s=0.0)
+        assert cell.record.n_stop == alone.record.n_stop
+        np.testing.assert_array_equal(cell.record.residuals, alone.record.residuals)
+        np.testing.assert_array_equal(cell.record.a_values, alone.record.a_values)
+        np.testing.assert_array_equal(cell.record.final.values, alone.record.final.values)
+        np.testing.assert_array_equal(cell.f_delta.values, alone.f_delta.values)
+        assert cell.delta_run == alone.delta_run
+        assert cell.row.wall_time_s == cell.record.wall_time > 0.0
 
 
 def test_csv_header_and_formatting():

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from dsm.hilbert import GridFunction, GridMismatchError, QuadratureGrid, inner, norm
-from dsm.operators import MODEL_KINDS, OperatorModel, matvec
+from dsm.operators import MODEL_KINDS, OperatorModel, SingularShiftError, matvec
 from dsm.regsolve import solve_shifted_linear
 
 
@@ -254,6 +254,44 @@ def test_raw_kernels_match_checked_wrappers(kind, n, a, bad, data):
     with np.errstate(invalid="ignore", over="ignore"):
         out = model.apply_values(values)
     assert not np.all(np.isfinite(out))
+
+
+@given(
+    kind=st.sampled_from(MODEL_KINDS),
+    rows=st.integers(min_value=1, max_value=6),
+    n=st.integers(min_value=2, max_value=200),
+    data=st.data(),
+)
+@settings(max_examples=150, deadline=None)
+def test_stacked_kernels_match_rows_alone(kind, rows, n, data):
+    """A stack of rows through F and through the shifted solve, with one
+    shift per row, gives every row bit for bit what it gives alone: the
+    block-diagonal tridiagonal system never couples two rows."""
+    model = OperatorModel(kind, QuadratureGrid(n))
+    values = data.draw(arrays(np.float64, (rows, n), elements=bounded_values))
+    rhs = data.draw(arrays(np.float64, (rows, n), elements=bounded_values))
+    shifts = data.draw(arrays(np.float64, (rows, 1), elements=st.floats(1e-8, 1e2)))
+    stacked_f = model.apply_values(values)
+    stacked_step = model.solve_shifted_values(values, shifts, rhs)
+    for k in range(rows):
+        np.testing.assert_array_equal(stacked_f[k], model.apply_values(values[k]))
+        alone = model.solve_shifted_values(values[k], shifts[k, 0], rhs[k])
+        np.testing.assert_array_equal(stacked_step[k], alone)
+
+
+@pytest.mark.parametrize("row", [0, 2, 4])
+@pytest.mark.parametrize("node", [0, 7, 39])
+def test_singular_row_is_named(row, node):
+    # g'(u) = 3u^2 overflows to inf at one node of one row of the stack
+    grid = QuadratureGrid(40)
+    model = OperatorModel("cubic", grid)
+    values = np.zeros((5, grid.n))
+    values[row, node] = 1e200
+    rhs = np.tile(np.cos(grid.nodes), (5, 1))
+    with pytest.raises(SingularShiftError) as err, np.errstate(over="ignore"):
+        model.solve_shifted_values(values, np.full((5, 1), 0.5), rhs)
+    assert (err.value.row, err.value.pivot_index) == (row, node)
+    assert f"index {node} of row {row}" in str(err.value)
 
 
 @pytest.mark.parametrize("kind", ["arctan3", "cubic", "linear"])

@@ -181,33 +181,51 @@ def test_start_on_other_grid_rejected(grid):
 
 
 _N = 12
-_values = arrays(np.float64, _N, elements=st.floats(-5.0, 5.0))
 
 
 @settings(max_examples=150, deadline=None)
 @given(
     kind=st.sampled_from(MODEL_KINDS),
     a=st.floats(1e-4, 10.0),
-    v=_values,
-    direction=arrays(np.float64, _N, elements=st.floats(-100.0, 100.0)),
-    scale=st.sampled_from([1.0, 1e3, 1e200]),
-    data=_values,
+    data=st.data(),
 )
-def test_line_search_result_is_consistent(kind, a, v, direction, scale, data):
-    """Whatever the direction, the search returns a finite iterate, the
-    model's own F there, its regularized residual norm, and an Armijo
-    decrease whenever it reports acceptance.  Scale 1e200 makes every
-    candidate overflow F or the residual."""
+def test_line_search_result_is_consistent(kind, a, data):
+    """Whatever the direction, the search returns for every row a finite
+    iterate, the model's own F there, its regularized residual and norm, and an
+    Armijo decrease whenever it reports acceptance; each row of a stack gets
+    what it gets alone.  Scale 1e200 makes every candidate overflow F or the
+    residual."""
+    rows = data.draw(st.integers(1, 3))
+    v = data.draw(arrays(np.float64, (rows, _N), elements=st.floats(-5.0, 5.0)))
+    f_values = data.draw(arrays(np.float64, (rows, _N), elements=st.floats(-5.0, 5.0)))
+    direction = data.draw(arrays(np.float64, (rows, _N), elements=st.floats(-100.0, 100.0)))
+    scale = data.draw(arrays(np.float64, (rows, 1), elements=st.sampled_from([1.0, 1e3, 1e200])))
     direction = direction * scale
     grid = QuadratureGrid(_N)
     model = OperatorModel(kind, grid)
-    fv = model.apply(GridFunction(grid, v)).values
-    _, g_norm = regularized_residual(grid, fv, v, a, data)
-    new, f_new, new_norm, accepted = line_search(model, v, direction, a, data, g_norm)
-    assert np.all(np.isfinite(new))
-    np.testing.assert_array_equal(f_new, model.apply(GridFunction(grid, new)).values)
-    assert new_norm == regularized_residual(grid, f_new, new, a, data)[1]
-    if accepted:
-        lams = [0.5 ** k for k in range(41)
-                if np.array_equal(new, v - 0.5 ** k * direction)]
-        assert any(new_norm <= (1.0 - 1e-4 * lam) * g_norm for lam in lams)
+    fv = model.apply_values(v)
+    a = np.full((rows, 1), a)
+    _, g_norm = regularized_residual(grid, fv, v, a, f_values)
+    # the raw kernels leave overflow warnings to the caller, as in the Newton loops
+    quiet = dict(over="ignore", invalid="ignore")
+    with np.errstate(**quiet):
+        new, f_new, g_new, new_norm, accepted = line_search(
+            model, v, fv, direction, a, f_values, g_norm
+        )
+    for k in range(rows):
+        assert np.all(np.isfinite(new[k]))
+        np.testing.assert_array_equal(f_new[k], model.apply(GridFunction(grid, new[k])).values)
+        g, norm_k = regularized_residual(grid, f_new[k], new[k], a[k], f_values[k])
+        np.testing.assert_array_equal(g_new[k], g)
+        assert new_norm[k] == norm_k
+        if accepted[k]:
+            lams = [0.5 ** j for j in range(41)
+                    if np.array_equal(new[k], v[k] - 0.5 ** j * direction[k])]
+            assert any(new_norm[k] <= (1.0 - 1e-4 * lam) * g_norm[k] for lam in lams)
+        one = slice(k, k + 1)
+        with np.errstate(**quiet):
+            alone = line_search(
+                model, v[one], fv[one], direction[one], a[one], f_values[one], g_norm[one]
+            )
+        for got, want in zip(alone, (new, f_new, g_new, new_norm, accepted)):
+            np.testing.assert_array_equal(got[0], want[k])
