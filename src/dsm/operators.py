@@ -122,22 +122,18 @@ class OperatorModel:
         self.kind = kind
         self.grid = grid
         self._g, self._gprime = _NONLINEARITY[kind]
-        # Node constants are stored as (1, n) rows, so that a single row meets
-        # them shape for shape and a stack of rows broadcasts against them.
         # exp(+-x), with the quadrature weights folded into the factors the
         # running sums multiply by; the reversed copy feeds the sum from the right
-        nodes, weights = grid.nodes[None, :], grid.weights[None, :]
-        self._w = weights
-        self._up = np.exp(nodes)
-        self._down = np.exp(-nodes)
-        self._up_w = self._up * weights
-        self._down_w_rev = (self._down * weights)[:, ::-1].copy()
+        self._up = np.exp(grid.nodes)
+        self._down = np.exp(-grid.nodes)
+        self._up_w = self._up * grid.weights
+        self._down_w_rev = (self._down * grid.weights)[::-1].copy()
         # T = (1 - rho^2) E^{-1}: its off-diagonal -rho and its diagonal, and
         # the (1 - rho^2) W term of the Newton system
         self._rho = math.exp(-grid.h)
-        self._t_diag = np.full((1, grid.n), 1.0 + self._rho ** 2)
-        self._t_diag[0, [0, -1]] = 1.0
-        self._cw = -math.expm1(-2.0 * grid.h) * weights
+        self._t_diag = np.full(grid.n, 1.0 + self._rho ** 2)
+        self._t_diag[[0, -1]] = 1.0
+        self._cw = -math.expm1(-2.0 * grid.h) * grid.weights
 
     def __repr__(self):
         return f"OperatorModel({self.kind!r}, n={self.grid.n})"
@@ -155,19 +151,22 @@ class OperatorModel:
         return kernel
 
     def _rows(self, values):
-        # a view of one row or a stack of rows as shape (S, n)
-        return values.reshape(-1, self.grid.n)
+        # A stack of S > 1 rows as shape (S, n), and a single row, stacked or
+        # not, as shape (n,): the kernels below work on either, and numpy's
+        # calls on small arrays cost less in one dimension.
+        rows = values.reshape(-1, self.grid.n)
+        return rows[0] if len(rows) == 1 else rows
 
     def _kernel_values(self, rows):
         # E (w*u) as two running sums: exp(-|x_i - x_j|) is exp(-x_i) exp(x_j)
         # for j <= i and exp(x_i) exp(-x_j) for j >= i, so the diagonal term is
         # counted twice.  Every factor lies in [1/e, e].  The sums run along
         # each row on its own.
-        out = np.add.accumulate(self._up_w * rows, axis=1)
+        out = np.add.accumulate(self._up_w * rows, axis=-1)
         out *= self._down
-        rev = np.add.accumulate(self._down_w_rev * rows[:, ::-1], axis=1)
-        out += self._up * rev[:, ::-1]
-        out -= self._w * rows
+        rev = np.add.accumulate(self._down_w_rev * rows[..., ::-1], axis=-1)
+        out += self._up * rev[..., ::-1]
+        out -= self.grid.weights * rows
         return out
 
     def apply_values(self, values: np.ndarray) -> np.ndarray:
@@ -186,7 +185,7 @@ class OperatorModel:
     def apply_kernel(self, u: GridFunction) -> GridFunction:
         """The integral term B(u) alone."""
         self._check(u)
-        return GridFunction(self.grid, self._kernel_values(self._rows(u.values))[0])
+        return GridFunction(self.grid, self._kernel_values(u.values))
 
     def apply(self, u: GridFunction) -> GridFunction:
         """F(u); raises ``ValueError`` where F(u) is not finite."""
@@ -237,6 +236,8 @@ class OperatorModel:
         names the first such row and the node within it.
         """
         rows, b = self._rows(values), self._rows(rhs)
+        if rows.ndim == 1 and getattr(a, "ndim", 0):
+            a = a.reshape(())
         if self.kind == "identity":
             step = b / (1.0 + a)
             if not _all_finite(step):
@@ -252,8 +253,8 @@ class OperatorModel:
     def _t_times(self, rows):
         # T = (1 - rho^2) E^{-1} applied to each row, flattened for dgtsv
         out = self._t_diag * rows
-        out[:, 1:] -= self._rho * rows[:, :-1]
-        out[:, :-1] -= self._rho * rows[:, 1:]
+        out[..., 1:] -= self._rho * rows[..., :-1]
+        out[..., :-1] -= self._rho * rows[..., 1:]
         return out.ravel()
 
     def _solve_refined(self, shift, rhs):
@@ -265,7 +266,7 @@ class OperatorModel:
         # no coupling between the last node of a row and the first of the next
         upper = off.ravel()[1:].copy()
         upper[n - 1::n] = 0.0
-        off[:, -1] = 0.0
+        off[..., -1] = 0.0
         lower = off.ravel()[:-1]
         _, pivots, _, step, info = dgtsv(lower, diag, upper, self._t_times(rhs), overwrite_b=1)
         step = step.reshape(shift.shape)
