@@ -21,7 +21,10 @@ rho = exp(-h), form a Kac-Murdock-Szego matrix, whose inverse is
 tridiagonal: (1 - rho^2) E^{-1} = T with diagonal (1, 1 + rho^2, ...,
 1 + rho^2, 1) and off-diagonals -rho.  Applying F and solving the shifted
 Newton system (F'(u) + a I) s = r therefore cost O(n) each; no n x n
-matrix is formed on that path.
+matrix is formed on that path.  The step is one tridiagonal solve.
+Multiplying by the tridiagonal inverse amplifies rounding by about 1/h^2, so
+on grids of more than 1000 points, where that could exceed the step's
+relative residual bound of 1e-10, one step of iterative refinement follows.
 
 Both live on raw node arrays as the unchecked kernels
 :meth:`OperatorModel.apply_values` and :meth:`OperatorModel.solve_shifted_values`,
@@ -47,6 +50,22 @@ __all__ = ["MODEL_KINDS", "OperatorModel", "SingularShiftError", "matvec"]
 
 MODEL_KINDS = ("arctan3", "cubic", "linear", "identity")
 
+# The largest grid on which the shifted solve is one tridiagonal solve with no
+# refinement step.  Multiplying the Newton system by T = (1 - rho^2) E^{-1} to
+# make it tridiagonal amplifies rounding: on a smooth right-hand side T's
+# second difference cancels to O(h^2) of its entries, so a rounding of
+# eps = 2.2e-16 relative grows to about eps/h^2.  The worst 2-norm relative
+# residual of the unrefined step, over arctan3/cubic/linear, a in {1e-8, 1e-4,
+# 1e-2, 1} and u of scale 0.1, 1 and 3, measures about 0.15 eps/h^2: 2.9e-12
+# at n = 300, 3.4e-11 at n = 1000, 1.0e-9 at n = 10^4.  The step's bound is a
+# relative residual of 1e-10, and 0.15 eps (n - 1)^2 stays 3x under it up to
+# n = 1001 (the measured margin at n = 1000 is 2.98x).  Below the limit a
+# refinement step would only move a residual already far inside what a Newton
+# step needs: inexact Newton (Dembo, Eisenstat & Steihaug 1982) asks for a
+# relative residual below 1, and the line search's Armijo test certifies
+# every step.
+_UNREFINED_MAX_N = 1000
+
 
 class SingularShiftError(RuntimeError):
     """The shifted Newton system F'(u) + a*I meets a zero or non-finite
@@ -69,13 +88,17 @@ def _all_finite(x):
     return np.count_nonzero(np.isfinite(x)) == x.size
 
 
-def _raise_singular(n, *masks):
-    # the first flagged (row, node) of the first mask that flags any
+def _raise_singular(n, *masks, fallback=0):
+    # at the first flagged (row, node) of the first mask that flags any, and
+    # at the flat index ``fallback`` if none does: a failed solve always raises
+    flat = fallback
     for mask in masks:
         hits = np.flatnonzero(mask)
         if hits.size:
-            row, node = divmod(int(hits[0]), n)
-            raise SingularShiftError(node, row)
+            flat = int(hits[0])
+            break
+    row, node = divmod(flat, n)
+    raise SingularShiftError(node, row)
 
 
 # cubes by multiplication: x ** 3 on an array goes through np.power, several
@@ -226,10 +249,14 @@ class OperatorModel:
         block-diagonal system of S*n unknowns with zero couplings across row
         boundaries: partial pivoting never swaps across a zero subdiagonal
         below a finite nonzero pivot, so every row's solution is the one it
-        has alone.  One step of iterative refinement against the O(n)
-        operator follows: multiplying by T amplifies rounding by up to about
-        1/h^2, and the refinement brings the residual back to rounding level.
-        The identity model's step is rhs / (1 + a).
+        has alone.  Multiplying by T amplifies rounding by about eps/h^2:
+        the 2-norm relative residual of this one solve is at most about
+        0.15 eps/h^2, 3.4e-11 at n = 1000.  On grids of up to 1000 points
+        that is the step; on finer ones, where it could pass the 1e-10
+        bound, one step of iterative refinement against the O(n) operator
+        follows and brings the residual back to rounding level.  The row
+        length n alone picks the branch, so a row of a stack still gives
+        what it gives alone.  The identity model's step is rhs / (1 + a).
 
         Raises :class:`SingularShiftError` at a non-finite entry of the
         system, a zero or non-finite pivot, or a non-finite solution; it
@@ -243,11 +270,11 @@ class OperatorModel:
             if not _all_finite(step):
                 _raise_singular(self.grid.n, ~np.isfinite(step))
         elif self._gprime is None:
-            step = self._solve_refined(np.broadcast_to(a, rows.shape), b)
+            step = self._solve_tridiagonal(np.broadcast_to(a, rows.shape), b)
         else:
             shift = self._gprime(rows)
             shift += a
-            step = self._solve_refined(shift, b)
+            step = self._solve_tridiagonal(shift, b)
         return step.reshape(values.shape)
 
     def _t_times(self, rows):
@@ -257,7 +284,7 @@ class OperatorModel:
         out[..., :-1] -= self._rho * rows[..., 1:]
         return out.ravel()
 
-    def _solve_refined(self, shift, rhs):
+    def _solve_tridiagonal(self, shift, rhs):
         n = self.grid.n
         diag = self._t_diag * shift
         diag += self._cw
@@ -271,19 +298,23 @@ class OperatorModel:
         _, pivots, _, step, info = dgtsv(lower, diag, upper, self._t_times(rhs), overwrite_b=1)
         step = step.reshape(shift.shape)
         if info == 0 and _all_finite(pivots):
-            correction = rhs - self._kernel_values(step)
-            correction -= shift * step
-            refined = dgtsv(lower, diag, upper, self._t_times(correction), 1, 1, 1, 1)[3]
-            step += refined.reshape(shift.shape)
+            if n > _UNREFINED_MAX_N:
+                correction = rhs - self._kernel_values(step)
+                correction -= shift * step
+                refined = dgtsv(lower, diag, upper, self._t_times(correction), 1, 1, 1, 1)[3]
+                step += refined.reshape(shift.shape)
             if _all_finite(step):
                 return step
         # a non-finite row can spill into its neighbours' pivots and
-        # solutions, so blame a non-finite system first, then the pivots
+        # solutions, so blame a non-finite system first, then the pivots;
+        # failing those, dgtsv's info > 0 is its 1-based report of an exactly
+        # zero pivot (info < 0, a rejected argument, names node 0 of row 0)
         _raise_singular(
             n,
             ~np.isfinite(diag) | ~np.isfinite(rhs.ravel()),
             (pivots == 0.0) | ~np.isfinite(pivots),
             ~np.isfinite(step),
+            fallback=max(info - 1, 0),
         )
 
 

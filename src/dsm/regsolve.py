@@ -74,8 +74,9 @@ def solve_shifted_linear(
     """Solve the Newton system (F'(u) + a*I) w = rhs for a shift a > 0.
 
     The checked form of :meth:`OperatorModel.solve_shifted_values`, the O(n)
-    step (the exp kernel's tridiagonal inverse, then one refinement step)
-    that :func:`solve_regularized` and the run drivers take on raw arrays.
+    step (one solve through the exp kernel's tridiagonal inverse, plus one
+    refinement step on grids of more than 1000 points) that
+    :func:`solve_regularized` and the run drivers take on raw arrays.
     Raises :class:`SingularShiftError` at a zero or non-finite pivot or step.
     """
     if not a > 0:

@@ -7,8 +7,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+import dsm.operators
 from dsm.hilbert import GridFunction, GridMismatchError, QuadratureGrid, inner, norm
-from dsm.operators import MODEL_KINDS, OperatorModel, SingularShiftError, matvec
+from dsm.operators import (
+    _UNREFINED_MAX_N,
+    MODEL_KINDS,
+    OperatorModel,
+    SingularShiftError,
+    matvec,
+)
 from dsm.regsolve import solve_shifted_linear
 
 
@@ -279,11 +286,25 @@ def test_stacked_kernels_match_rows_alone(kind, rows, n, data):
         np.testing.assert_array_equal(stacked_step[k], alone)
 
 
-@pytest.mark.parametrize("row", [0, 2, 4])
-@pytest.mark.parametrize("node", [0, 7, 39])
-def test_singular_row_is_named(row, node):
+@pytest.mark.parametrize("kind", ["arctan3", "cubic", "linear"])
+def test_refined_rows_match_rows_alone(kind):
+    # the hypothesis test above stays below the refinement limit; above it the
+    # refinement step, too, must keep every row of a stack to itself
+    n = _UNREFINED_MAX_N + 1
+    model = OperatorModel(kind, QuadratureGrid(n))
+    rng = np.random.default_rng(41)
+    values = 3.0 * rng.standard_normal((4, n))
+    rhs = rng.standard_normal((4, n))
+    shifts = np.array([[1e-8], [1e-4], [1e-2], [1.0]])
+    stacked = model.solve_shifted_values(values, shifts, rhs)
+    for k in range(4):
+        alone = model.solve_shifted_values(values[k], shifts[k, 0], rhs[k])
+        np.testing.assert_array_equal(stacked[k], alone)
+
+
+def _assert_singular_row_is_named(n, row, node):
     # g'(u) = 3u^2 overflows to inf at one node of one row of the stack
-    grid = QuadratureGrid(40)
+    grid = QuadratureGrid(n)
     model = OperatorModel("cubic", grid)
     values = np.zeros((5, grid.n))
     values[row, node] = 1e200
@@ -294,10 +315,71 @@ def test_singular_row_is_named(row, node):
     assert f"index {node} of row {row}" in str(err.value)
 
 
+@pytest.mark.parametrize("row", [0, 2, 4])
+@pytest.mark.parametrize("node", [0, 7, 39])
+def test_singular_row_is_named(row, node):
+    _assert_singular_row_is_named(40, row, node)
+
+
+@pytest.mark.parametrize("row, node", [(0, 0), (2, 7), (4, 1000)])
+def test_singular_row_is_named_above_the_refinement_limit(row, node):
+    _assert_singular_row_is_named(_UNREFINED_MAX_N + 1, row, node)
+
+
+@pytest.mark.parametrize("n", [_UNREFINED_MAX_N, _UNREFINED_MAX_N + 1])
+@pytest.mark.parametrize("kind", ["arctan3", "cubic", "linear"])
+def test_shifted_solve_at_the_refinement_limit(kind, n, monkeypatch):
+    """On the largest grid without refinement the one tridiagonal solve, and
+    on the smallest grid with it the refined step, solve the shifted system
+    to a relative residual of 1e-10."""
+    # one dgtsv call per step up to the limit, two (solve, refine) above it
+    dgtsv, calls = dsm.operators.dgtsv, []
+
+    def counted_dgtsv(*args, **kwargs):
+        calls.append(1)
+        return dgtsv(*args, **kwargs)
+
+    monkeypatch.setattr(dsm.operators, "dgtsv", counted_dgtsv)
+    grid = QuadratureGrid(n)
+    model = OperatorModel(kind, grid)
+    rng = np.random.default_rng(37)
+    rhs = GridFunction(grid, rng.standard_normal(n))
+    for scale in (0.1, 1.0, 3.0):
+        u = GridFunction(grid, scale * rng.standard_normal(n))
+        for a in (1e-8, 1e-4, 1e-2, 1.0):
+            calls.clear()
+            step = solve_shifted_linear(model, u, a, rhs)
+            assert len(calls) == (1 if n <= _UNREFINED_MAX_N else 2)
+            residual = rhs.values - _shifted_operator(model, u, a, step)
+            assert np.linalg.norm(residual) <= 1e-10 * np.linalg.norm(rhs.values)
+
+
+@pytest.mark.parametrize("n", [40, _UNREFINED_MAX_N + 1])
+@pytest.mark.parametrize("info", [-4, 1, 3, 45])
+def test_failed_tridiagonal_solve_always_raises(n, info, monkeypatch):
+    # dgtsv reporting a failure on an otherwise finite system still raises:
+    # info > 0 names the exactly zero pivot (1-based, counted across the
+    # stack), and info < 0, an argument it rejects, names node 0 of row 0
+    dgtsv = dsm.operators.dgtsv
+
+    def failing_dgtsv(*args, **kwargs):
+        *out, _ = dgtsv(*args, **kwargs)
+        return (*out, info)
+
+    monkeypatch.setattr(dsm.operators, "dgtsv", failing_dgtsv)
+    model = OperatorModel("cubic", QuadratureGrid(n))
+    values = np.zeros((2, n))
+    rhs = np.ones((2, n))
+    with pytest.raises(SingularShiftError) as err:
+        model.solve_shifted_values(values, np.full((2, 1), 0.5), rhs)
+    row, node = divmod(max(info - 1, 0), n)
+    assert (err.value.row, err.value.pivot_index) == (row, node)
+
+
 @pytest.mark.parametrize("kind", ["arctan3", "cubic", "linear"])
 def test_shifted_solve_at_large_n(kind):
-    # a dense kernel at n = 1e5 would take 80 GB; the step needs none, and
-    # its refinement step keeps the residual at rounding level
+    # a dense kernel at n = 1e5 would take 80 GB; the step needs none, and on
+    # a grid this fine its refinement step keeps the residual at rounding level
     n = 100_000
     grid = QuadratureGrid(n)
     model = OperatorModel(kind, grid)
