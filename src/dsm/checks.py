@@ -15,6 +15,11 @@ holds for monotone F and the schedules used by the drivers:
 
 All norms in this module are quadrature-weighted.  Checks return a
 :class:`CheckReport`; precondition violations raise ``ValueError``.
+
+No check forms an n x n matrix: the large-a check's power iteration for
+the derivative norm runs through the model's O(n) kernel, so every check
+runs on grids of any size.  The Gronwall check integrates in chunks of
+fixed length and holds O(1024) floats at any step count.
 """
 
 from __future__ import annotations
@@ -46,6 +51,18 @@ __all__ = [
 ]
 
 _TINY = 1e-300
+
+# Steps per chunk of the Gronwall integration.  A chunk's coefficients are
+# computed together in numpy and handed to the scalar RK4 loop as lists, so
+# the integration holds O(chunk) floats however many steps it takes.
+_GRONWALL_CHUNK = 1024
+
+
+def _libm_pow(x, b):
+    # x ** b elementwise through Python floats, that is C's pow, so every
+    # power is the one a loop over Python floats computes: numpy's vectorized
+    # pow (SIMD on AVX-512) rounds differently in the last bit for some x
+    return (x.astype(object) ** b).astype(float)
 
 
 @dataclass
@@ -192,20 +209,38 @@ def check_perturbation_bounds(
     return _report("perturbation_bounds", margins, tol)
 
 
-def _weighted_operator_norm(matrix, weights, rng, steps=50):
-    # spectral norm of W^(1/2) J W^(-1/2), i.e. the operator norm in the
-    # weighted inner product, by power iteration on S^T S
-    sqrt_w = np.sqrt(weights)
-    s = sqrt_w[:, None] * matrix / sqrt_w[None, :]
-    x = rng.standard_normal(matrix.shape[0])
-    x /= np.linalg.norm(x)
-    for _ in range(steps):
-        y = s.T @ (s @ x)
-        y_norm = np.linalg.norm(y)
-        if y_norm == 0.0:
-            return 0.0
+def _derivative_norm_bound(model, rng, n_probe, power_steps):
+    # The largest weighted operator norm of F'(u) over n_probe random points u
+    # of the weighted unit ball, by power_steps steps of power iteration from
+    # random starts.  That norm is the spectral norm of the symmetric
+    # S = W^(1/2) E W^(1/2) + diag(g'(u)) (S = I for the identity model); the
+    # iteration runs on S^T S = S^2 for all probes at once, a stack of rows
+    # through the O(n) kernel.
+    grid = model.grid
+    points = np.empty((n_probe, grid.n))
+    x = np.empty((n_probe, grid.n))
+    for k in range(n_probe):
+        g = rng.standard_normal(grid.n)
+        g_norm = norm(GridFunction(grid, g))
+        points[k] = (rng.random() / max(g_norm, _TINY)) * g
+        x[k] = rng.standard_normal(grid.n)
+    if model.kind == "identity":
+        def s_times(v):
+            return v
+    else:
+        sqrt_w = np.sqrt(grid.weights)
+        gprime = 0.0 if model._gprime is None else model._gprime(points)
+
+        def s_times(v):
+            return sqrt_w * model._kernel_values(v / sqrt_w) + gprime * v
+    x /= np.linalg.norm(x, axis=1, keepdims=True)
+    for _ in range(power_steps):
+        y = s_times(s_times(x))
+        y_norm = np.linalg.norm(y, axis=1, keepdims=True)
+        # a row that reaches zero stays zero, and its norm estimate is 0
+        y_norm[y_norm == 0.0] = 1.0
         x = y / y_norm
-    return float(np.linalg.norm(s @ x))
+    return float(np.linalg.norm(s_times(x), axis=1).max(initial=0.0))
 
 
 def check_large_a_limit(
@@ -220,23 +255,19 @@ def check_large_a_limit(
     """For large a the regularized solution obeys ||V|| <= ||f_delta - F(0)||/a,
     and the residual stays within M1*||V|| of ||f_delta - F(0)||, where M1
     bounds the derivative norm near zero (sampled over random points in the
-    weighted unit ball)."""
+    weighted unit ball).
+
+    M1 is the largest weighted operator norm of F' over ``n_probe`` points,
+    each by ``power_steps`` steps of power iteration.  The iteration runs on
+    all points at once through the model's O(n) kernel and forms no n x n
+    matrix, so the check runs on grids of any size.
+    """
     a_values = np.asarray(a_values, dtype=float)
     if not np.all(a_values > 0):
         raise ValueError("a_values must be strictly positive")
-    grid = model.grid
-    zero = grid.zero()
+    zero = model.grid.zero()
     base = norm(f_delta - model.apply(zero))
-    rng = np.random.default_rng(seed)
-    m1 = 0.0
-    for _ in range(n_probe):
-        g = rng.standard_normal(grid.n)
-        g_fn = GridFunction(grid, g)
-        g_norm = norm(g_fn)
-        radius = rng.random()
-        point = GridFunction(grid, (radius / max(g_norm, _TINY)) * g)
-        jac = model.jacobian(point)
-        m1 = max(m1, _weighted_operator_norm(jac, grid.weights, rng, power_steps))
+    m1 = _derivative_norm_bound(model, np.random.default_rng(seed), n_probe, power_steps)
     margins = []
     for a in a_values:
         report = solve_regularized(model, f_delta, float(a))
@@ -390,7 +421,16 @@ def check_gronwall_majorant(
 
     Preconditions (raised as ``ValueError`` when violated): for all t,
     c0 <= (lam/2)(1 - |a'|/a) and c1 |a'|/a <= (a/(2 lam))(1 - |a'|/a),
-    both tightest at t = 0 for this schedule family, and lam*g0/a(0) < 1.
+    both tightest at t = 0 for this schedule family, and lam*g0/a(0) < 1;
+    and dt divides t_max into round(t_max/dt) >= 1 whole steps, to a
+    relative 1e-9, so the last step ends at t_max.
+
+    The steps run in chunks of 1024.  Per chunk, numpy computes the
+    coefficients q = c0/a and r = c1 |a'|/a at every step's start and
+    midpoint, on the times of the sequential t += dt, and every margin at
+    the steps' ends; a scalar loop advances g.  Every value is the one a
+    step-by-step loop computes, bit for bit, and the check holds O(1024)
+    floats at any step count.
     """
     if not (lam > 0 and c0 > 0 and c1 > 0):
         raise ValueError(f"lam, c0, c1 must be positive, got {(lam, c0, c1)}")
@@ -414,24 +454,41 @@ def check_gronwall_majorant(
     if lam * g0 / a0 >= 1.0:
         raise ValueError(f"need lam*g0/a(0) < 1, got {lam * g0 / a0:g}")
 
-    def rhs(t, g):
-        a = d / (c + t) ** b
-        return -g + (c0 / a) * g * g + c1 * b / (c + t)
-
     steps = int(round(t_max / dt))
+    if steps < 1 or abs(steps * dt - t_max) > 1e-9 * t_max:
+        raise ValueError(f"dt={dt:g} does not divide t_max={t_max:g} into whole steps")
+    half, h6, c1b = 0.5 * dt, dt / 6.0, c1 * b
     g = g0
-    t = 0.0
+    t_start = 0.0
     worst = a0 / lam - g0
-    for _ in range(steps):
-        k1 = rhs(t, g)
-        k2 = rhs(t + 0.5 * dt, g + 0.5 * dt * k1)
-        k3 = rhs(t + 0.5 * dt, g + 0.5 * dt * k2)
-        k4 = rhs(t + dt, g + dt * k3)
-        g = g + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        t += dt
-        margin = d / (c + t) ** b / lam - g
-        if margin < worst:
-            worst = margin
+    for done in range(0, steps, _GRONWALL_CHUNK):
+        m = min(_GRONWALL_CHUNK, steps - done)
+        # t_k of the chunk's m steps and its end, by the sequential t += dt
+        t = np.full(m + 1, dt)
+        t[0] = t_start
+        np.add.accumulate(t, out=t)
+        t_mid = t[:-1] + half
+        a, a_mid = d / _libm_pow(c + t, b), d / _libm_pow(c + t_mid, b)
+        # g' = q g^2 - g + r with q = c0/a and r = c1 |a'|/a
+        q, q_mid = (c0 / a).tolist(), (c0 / a_mid).tolist()
+        r, r_mid = (c1b / (c + t)).tolist(), (c1b / (c + t_mid)).tolist()
+        g_end = []
+        for q0, r0, qh, rh, q1, r1 in zip(q, r, q_mid, r_mid, q[1:], r[1:]):
+            k1 = q0 * g * g - g + r0
+            y = g + half * k1
+            k2 = qh * y * y - y + rh
+            y = g + half * k2
+            k3 = qh * y * y - y + rh
+            y = g + dt * k3
+            k4 = q1 * y * y - y + r1
+            g = g + h6 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            g_end.append(g)
+        # fmin skips NaN margins, so a g that overflows to inf and then turns
+        # NaN within the chunk still leaves its -inf margin as the worst
+        chunk_worst = float(np.fmin.reduce(a[1:] / lam - np.array(g_end)))
+        if chunk_worst < worst:
+            worst = chunk_worst
+        t_start = t[-1]
     return CheckReport(
         name="gronwall_majorant",
         passed=bool(worst > 0.0),

@@ -136,7 +136,8 @@ class OperatorModel:
     kernels on raw node arrays, one row or a stack of rows, without the
     checks.  The dense kernel matrix
     K_ij = w_j * exp(-|x_i - x_j|) and :meth:`jacobian` are O(n^2)
-    diagnostics: ``kernel`` is built on first access and cached.
+    diagnostics that only tests use; no solver or check calls them.
+    ``kernel`` is built on first access and cached.
     """
 
     def __init__(self, kind: str, grid: QuadratureGrid):

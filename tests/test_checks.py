@@ -1,10 +1,13 @@
 """Analytic-fact checks: trajectories, bounds, crossing times, majorants."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from dsm.checks import (
     Trajectory,
+    _derivative_norm_bound,
     build_trajectory,
     check_exponential_integral_bound,
     check_gronwall_majorant,
@@ -19,8 +22,9 @@ from dsm.checks import (
     run_lemma_suite,
 )
 from dsm.driver import ContinuousSchedule
+from dsm.harness import calibrate_noise, exact_solution, sine_noise
 from dsm.hilbert import GridFunction, QuadratureGrid, norm
-from dsm.operators import OperatorModel
+from dsm.operators import MODEL_KINDS, OperatorModel
 
 SWEEP = np.logspace(0.5, -3.0, 12)
 
@@ -123,6 +127,47 @@ def test_large_a_limit_identity_closed_form():
         check_large_a_limit(model, f, a_values=(0.0,))
 
 
+def _dense_derivative_norm_bound(model, rng, n_probe=10, power_steps=50):
+    """Reference for the derivative-norm bound: power iteration on the dense
+    W^(1/2) F'(u) W^(-1/2) of each probe point in turn, drawing the point
+    and the start vector from rng in the same order."""
+    grid = model.grid
+    sqrt_w = np.sqrt(grid.weights)
+    m1 = 0.0
+    for _ in range(n_probe):
+        g = rng.standard_normal(grid.n)
+        radius = rng.random()
+        point = GridFunction(grid, (radius / norm(GridFunction(grid, g))) * g)
+        s = sqrt_w[:, None] * model.jacobian(point) / sqrt_w[None, :]
+        x = rng.standard_normal(grid.n)
+        x /= np.linalg.norm(x)
+        for _ in range(power_steps):
+            y = s.T @ (s @ x)
+            x = y / np.linalg.norm(y)
+        m1 = max(m1, float(np.linalg.norm(s @ x)))
+    return m1
+
+
+@pytest.mark.parametrize("kind", MODEL_KINDS)
+def test_derivative_norm_bound_matches_dense_power_iteration(kind):
+    model = OperatorModel(kind, QuadratureGrid(100))
+    expected = _dense_derivative_norm_bound(model, np.random.default_rng(7))
+    m1 = _derivative_norm_bound(model, np.random.default_rng(7), 10, 50)
+    assert m1 == pytest.approx(expected, rel=1e-12, abs=0.0)
+
+
+def test_large_a_limit_at_large_n():
+    # the dense Jacobians at n = 1e4 would take 800 MB each; the check needs none
+    grid = QuadratureGrid(10_000)
+    model = OperatorModel("arctan3", grid)
+    f = model.apply(exact_solution("step", grid))
+    f_delta, _ = calibrate_noise(f, sine_noise(grid), 0.01)
+    report = check_large_a_limit(model, f_delta)
+    assert report.passed
+    assert report.samples == 6
+    assert "kernel" not in model.__dict__
+
+
 def test_find_crossing_time_identity_closed_form():
     """a(t) = 1/(1+t) on F = I gives phi(t) = ||f||/(2+t) exactly, so the
     crossing of C*delta sits at t1 = ||f||/(C delta) - 2."""
@@ -222,6 +267,77 @@ def test_gronwall_precondition_failures():
         check_gronwall_majorant(ContinuousSchedule(0.1, 7.0, 1.0), lam, 0.01, 1.0, 1e-4)
     with pytest.raises(ValueError):
         check_gronwall_majorant(schedule, lam, 1.0, 1.0, g0, dt=0.0)
+
+
+def test_gronwall_rejects_dt_that_does_not_divide_t_max():
+    schedule, lam, g0 = gronwall_recipe()
+    with pytest.raises(ValueError):
+        # round(1/5) = 0 steps would check t = 0 alone
+        check_gronwall_majorant(schedule, lam, 1.0, 1.0, g0, t_max=1.0, dt=5.0)
+    with pytest.raises(ValueError):
+        # 333 steps of 0.3 stop at t = 99.9
+        check_gronwall_majorant(schedule, lam, 1.0, 1.0, g0, t_max=100.0, dt=0.3)
+
+
+def _gronwall_reference(schedule, lam, c0, c1, g0, t_max=100.0, dt=1e-3):
+    """Reference for the Gronwall check: RK4 step by step, with one call of
+    the right-hand side per stage; returns (worst_margin, passed, samples)."""
+    d, c, b = schedule.d, schedule.c, schedule.b
+
+    def rhs(t, g):
+        a = d / (c + t) ** b
+        return -g + (c0 / a) * g * g + c1 * b / (c + t)
+
+    steps = int(round(t_max / dt))
+    g = g0
+    t = 0.0
+    worst = d / c ** b / lam - g0
+    for _ in range(steps):
+        k1 = rhs(t, g)
+        k2 = rhs(t + 0.5 * dt, g + 0.5 * dt * k1)
+        k3 = rhs(t + 0.5 * dt, g + 0.5 * dt * k2)
+        k4 = rhs(t + dt, g + dt * k3)
+        g = g + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        t += dt
+        margin = d / (c + t) ** b / lam - g
+        if margin < worst:
+            worst = margin
+    return worst, worst > 0.0, steps + 1
+
+
+@pytest.mark.parametrize(
+    "b, t_max, dt",
+    [
+        (1.0, 100.0, 1e-3),  # the recipe: 97 full chunks of 1024 steps and 672
+        (1.0, 10.0, 0.25),  # 40 steps, below one chunk
+        (1.0, 1.024, 1e-3),  # exactly one chunk
+        (1.0, 1.025, 1e-3),  # one chunk and one step
+        (1.0, 3.3, 1e-3),  # 3300 steps, not a multiple of the chunk
+        (0.7, 100.0, 1e-3),
+        (0.7, 10.0, 0.25),
+    ],
+)
+def test_gronwall_matches_step_by_step_reference(b, t_max, dt):
+    schedule, lam, g0 = gronwall_recipe(b=b)
+    report = check_gronwall_majorant(schedule, lam, 1.0, 1.0, g0, t_max=t_max, dt=dt)
+    worst, passed, samples = _gronwall_reference(schedule, lam, 1.0, 1.0, g0, t_max, dt)
+    assert report.worst_margin == worst  # bit for bit
+    assert report.passed == passed
+    assert report.samples == samples
+
+
+def test_gronwall_memory_does_not_grow_with_steps():
+    schedule, lam, g0 = gronwall_recipe()
+    peaks = []
+    for t_max in (2.048, 8.192):  # 2048 and 8192 steps
+        tracemalloc.start()
+        try:
+            check_gronwall_majorant(schedule, lam, 1.0, 1.0, g0, t_max=t_max)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    # keeping every step's g would add 6144 floats, about 200 kB
+    assert peaks[1] <= peaks[0] + 16_000
 
 
 def test_suite_and_report_serialization(tmp_path):

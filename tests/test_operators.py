@@ -391,3 +391,20 @@ def test_shifted_solve_at_large_n(kind):
         residual = rhs.values - _shifted_operator(model, u, a, step)
         assert np.linalg.norm(residual) <= 1e-10 * np.linalg.norm(rhs.values)
     assert "kernel" not in model.__dict__
+
+
+@pytest.mark.parametrize("n", [10_000, 100_000])
+@pytest.mark.parametrize("kind", ["arctan3", "cubic", "linear"])
+def test_shifted_solve_smallest_shift_on_refined_branch(kind, n):
+    # a = 1e-8, the smallest shift the property test above draws, on grids
+    # past the refinement limit.  With no g' on the diagonal the linear
+    # model's system is nearly E W alone, and its relative residual is the
+    # largest, about 4e-11 at either n.
+    grid = QuadratureGrid(n)
+    model = OperatorModel(kind, grid)
+    rng = np.random.default_rng(31)
+    u = GridFunction(grid, rng.standard_normal(n))
+    rhs = GridFunction(grid, rng.standard_normal(n))
+    step = solve_shifted_linear(model, u, 1e-8, rhs)
+    residual = rhs.values - _shifted_operator(model, u, 1e-8, step)
+    assert np.linalg.norm(residual) <= 1e-10 * np.linalg.norm(rhs.values)
