@@ -25,10 +25,9 @@ grid = QuadratureGrid(100)
 model = OperatorModel("arctan3", grid)
 u_star = exact_solution("step", grid)
 f = model.apply(u_star)
-f_delta, _ = calibrate_noise(f, sine_noise(grid), 0.01)
-delta = float(np.linalg.norm(f_delta.values - f.values))
+f_delta, delta = calibrate_noise(f, sine_noise(grid), 0.01)
 
-c0, p, shift = 7.0, 0.99, 1
+c0, p, shift = 68.1, 0.99, 1
 rec = run_iteration(model, f_delta, delta, DiscreteSchedule(c0, delta, p, shift))
 print(f"discrete iteration: stop n={rec.n_stop}, "
       f"rel_error={rel_error(rec.final, u_star):.4f}")

@@ -5,11 +5,9 @@ integrators for the damped-Newton dynamical system
     u_0 given (default 0),
 
 with the discrepancy-principle stop: quit at the first iterate with
-``||F(u_n) - f_delta|| < C * delta**gamma``.
-
-The discrepancy ``||F(u_n) - f_delta||`` and the noise level ``delta``
-passed in use the plain Euclidean vector norm on node values, the working
-convention of the experiment layer (see :mod:`dsm.harness`).
+``||F(u_n) - f_delta|| < C * delta**gamma``.  Like every norm in the
+package, the discrepancy and the noise level ``delta`` are in the
+quadrature-weighted L^2 norm, so the stop does not depend on the mesh.
 
 Each step is globalized by :func:`dsm.regsolve.line_search`, the same
 backtracking search :func:`dsm.regsolve.solve_regularized` uses, on the
@@ -82,13 +80,7 @@ class DiscreteSchedule:
 
 @dataclass(frozen=True)
 class ContinuousSchedule:
-    """a(t) = d / (c + t)**b for t >= 0, with d, c, b > 0 and 0 < b <= 1.
-
-    Two informational flags record which analytic side conditions the
-    parameters satisfy: ``lemma25_ok`` for c >= max(2b, 1) and
-    ``lemma28_ok`` for c > 6b.  Checks that need a condition enforce it
-    themselves.
-    """
+    """a(t) = d / (c + t)**b for t >= 0, with d, c, b > 0 and 0 < b <= 1."""
 
     d: float
     c: float
@@ -99,14 +91,6 @@ class ContinuousSchedule:
             raise ValueError(f"d, c, b must all be positive, got {(self.d, self.c, self.b)}")
         if self.b > 1.0:
             raise ValueError(f"b must be in (0, 1], got {self.b}")
-
-    @property
-    def lemma25_ok(self) -> bool:
-        return self.c >= max(2.0 * self.b, 1.0)
-
-    @property
-    def lemma28_ok(self) -> bool:
-        return self.c > 6.0 * self.b
 
     def a(self, t: float):
         return self.d / (self.c + t) ** self.b
@@ -195,7 +179,7 @@ def _drive(model, f_values, schedules, thresholds, u, h, max_steps):
                 a_table = np.hstack([a_table, more])
                 residuals = np.hstack([residuals, np.empty_like(more)])
             d = fu - f_values
-            res = np.sqrt(np.vecdot(d, d))
+            res = np.sqrt(np.vecdot(d, grid.weights * d))
             residuals[:, n] = res
             stopped = res < thresholds
             if n == max_steps or np.count_nonzero(stopped):

@@ -8,10 +8,8 @@ config share one grid and one model, and run as one batch
 start of the batch to its stop.
 
 Noise calibration fixes ||f_delta - f|| = delta_rel * ||f|| in the
-quadrature-weighted norm.  The drivers' discrepancy stop is in the plain
-Euclidean vector norm, so each cell hands them the Euclidean size of the
-injected noise as its delta.  Both conventions are exposed in the result
-rows (``delta_abs`` is the weighted one).
+quadrature-weighted norm, the norm of the drivers' discrepancy stop, and
+each cell hands the drivers that absolute level ``delta_abs`` as its delta.
 """
 
 from __future__ import annotations
@@ -204,20 +202,20 @@ class ExperimentConfig:
 PRESETS = {
     "exp1": ExperimentConfig(
         model="arctan3", exact="step", n_points=100,
-        c0=7.0, p=0.99, shift=1, noise="gaussian",
+        c0=68.1, p=0.99, shift=1, noise="gaussian",
     ),
     "exp2": ExperimentConfig(
         model="cubic", exact="step", n_points=100,
-        c0=2.0, p=0.9, shift=6, noise="sine",
+        c0=15.8, p=0.9, shift=6, noise="sine",
     ),
     "exp1-const": ExperimentConfig(
         model="arctan3", exact="const_one", n_points=50,
-        c0=4.0, p=0.99, shift=1, noise="sine",
+        c0=27.5, p=0.99, shift=1, noise="sine",
         delta_rel=(0.05, 0.03, 0.02, 0.01, 0.003, 0.001),
     ),
     "exp2-const": ExperimentConfig(
         model="cubic", exact="const_one", n_points=30,
-        c0=1.0, p=0.9, shift=6, noise="sine",
+        c0=4.55, p=0.9, shift=6, noise="sine",
         delta_rel=(0.05, 0.03, 0.02, 0.01, 0.003, 0.001),
     ),
 }
@@ -245,7 +243,10 @@ class ResultRow:
 
 @dataclass
 class RunCell:
-    """One cell's full state, for callers that need more than the row."""
+    """One cell's full state, for callers that need more than the row.
+
+    ``delta_run`` is the noise level the driver ran with, ``row.delta_abs``.
+    """
 
     row: ResultRow
     record: RunRecord
@@ -271,29 +272,24 @@ def run_cells(config: ExperimentConfig) -> Iterable[RunCell]:
     rule = StoppingRule(config.stop_c, config.gamma)
     # one draw per seed, reused at every noise level
     noises = {seed: make_noise(config.noise, grid, seed) for seed in config.seeds}
-    cells, f_deltas, deltas, schedules = [], [], [], []
+    cells, f_deltas, schedules = [], [], []
     for delta_rel in sorted(config.delta_rel, reverse=True):
         for seed in sorted(config.seeds):
             f_delta, delta_abs = calibrate_noise(f, noises[seed], delta_rel)
-            # the drivers' discrepancy stop is in the Euclidean vector
-            # norm, so hand them the noise level on the same scale
-            delta_run = float(np.linalg.norm(f_delta.values - f.values))
             cells.append((delta_rel, seed, delta_abs))
             f_deltas.append(f_delta)
-            deltas.append(delta_run)
             if config.mode == "iterate":
-                schedules.append(DiscreteSchedule(config.c0, delta_run, config.p, config.shift))
+                schedules.append(DiscreteSchedule(config.c0, delta_abs, config.p, config.shift))
             else:
                 schedules.append(ContinuousSchedule(
-                    d=config.c0 * delta_run ** config.p, c=float(config.shift), b=1.0,
+                    d=config.c0 * delta_abs ** config.p, c=float(config.shift), b=1.0,
                 ))
     h = 1.0 if config.mode == "iterate" else config.h
     records = run_batch(
-        model, f_deltas, deltas, schedules, rule=rule, h=h, max_steps=config.max_iter
+        model, f_deltas, [delta_abs for _, _, delta_abs in cells], schedules,
+        rule=rule, h=h, max_steps=config.max_iter,
     )
-    for (delta_rel, seed, delta_abs), f_delta, delta_run, record in zip(
-        cells, f_deltas, deltas, records
-    ):
+    for (delta_rel, seed, delta_abs), f_delta, record in zip(cells, f_deltas, records):
         row = ResultRow(
             delta_rel=delta_rel,
             delta_abs=delta_abs,
@@ -309,7 +305,7 @@ def run_cells(config: ExperimentConfig) -> Iterable[RunCell]:
         )
         yield RunCell(
             row=row, record=record, u_exact=u_exact, f=f,
-            f_delta=f_delta, delta_run=delta_run, rule=rule, model=model,
+            f_delta=f_delta, delta_run=delta_abs, rule=rule, model=model,
         )
 
 

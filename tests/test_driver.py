@@ -15,7 +15,7 @@ from dsm.driver import (
     run_euler,
     run_iteration,
 )
-from dsm.hilbert import GridFunction, GridMismatchError, QuadratureGrid
+from dsm.hilbert import GridFunction, GridMismatchError, QuadratureGrid, norm
 from dsm.operators import MODEL_KINDS, OperatorModel, SingularShiftError
 from dsm.regsolve import NewtonOptions, solve_regularized
 
@@ -58,15 +58,6 @@ def test_continuous_schedule_validation():
             ContinuousSchedule(**bad)
 
 
-def test_schedule_condition_flags():
-    good = ContinuousSchedule(d=1.0, c=7.0, b=1.0)
-    assert good.lemma25_ok and good.lemma28_ok
-    # (1, 1, 1) is constructible but satisfies neither side condition
-    tight = ContinuousSchedule(d=1.0, c=1.0, b=1.0)
-    assert not tight.lemma25_ok
-    assert not tight.lemma28_ok
-
-
 def test_stopping_rule():
     rule = StoppingRule()
     assert rule.C == 1.01 and rule.gamma == 0.99
@@ -91,13 +82,14 @@ def identity_setup():
 
 def test_identity_trace_matches_closed_form(identity_setup):
     """On F = I the step solves exactly: u_n = f_delta/(1 + a_{n-1}), so the
-    whole residual trace has the closed form ||f|| * a/(1 + a)."""
+    whole residual trace has the closed form ||f_delta|| * a/(1 + a) in the
+    weighted norm."""
     grid, model, f_delta = identity_setup
     delta = 0.05
     sched = DiscreteSchedule(c0=2.0, delta=delta, p=0.9, shift=1)
     record = run_iteration(model, f_delta, delta, sched)
     assert record.stopped_by_discrepancy
-    f2 = np.linalg.norm(f_delta.values)
+    f2 = norm(f_delta)
     assert record.residuals[0] == pytest.approx(f2, rel=1e-14)
     for n in range(1, record.n_stop + 1):
         a_prev = sched.a(n - 1)
@@ -226,29 +218,33 @@ def test_accepted_trial_supplies_next_residual(identity_setup):
     assert model.calls == record.n_stop + 1
 
 
+# c0 * (n - 1)**(p/2) for c0 = 3, p = 0.9 on the 60-point grid below: the
+# arctan_setup runs take about 20 steps before the discrepancy stop
+ARCTAN_C0 = 18.8
+
+
 @pytest.fixture
 def arctan_setup():
     grid = QuadratureGrid(60)
     model = OperatorModel("arctan3", grid)
     u_star = grid.sample(lambda x: x * (1.0 - x) + 0.5)
     f = model.apply(u_star)
-    pert = 0.02 * np.sin(5.0 * np.pi * grid.nodes)
-    f_delta = GridFunction(grid, f.values + pert)
-    delta = float(np.linalg.norm(pert))
-    return model, f_delta, delta
+    pert = GridFunction(grid, 0.02 * np.sin(5.0 * np.pi * grid.nodes))
+    f_delta = GridFunction(grid, f.values + pert.values)
+    return model, f_delta, norm(pert)
 
 
 def test_euler_with_unit_step_matches_iteration(arctan_setup):
     """With h = 1 and a(t) = C0 delta^p/(shift + t) the Euler trace equals
     the discrete iteration's, float for float."""
     model, f_delta, delta = arctan_setup
-    c0, p = 3.0, 0.9
+    c0, p = ARCTAN_C0, 0.9
     discrete = DiscreteSchedule(c0=c0, delta=delta, p=p, shift=1)
     continuous = ContinuousSchedule(d=c0 * delta ** p, c=1.0, b=1.0)
     rec_i = run_iteration(model, f_delta, delta, discrete)
     rec_e = run_euler(model, f_delta, delta, continuous, h=1.0)
     assert rec_i.stopped_by_discrepancy and rec_e.stopped_by_discrepancy
-    assert rec_i.n_stop == rec_e.n_stop
+    assert rec_i.n_stop == rec_e.n_stop >= 10
     assert np.max(np.abs(rec_i.residuals - rec_e.residuals)) <= 1e-12
     assert np.max(np.abs(rec_i.final.values - rec_e.final.values)) <= 1e-12
     np.testing.assert_array_equal(rec_i.a_values, rec_e.a_values)
@@ -256,16 +252,16 @@ def test_euler_with_unit_step_matches_iteration(arctan_setup):
 
 def test_smaller_euler_step_needs_more_steps(arctan_setup):
     model, f_delta, delta = arctan_setup
-    continuous = ContinuousSchedule(d=3.0 * delta ** 0.9, c=1.0, b=1.0)
+    continuous = ContinuousSchedule(d=ARCTAN_C0 * delta ** 0.9, c=1.0, b=1.0)
     full = run_euler(model, f_delta, delta, continuous, h=1.0, max_steps=2000)
     half = run_euler(model, f_delta, delta, continuous, h=0.5, max_steps=2000)
     assert full.stopped_by_discrepancy and half.stopped_by_discrepancy
-    assert half.n_stop >= full.n_stop
+    assert half.n_stop >= full.n_stop >= 10
 
 
 def test_runs_are_deterministic(arctan_setup):
     model, f_delta, delta = arctan_setup
-    sched = DiscreteSchedule(c0=3.0, delta=delta, p=0.9, shift=1)
+    sched = DiscreteSchedule(c0=ARCTAN_C0, delta=delta, p=0.9, shift=1)
     rec1 = run_iteration(model, f_delta, delta, sched)
     rec2 = run_iteration(model, f_delta, delta, sched)
     assert rec1.n_stop == rec2.n_stop
@@ -277,16 +273,22 @@ def test_backtracking_recovers_saturating_runaway():
     """Small a_0 on the saturating model overshoots onto the arctan plateau;
     the damped step must still bring the run to the discrepancy stop."""
     grid = QuadratureGrid(100)
-    model = OperatorModel("arctan3", grid)
+    model = _CountingModel("arctan3", grid)
     x = grid.nodes
     u_star = GridFunction(grid, np.where((x >= 1.0 / 3.0) & (x <= 2.0 / 3.0), 0.0, 1.0))
     f = model.apply(u_star)
-    pert = 1e-3 * np.sin(3.0 * np.pi * x)
-    f_delta = GridFunction(grid, f.values + pert)
-    delta = float(np.linalg.norm(pert))
-    sched = DiscreteSchedule(c0=7.0, delta=delta, p=0.99, shift=1)
+    pert = GridFunction(grid, 1e-3 * np.sin(3.0 * np.pi * x))
+    f_delta = GridFunction(grid, f.values + pert.values)
+    delta = norm(pert)
+    # c0 = 7 * 99**0.495, the exp1 preset's
+    sched = DiscreteSchedule(c0=68.1, delta=delta, p=0.99, shift=1)
+    model.calls = 0
     record = run_iteration(model, f_delta, delta, sched, max_iter=200)
     assert record.stopped_by_discrepancy
+    # the run is long enough to reach the small a_n where raw steps run
+    # away, and the line search rejects at least one full step on the way
+    assert record.n_stop >= 40
+    assert model.calls > record.n_stop + 1
     assert np.max(np.abs(record.final.values)) < 5.0
 
 
@@ -308,10 +310,10 @@ def _count_wraps(monkeypatch, fn):
 # reached, nor is the Newton tolerance
 _CAPPED_RUNS = {
     "run_iteration": lambda model, f_delta, delta, cap: run_iteration(
-        model, f_delta, 1e-12, DiscreteSchedule(3.0, delta, 0.9, 1), max_iter=cap,
+        model, f_delta, 1e-12, DiscreteSchedule(ARCTAN_C0, delta, 0.9, 1), max_iter=cap,
     ).n_stop,
     "run_euler": lambda model, f_delta, delta, cap: run_euler(
-        model, f_delta, 1e-12, ContinuousSchedule(d=3.0 * delta ** 0.9, c=1.0, b=1.0),
+        model, f_delta, 1e-12, ContinuousSchedule(d=ARCTAN_C0 * delta ** 0.9, c=1.0, b=1.0),
         h=0.5, max_steps=cap,
     ).n_stop,
     "solve_regularized": lambda model, f_delta, delta, cap: solve_regularized(
@@ -336,10 +338,11 @@ def test_large_grid_run_builds_no_dense_kernel():
     grid = QuadratureGrid(100_000)
     model = OperatorModel("arctan3", grid)
     f = model.apply(grid.sample(lambda x: 1.0 - x))
-    noise = 1e-4 * np.sin(40.0 * grid.nodes)
-    f_delta = GridFunction(grid, f.values + noise)
-    delta = float(np.linalg.norm(noise))
-    sched = DiscreteSchedule(c0=7.0, delta=delta, p=0.99, shift=1)
+    noise = GridFunction(grid, 1e-4 * np.sin(40.0 * grid.nodes))
+    f_delta = GridFunction(grid, f.values + noise.values)
+    delta = norm(noise)
+    # c0 * (n - 1)**(p/2) for c0 = 7, p = 0.99
+    sched = DiscreteSchedule(c0=2090.0, delta=delta, p=0.99, shift=1)
     record = run_iteration(model, f_delta, delta, sched, max_iter=3)
     assert record.n_stop == 3 and not record.stopped_by_discrepancy
     assert np.all(np.diff(record.residuals) < 0)
@@ -361,11 +364,12 @@ def test_batch_rows_match_runs_alone(kind, n, mode, levels, c0):
     grid = QuadratureGrid(n)
     model = OperatorModel(kind, grid)
     f = model.apply(grid.sample(lambda x: 1.0 - x + 0.5 * np.sin(4.0 * x)))
+    c0 *= (n - 1) ** 0.45
     f_deltas, deltas, schedules = [], [], []
     for k, level in enumerate(levels):
-        noise = level * np.cos((3.0 + k) * np.pi * grid.nodes)
-        f_deltas.append(GridFunction(grid, f.values + noise))
-        deltas.append(float(np.linalg.norm(noise)))
+        noise = GridFunction(grid, level * np.cos((3.0 + k) * np.pi * grid.nodes))
+        f_deltas.append(GridFunction(grid, f.values + noise.values))
+        deltas.append(norm(noise))
         if mode == "iterate":
             schedules.append(DiscreteSchedule(c0, deltas[-1], 0.9, 1))
         else:

@@ -164,16 +164,16 @@ def test_config_validation():
 def test_presets_pin_experiment_parameters():
     exp1 = PRESETS["exp1"]
     assert (exp1.model, exp1.exact, exp1.n_points) == ("arctan3", "step", 100)
-    assert (exp1.c0, exp1.p, exp1.shift, exp1.noise) == (7.0, 0.99, 1, "gaussian")
+    assert (exp1.c0, exp1.p, exp1.shift, exp1.noise) == (68.1, 0.99, 1, "gaussian")
     assert exp1.delta_rel == (0.02, 0.01, 0.005, 0.003, 0.001)
     exp2 = PRESETS["exp2"]
     assert (exp2.model, exp2.c0, exp2.p, exp2.shift, exp2.noise) == (
-        "cubic", 2.0, 0.9, 6, "sine",
+        "cubic", 15.8, 0.9, 6, "sine",
     )
     c1 = PRESETS["exp1-const"]
-    assert (c1.exact, c1.n_points, c1.c0) == ("const_one", 50, 4.0)
+    assert (c1.exact, c1.n_points, c1.c0) == ("const_one", 50, 27.5)
     c2 = PRESETS["exp2-const"]
-    assert (c2.exact, c2.n_points, c2.c0) == ("const_one", 30, 1.0)
+    assert (c2.exact, c2.n_points, c2.c0) == ("const_one", 30, 4.55)
     assert c2.delta_rel == (0.05, 0.03, 0.02, 0.01, 0.003, 0.001)
 
 
@@ -199,9 +199,7 @@ def test_rows_ordered_and_consistent():
 def test_cell_rel_error_recomputes():
     cell = next(iter(run_cells(FAST)))
     assert cell.row.rel_error == rel_error(cell.record.final, cell.u_exact)
-    assert cell.delta_run == pytest.approx(
-        float(np.linalg.norm(cell.f_delta.values - cell.f.values)), rel=1e-15
-    )
+    assert cell.delta_run == cell.row.delta_abs
 
 
 def test_noise_drawn_once_per_seed(monkeypatch):
@@ -241,6 +239,19 @@ def test_batched_cells_match_cells_run_alone(mode):
         np.testing.assert_array_equal(cell.f_delta.values, alone.f_delta.values)
         assert cell.delta_run == alone.delta_run
         assert cell.row.wall_time_s == cell.record.wall_time > 0.0
+
+
+def test_stop_does_not_depend_on_the_mesh():
+    """The discrepancy and delta share the weighted L2 norm, so exp1 stops
+    at the same step with the same error on coarse and fine grids."""
+    n_stops = set()
+    for n_points in (100, 1000, 10_000):
+        config = PRESETS["exp1"].override(n_points=n_points, delta_rel=(0.01,), seeds=(1,))
+        (row,) = run_experiment(config)
+        assert row.stopped, n_points
+        assert 0.11 <= row.rel_error <= 0.13, n_points
+        n_stops.add(row.n_iterations)
+    assert len(n_stops) == 1
 
 
 def test_csv_header_and_formatting():
