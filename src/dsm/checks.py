@@ -30,7 +30,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .driver import ContinuousSchedule
-from .hilbert import GridFunction, norm
+from .harness import calibrate_noise, exact_solution, sine_noise
+from .hilbert import GridFunction, QuadratureGrid, norm
 from .operators import OperatorModel
 from .regsolve import ConvergenceError, NewtonOptions, solve_regularized
 
@@ -110,6 +111,18 @@ class Trajectory:
     solver_tol: float
 
 
+def _solve_converged(model, f_delta, a, where, options=None, start=None):
+    # solve_regularized at a; a solve that did not converge raises
+    # ConvergenceError, whose message names ``where`` ("a=..." or "t=...")
+    report = solve_regularized(model, f_delta, float(a), options, start)
+    if not report.converged:
+        raise ConvergenceError(
+            f"regularized solve did not converge at {where} "
+            f"(residual {report.residual_norm:.3e})"
+        )
+    return report
+
+
 def _validate_a_grid(a_values):
     a_values = np.asarray(a_values, dtype=float)
     if a_values.ndim != 1 or a_values.size == 0:
@@ -136,12 +149,7 @@ def build_trajectory(
     eq_res = np.empty(a_values.size)
     start = None
     for k, a in enumerate(a_values):
-        report = solve_regularized(model, f_delta, float(a), opts, start=start)
-        if not report.converged:
-            raise ConvergenceError(
-                f"regularized solve did not converge at a={a:g} "
-                f"(residual {report.residual_norm:.3e})"
-            )
+        report = _solve_converged(model, f_delta, a, f"a={a:g}", opts, start)
         v = report.solution
         solutions.append(v)
         res_norms[k] = norm(model.apply(v) - f_delta)
@@ -270,10 +278,7 @@ def check_large_a_limit(
     m1 = _derivative_norm_bound(model, np.random.default_rng(seed), n_probe, power_steps)
     margins = []
     for a in a_values:
-        report = solve_regularized(model, f_delta, float(a))
-        if not report.converged:
-            raise ConvergenceError(f"regularized solve did not converge at a={a:g}")
-        v = report.solution
+        v = _solve_converged(model, f_delta, a, f"a={a:g}").solution
         v_norm = norm(v)
         phi = norm(model.apply(v) - f_delta)
         margins.append(base / a - v_norm)
@@ -310,11 +315,10 @@ def find_crossing_time(
     state = {"start": None}
 
     def phi(t):
-        report = solve_regularized(model, f_delta, float(schedule.a(t)), opts, state["start"])
-        if not report.converged:
-            raise ConvergenceError(f"regularized solve did not converge at t={t:g}")
-        state["start"] = report.solution
-        return norm(model.apply(report.solution) - f_delta)
+        a = schedule.a(t)
+        v = _solve_converged(model, f_delta, a, f"t={t:g}", opts, state["start"]).solution
+        state["start"] = v
+        return norm(model.apply(v) - f_delta)
 
     if phi(0.0) <= target:
         raise ValueError("phi(0) <= C*delta; a(0) is not large enough")
@@ -524,9 +528,6 @@ def run_lemma_suite(
 ) -> list:
     """Run every check against each model kind, plus the model-independent
     scalar checks, and return the reports (names prefixed by model kind)."""
-    from .harness import calibrate_noise, exact_solution, sine_noise
-    from .hilbert import QuadratureGrid
-
     if sweep is None:
         sweep = np.logspace(1.0, -4.0, 20)
     reports = []
@@ -541,37 +542,27 @@ def run_lemma_suite(
         traj = build_trajectory(model, f_delta, sweep)
         traj_exact = build_trajectory(model, f, sweep)
 
-        r = check_monotonicity(traj)
-        r.name = f"{kind}:{r.name}"
-        reports.append(r)
-
-        r = check_perturbation_bounds(traj, traj_exact, u_exact, norm(f_delta - f))
-        r.name = f"{kind}:{r.name}"
-        reports.append(r)
-
-        r = check_large_a_limit(model, f_delta)
-        r.name = f"{kind}:{r.name}"
-        reports.append(r)
-
         crossing_schedule = ContinuousSchedule(d=1.0, c=7.0, b=1.0)
         t1 = find_crossing_time(model, f_delta, delta, 1.01, crossing_schedule)
         report = solve_regularized(model, f_delta, float(crossing_schedule.a(t1)))
         gap = abs(norm(model.apply(report.solution) - f_delta) - 1.01 * delta)
-        reports.append(
+        t_grid = np.linspace(0.0, 50.0, 101)
+        traj_t = build_trajectory(model, f_delta, crossing_schedule.a(t_grid))
+        for r in (
+            check_monotonicity(traj),
+            check_perturbation_bounds(traj, traj_exact, u_exact, norm(f_delta - f)),
+            check_large_a_limit(model, f_delta),
             CheckReport(
-                name=f"{kind}:discrepancy_crossing",
+                name="discrepancy_crossing",
                 passed=bool(gap <= 1e-8),
                 worst_margin=float(1e-8 - gap),
                 samples=1,
                 tolerance=0.0,
-            )
-        )
-
-        t_grid = np.linspace(0.0, 50.0, 101)
-        traj_t = build_trajectory(model, f_delta, crossing_schedule.a(t_grid))
-        r = check_weighted_integral_bound(crossing_schedule, t_grid, traj_t)
-        r.name = f"{kind}:{r.name}"
-        reports.append(r)
+            ),
+            check_weighted_integral_bound(crossing_schedule, t_grid, traj_t),
+        ):
+            r.name = f"{kind}:{r.name}"
+            reports.append(r)
 
     rng = np.random.default_rng(2024)
     scalar_reports = []

@@ -8,6 +8,9 @@ Subcommands:
   reconstructed solution next to the exact one, node by node.
 * ``dsm verify-lemmas`` -- run the analytic checks and report margins.
 
+``run`` and ``dump-solution`` resolve their config alike: the preset, then
+the config file, then the flags given, each winning over the one before.
+
 Exit codes: 0 success, 1 divergent run or failed check, 2 invalid
 configuration, 3 I/O failure.
 """
@@ -18,14 +21,7 @@ import argparse
 import sys
 
 from .checks import format_reports, reports_to_csv, run_lemma_suite
-from .harness import (
-    PRESETS,
-    emit_csv,
-    format_table,
-    load_config_file,
-    run_experiment,
-    run_solution_dump,
-)
+from .harness import PRESETS, emit_csv, format_table, run_experiment, run_solution_dump
 from .regsolve import ConvergenceError, SingularShiftError
 
 __all__ = ["main"]
@@ -42,7 +38,8 @@ def _comma_list(kind):
     return parse
 
 
-# config-file key -> parser of its string value
+# config key -> parser of its string value in a config file; a flag whose
+# argparse dest is a key sets that key
 _CONFIG_KEYS = {
     **dict.fromkeys(("n_points", "shift", "max_iter", "seed"), int),
     **dict.fromkeys(("c0", "p", "h", "stop_c", "gamma"), float),
@@ -59,6 +56,26 @@ def _coerce(key: str, value: str):
         return _CONFIG_KEYS[key](value)
     except ValueError as exc:
         raise ValueError(f"config key {key!r}: {exc}") from None
+
+
+def load_config_file(path) -> dict:
+    """Parse ``key = value`` lines; '#' starts a comment, blank lines skip.
+
+    Values stay strings; :func:`_resolve` coerces them per key.
+    """
+    options = {}
+    with open(path) as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            line = raw.split("#", 1)[0].strip()
+            if not line:
+                continue
+            if "=" not in line:
+                raise ValueError(f"{path}:{lineno}: expected 'key = value', got {raw.rstrip()!r}")
+            key, _, value = (part.strip() for part in line.partition("="))
+            if not key or not value:
+                raise ValueError(f"{path}:{lineno}: empty key or value")
+            options[key] = value
+    return options
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -85,10 +102,11 @@ def _build_parser() -> argparse.ArgumentParser:
     run.set_defaults(func=_cmd_run)
 
     dump = sub.add_parser("dump-solution", help="write one reconstructed solution as CSV")
-    dump.add_argument("--preset", choices=sorted(PRESETS), default="exp1")
+    dump.add_argument("--preset", choices=sorted(PRESETS), help="experiment preset")
     dump.add_argument("--config", help="config file with 'key = value' lines")
-    dump.add_argument("--delta-rel", type=float, dest="delta_rel", required=True)
-    dump.add_argument("--seed", type=int, help="noise seed (default: preset's first)")
+    dump.add_argument("--delta-rel", type=_CONFIG_KEYS["delta_rel"], dest="delta_rel",
+                      required=True, help="relative noise level of the cell")
+    dump.add_argument("--seed", type=int, help="noise seed (default: the config's first)")
     dump.add_argument("--out", required=True, help="output CSV path")
     dump.set_defaults(func=_cmd_dump)
 
@@ -100,31 +118,29 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _resolve_run_config(args):
-    file_opts = {}
+def _resolve(args):
+    """The (config, out, seed) a subcommand runs with.
+
+    The preset (default ``exp1``), then the config file, then the flags
+    given, each winning over the one before; ``preset`` itself follows the
+    same order.  ``out`` and ``seed`` are options, not config fields.
+    """
+    options = {}
     if args.config:
-        file_opts = {k: _coerce(k, v) for k, v in load_config_file(args.config).items()}
-    preset = args.preset or file_opts.pop("preset", None) or "exp1"
+        options = {k: _coerce(k, v) for k, v in load_config_file(args.config).items()}
+    options.update(
+        (k, v) for k, v in vars(args).items() if k in _CONFIG_KEYS and v is not None
+    )
+    preset = options.pop("preset", "exp1")
     if preset not in PRESETS:
         raise ValueError(f"unknown preset {preset!r}; expected one of {sorted(PRESETS)}")
-    config = PRESETS[preset]
-    out = file_opts.pop("out", None)
-    file_opts.pop("seed", None)  # dump-solution only
-    if file_opts:
-        config = config.override(**file_opts)
-    # explicit flags win over both the preset and the config file
-    flag_keys = ("n_points", "c0", "delta_rel", "seeds", "mode", "h",
-                 "gamma", "stop_c", "noise")
-    overrides = {k: getattr(args, k) for k in flag_keys if getattr(args, k) is not None}
-    if overrides:
-        config = config.override(**overrides)
-    if args.out is not None:
-        out = args.out
-    return config, out
+    out = options.pop("out", None)
+    seed = options.pop("seed", None)
+    return PRESETS[preset].override(**options), out, seed
 
 
 def _cmd_run(args) -> int:
-    config, out = _resolve_run_config(args)
+    config, out, _ = _resolve(args)
     rows = run_experiment(config)
     print(format_table(rows))
     if out:
@@ -134,20 +150,11 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_dump(args) -> int:
-    file_opts = {}
-    if args.config:
-        file_opts = {k: _coerce(k, v) for k, v in load_config_file(args.config).items()}
-    preset = file_opts.pop("preset", None) or args.preset
-    if preset not in PRESETS:
-        raise ValueError(f"unknown preset {preset!r}; expected one of {sorted(PRESETS)}")
-    config = PRESETS[preset]
-    seed = args.seed if args.seed is not None else file_opts.pop("seed", None)
-    file_opts.pop("out", None)
-    file_opts.pop("delta_rel", None)
-    if file_opts:
-        config = config.override(**file_opts)
-    cell, _ = run_solution_dump(config, args.delta_rel, seed=seed, out=args.out)
-    print(f"wrote {cell.row.n_points} nodes to {args.out}", file=sys.stderr)
+    config, out, seed = _resolve(args)
+    if len(config.delta_rel) != 1:
+        raise ValueError(f"dump-solution runs one cell; got delta_rel {config.delta_rel}")
+    cell, _ = run_solution_dump(config, config.delta_rel[0], seed=seed, out=out)
+    print(f"wrote {cell.row.n_points} nodes to {out}", file=sys.stderr)
     return 0 if cell.row.stopped else 1
 
 

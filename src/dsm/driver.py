@@ -138,14 +138,6 @@ class RunRecord:
     wall_time: float = field(default=0.0)
 
 
-def _a_values(schedule, h, steps):
-    # a_n at the given step indices: a discrete schedule at the index, a
-    # continuous one at t = n*h
-    if isinstance(schedule, DiscreteSchedule):
-        return schedule.a(steps)
-    return schedule.a(steps * h)
-
-
 _FIRST_STEPS = 64
 
 
@@ -158,8 +150,10 @@ def _drive(model, f_values, schedules, thresholds, u, h, max_steps):
     grid = model.grid
 
     def a_columns(live, first, stop):
-        steps = np.arange(first, stop)
-        return np.array([_a_values(schedules[k], h, steps) for k in live])
+        # a_n at t = n*h; h = 1 for a discrete schedule, whose a at the
+        # float n is its a at the integer n
+        t = np.arange(first, stop) * h
+        return np.array([schedules[k].a(t) for k in live])
 
     records = [None] * len(u)
     rows = np.arange(len(u))

@@ -15,7 +15,7 @@ each cell hands the drivers that absolute level ``delta_abs`` as its delta.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import astuple, dataclass, replace
 from typing import Iterable, NamedTuple
 
 import numpy as np
@@ -51,7 +51,6 @@ __all__ = [
     "emit_csv",
     "format_table",
     "run_solution_dump",
-    "load_config_file",
 ]
 
 EXACT_KINDS = ("step", "const_one")
@@ -228,6 +227,8 @@ CSV_HEADER = (
 
 @dataclass
 class ResultRow:
+    """One cell's result; the fields are the CSV columns, in CSV_HEADER order."""
+
     delta_rel: float
     delta_abs: float
     n_iterations: int
@@ -322,18 +323,10 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _row_fields(row: ResultRow):
-    return (
-        row.delta_rel, row.delta_abs, row.n_iterations, row.rel_error,
-        row.c0, row.n_points, row.seed, row.model, row.exact,
-        row.stopped, row.wall_time_s,
-    )
-
-
 def rows_to_csv(rows) -> str:
     lines = [CSV_HEADER]
     for row in rows:
-        lines.append(",".join(_fmt(v) for v in _row_fields(row)))
+        lines.append(",".join(_fmt(v) for v in astuple(row)))
     return "\n".join(lines) + "\n"
 
 
@@ -345,7 +338,7 @@ def emit_csv(rows, path) -> None:
 def format_table(rows) -> str:
     """Fixed-width table of the same fields, for terminal output."""
     header = CSV_HEADER.split(",")
-    body = [[_fmt(v) for v in _row_fields(row)] for row in rows]
+    body = [[_fmt(v) for v in astuple(row)] for row in rows]
     widths = [
         max(len(header[i]), max((len(r[i]) for r in body), default=0))
         for i in range(len(header))
@@ -378,25 +371,3 @@ def run_solution_dump(config: ExperimentConfig, delta_rel: float, seed=None, out
         with open(out, "w") as fh:
             fh.write(text)
     return cell, text
-
-
-def load_config_file(path) -> dict:
-    """Parse ``key = value`` lines; '#' starts a comment, blank lines skip.
-
-    Values stay strings; the CLI coerces them per key.
-    """
-    options = {}
-    with open(path) as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ValueError(f"{path}:{lineno}: expected 'key = value', got {raw.rstrip()!r}")
-            key, _, value = line.partition("=")
-            key = key.strip()
-            value = value.strip()
-            if not key or not value:
-                raise ValueError(f"{path}:{lineno}: empty key or value")
-            options[key] = value
-    return options

@@ -25,6 +25,7 @@ from dsm.driver import ContinuousSchedule
 from dsm.harness import calibrate_noise, exact_solution, sine_noise
 from dsm.hilbert import GridFunction, QuadratureGrid, norm
 from dsm.operators import MODEL_KINDS, OperatorModel
+from dsm.regsolve import ConvergenceError, NewtonOptions
 
 SWEEP = np.logspace(0.5, -3.0, 12)
 
@@ -194,6 +195,20 @@ def test_find_crossing_time_validation():
     with pytest.raises(ValueError):
         # C*delta above ||F(0) - f||: nothing to cross
         find_crossing_time(model, f, 10.0, 1.01, schedule)
+
+
+def test_unconverged_solves_raise_and_name_where():
+    # one Newton iteration cannot solve the cubic equation from zero
+    grid = QuadratureGrid(40)
+    model = OperatorModel("cubic", grid)
+    f = model.apply(exact_solution("step", grid))
+    f_delta, delta = calibrate_noise(f, sine_noise(grid), 0.01)
+    one_step = NewtonOptions(max_iter=1)
+    with pytest.raises(ConvergenceError, match=r"at a=1( |$)"):
+        build_trajectory(model, f_delta, [1.0, 0.1], one_step)
+    schedule = ContinuousSchedule(d=1.0, c=7.0, b=1.0)
+    with pytest.raises(ConvergenceError, match=r"at t=0( |$)"):
+        find_crossing_time(model, f_delta, delta, 1.01, schedule, options=one_step)
 
 
 def test_exponential_integral_bound_margins():

@@ -1,8 +1,10 @@
 """Command line behavior: subcommands, config precedence, exit codes."""
 
+import itertools
+
 import pytest
 
-from dsm.cli import main
+from dsm.cli import load_config_file, main
 
 # exp2-const is the fastest preset, so CLI runs stay in the millisecond range
 FAST_ARGS = ["run", "--preset", "exp2-const", "--delta-rel", "0.03,0.01", "--seeds", "1"]
@@ -133,3 +135,106 @@ def test_no_subcommand_is_usage_error():
     with pytest.raises(SystemExit) as exc:
         main([])
     assert exc.value.code == 2
+
+
+def test_load_config_file(tmp_path):
+    path = tmp_path / "run.cfg"
+    path.write_text(
+        "# comment line\n"
+        "preset = exp2-const\n"
+        "delta_rel = 0.03,0.01   # inline comment\n"
+        "c0 = 2.5\n"
+        "\n"
+        "seeds = 4\n"
+    )
+    options = load_config_file(path)
+    assert options == {
+        "preset": "exp2-const", "delta_rel": "0.03,0.01", "c0": "2.5", "seeds": "4",
+    }
+
+
+def test_load_config_file_errors(tmp_path):
+    bad = tmp_path / "bad.cfg"
+    bad.write_text("just some words\n")
+    with pytest.raises(ValueError):
+        load_config_file(bad)
+    empty_value = tmp_path / "empty.cfg"
+    empty_value.write_text("c0 =\n")
+    with pytest.raises(ValueError):
+        load_config_file(empty_value)
+
+
+def _csv_fields(path):
+    header, row = path.read_text().splitlines()
+    return dict(zip(header.split(","), row.split(",")))
+
+
+def test_run_preset_flag_beats_file_preset(tmp_path, capsys):
+    cfg = tmp_path / "p.cfg"
+    cfg.write_text("preset = exp1\n")
+    out_file = tmp_path / "rows.csv"
+    assert main(["run", "--preset", "exp2-const", "--config", str(cfg),
+                 "--delta-rel", "0.03", "--seeds", "1", "--out", str(out_file)]) == 0
+    fields = _csv_fields(out_file)
+    assert (fields["model"], fields["n_points"]) == ("cubic", "30")
+
+
+def test_dump_seed_flag_beats_file_seed(tmp_path, capsys):
+    # exp1 has gaussian noise, so the seed shows in the dump
+    cfg = tmp_path / "s.cfg"
+    cfg.write_text("seed = 3\n")
+    dumps = {}
+    for name, extra in [("file", ["--config", str(cfg), "--seed", "4"]),
+                        ("flag", ["--seed", "4"]), ("seed 3", ["--seed", "3"])]:
+        out_file = tmp_path / f"{name}.csv"
+        assert main(["dump-solution", "--preset", "exp1", "--delta-rel", "0.01",
+                     "--out", str(out_file)] + extra) == 0
+        dumps[name] = out_file.read_text()
+    assert dumps["file"] == dumps["flag"]
+    assert dumps["file"] != dumps["seed 3"]
+
+
+def test_dump_preset_flag_beats_file_preset(tmp_path, capsys):
+    cfg = tmp_path / "p.cfg"
+    cfg.write_text("preset = exp2-const\n")
+    out_file = tmp_path / "solution.csv"
+    assert main(["dump-solution", "--preset", "exp1", "--config", str(cfg),
+                 "--delta-rel", "0.01", "--out", str(out_file)]) == 0
+    assert len(out_file.read_text().splitlines()) == 1 + 100  # exp1's grid
+
+
+def test_dump_one_cell_only(tmp_path, capsys):
+    out_file = tmp_path / "solution.csv"
+    assert main(["dump-solution", "--preset", "exp2-const", "--delta-rel", "0.03,0.01",
+                 "--out", str(out_file)]) == 2
+    assert not out_file.exists()
+
+
+@pytest.mark.parametrize("command", ["run", "dump-solution"])
+@pytest.mark.parametrize(
+    "flag_preset, file_preset, flag_seed, file_seed, file_out, file_delta",
+    list(itertools.product((False, True), repeat=6)),
+)
+def test_flag_and_file_combinations_never_raise(
+    tmp_path, capsys, command, flag_preset, file_preset, flag_seed, file_seed,
+    file_out, file_delta,
+):
+    lines = []
+    if file_preset:
+        lines.append("preset = exp2-const")
+    if file_seed:
+        lines.append("seed = 3")
+    if file_out:
+        lines.append(f"out = {tmp_path / 'file.csv'}")
+    if file_delta:
+        lines.append("delta_rel = 0.03")
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("".join(line + "\n" for line in lines))
+    argv = [command, "--config", str(cfg), "--delta-rel", "0.03"]
+    if flag_preset:
+        argv += ["--preset", "exp2-const"]
+    if flag_seed:
+        argv += ["--seed", "4"] if command == "dump-solution" else ["--seeds", "4"]
+    if command == "dump-solution":
+        argv += ["--out", str(tmp_path / "flag.csv")]
+    assert main(argv) in (0, 1, 2, 3)

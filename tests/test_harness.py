@@ -1,7 +1,7 @@
 """Experiment harness: solutions, noise, calibration, presets, CSV."""
 
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -11,12 +11,12 @@ from dsm.harness import (
     CSV_HEADER,
     PRESETS,
     ExperimentConfig,
+    ResultRow,
     calibrate_noise,
     emit_csv,
     exact_solution,
     format_table,
     gaussian_noise,
-    load_config_file,
     make_noise,
     rows_to_csv,
     run_cells,
@@ -161,6 +161,15 @@ def test_config_validation():
         base.override(n_points=1)
 
 
+@pytest.mark.parametrize("mode", ["iterate", "euler"])
+@pytest.mark.parametrize("change", [{"c0": 0.0}, {"p": 2.0}, {"shift": 0.5}, {"h": 0.0}])
+def test_config_rejects_schedule_parameters_when_built(mode, change):
+    # before any cell runs; in Euler mode nothing later would reject p = 2 or
+    # shift = 0.5, since ContinuousSchedule(d=c0*delta**p, c=shift, b=1) takes both
+    with pytest.raises(ValueError):
+        PRESETS["exp2-const"].override(mode=mode, **change)
+
+
 def test_presets_pin_experiment_parameters():
     exp1 = PRESETS["exp1"]
     assert (exp1.model, exp1.exact, exp1.n_points) == ("arctan3", "step", 100)
@@ -271,6 +280,11 @@ def test_csv_header_and_formatting():
     assert first[3] == f"{rows[0].rel_error:.6g}"
 
 
+def test_csv_header_names_the_row_fields_in_order():
+    # rows_to_csv writes a row's fields in declaration order under CSV_HEADER
+    assert CSV_HEADER == ",".join(f.name for f in fields(ResultRow))
+
+
 def test_csv_deterministic_modulo_wall_time():
     a = [line.rsplit(",", 1)[0] for line in rows_to_csv(run_experiment(FAST)).splitlines()]
     b = [line.rsplit(",", 1)[0] for line in rows_to_csv(run_experiment(FAST)).splitlines()]
@@ -318,30 +332,3 @@ def test_euler_mode_cell_runs():
     cfg = FAST.override(mode="euler", h=1.0, shift=1)
     rows = run_experiment(cfg)
     assert all(r.stopped for r in rows)
-
-
-def test_load_config_file(tmp_path):
-    path = tmp_path / "run.cfg"
-    path.write_text(
-        "# comment line\n"
-        "preset = exp2-const\n"
-        "delta_rel = 0.03,0.01   # inline comment\n"
-        "c0 = 2.5\n"
-        "\n"
-        "seeds = 4\n"
-    )
-    options = load_config_file(path)
-    assert options == {
-        "preset": "exp2-const", "delta_rel": "0.03,0.01", "c0": "2.5", "seeds": "4",
-    }
-
-
-def test_load_config_file_errors(tmp_path):
-    bad = tmp_path / "bad.cfg"
-    bad.write_text("just some words\n")
-    with pytest.raises(ValueError):
-        load_config_file(bad)
-    empty_value = tmp_path / "empty.cfg"
-    empty_value.write_text("c0 =\n")
-    with pytest.raises(ValueError):
-        load_config_file(empty_value)
