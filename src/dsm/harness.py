@@ -180,14 +180,14 @@ class ExperimentConfig:
                 raise ValueError(f"delta_rel entries must lie in (0, 1), got {d}")
         if not self.seeds:
             raise ValueError("seeds must be nonempty")
-        if not self.c0 > 0:
-            raise ValueError(f"c0 must be positive, got {self.c0}")
+        if not (math.isfinite(self.c0) and self.c0 > 0):
+            raise ValueError(f"c0 must be positive and finite, got {self.c0}")
         if not 0.0 < self.p <= 1.0:
             raise ValueError(f"p must lie in (0, 1], got {self.p}")
         if self.shift < 1:
             raise ValueError(f"shift must be >= 1, got {self.shift}")
-        if not self.h > 0:
-            raise ValueError(f"h must be positive, got {self.h}")
+        if not (math.isfinite(self.h) and self.h > 0):
+            raise ValueError(f"h must be positive and finite, got {self.h}")
         if self.max_iter < 1:
             raise ValueError(f"max_iter must be >= 1, got {self.max_iter}")
         # stop_c / gamma bounds are enforced by StoppingRule at run time,

@@ -34,21 +34,58 @@ every row on its own: a row of a stack gives bit for bit what it gives
 alone.  The public :meth:`~OperatorModel.apply`,
 :meth:`~OperatorModel.apply_kernel` and :meth:`~OperatorModel.solve_shifted`
 wrap them with a grid check and a :class:`~dsm.hilbert.GridFunction` result.
+
+The tridiagonal solver is LAPACK ``dgtsv`` from scipy's compiled wrapper
+``scipy/linalg/_flapack``, loaded on its own without importing
+``scipy.linalg``; scipy is used for nothing else.
 """
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
 import math
+import os
 from functools import cached_property
 
 import numpy as np
-from scipy.linalg.lapack import dgtsv
 
 from .hilbert import GridFunction, GridMismatchError, QuadratureGrid
 
 __all__ = ["MODEL_KINDS", "OperatorModel", "SingularShiftError", "matvec"]
 
 MODEL_KINDS = ("arctan3", "cubic", "linear", "identity")
+
+
+def _load_flapack():
+    # Taking dgtsv from scipy.linalg.lapack runs scipy.linalg's __init__,
+    # which with scipy 1.17 reaches scipy._lib.array_api_compat and through it
+    # numpy.testing, numpy.f2py and unittest: python -X importtime puts it at
+    # 330 ms on a 2-core x86-64 host, 210 ms of it in that array-API layer.
+    # The compiled wrapper alone loads in 3-6 ms and holds the same
+    # routine.  Linux and macOS wheels find scipy's bundled LAPACK through the
+    # wrapper's rpath; Windows wheels add that directory in scipy's own
+    # __init__, which this skips too.
+    scipy = importlib.util.find_spec("scipy")
+    spec = None
+    if scipy is not None:
+        linalg = [os.path.join(path, "linalg") for path in scipy.submodule_search_locations]
+        spec = importlib.machinery.PathFinder.find_spec("scipy.linalg._flapack", linalg)
+    if spec is None:
+        # names the installed version, or raises PackageNotFoundError, an
+        # ImportError, when there is no scipy at all
+        from importlib.metadata import version
+
+        raise ImportError(
+            f"scipy {version('scipy')} has no LAPACK extension scipy/linalg/_flapack;"
+            " dsm needs scipy>=1.13"
+        )
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+dgtsv = _load_flapack().dgtsv
 
 # The largest grid on which the shifted solve is one tridiagonal solve with no
 # refinement step.  Multiplying the Newton system by T = (1 - rho^2) E^{-1} to

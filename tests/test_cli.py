@@ -40,6 +40,19 @@ def test_invalid_noise_level_exit_2(capsys):
     assert "error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("extra, line", [
+    (["--c0", "inf"], "c0 = inf"),
+    (["--mode", "euler", "--h", "inf"], "mode = euler\nh = inf"),
+])
+def test_infinite_schedule_parameter_exit_2(tmp_path, capsys, extra, line):
+    # an infinite c0 or h is an invalid configuration, not a divergent run
+    assert main(FAST_ARGS + extra) == 2
+    cfg = tmp_path / "inf.cfg"
+    cfg.write_text(line + "\n")
+    assert main(FAST_ARGS + ["--config", str(cfg)]) == 2
+    assert "finite" in capsys.readouterr().err
+
+
 def test_unknown_config_key_exit_2(tmp_path, capsys):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("volume = 11\n")

@@ -1,5 +1,12 @@
 """Operator models: kernel discretization, monotonicity, Jacobians, the O(n)
-apply and shifted solve."""
+apply and shifted solve, and the direct load of LAPACK dgtsv."""
+
+import importlib.machinery
+import importlib.metadata
+import importlib.util
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -408,3 +415,65 @@ def test_shifted_solve_smallest_shift_on_refined_branch(kind, n):
     step = solve_shifted_linear(model, u, 1e-8, rhs)
     residual = rhs.values - _shifted_operator(model, u, 1e-8, step)
     assert np.linalg.norm(residual) <= 1e-10 * np.linalg.norm(rhs.values)
+
+
+@pytest.mark.parametrize("overwrite", [0, 1])
+@pytest.mark.parametrize("n", [100, _UNREFINED_MAX_N + 1])
+@pytest.mark.parametrize("rows", [1, 55])
+def test_loaded_dgtsv_matches_scipy_linalg(rows, n, overwrite):
+    """The dgtsv loaded straight from scipy's _flapack gives the bits that
+    scipy.linalg.lapack.dgtsv gives, on block systems shaped like a stacked
+    shifted solve, and reports an exactly zero pivot the same way."""
+    from scipy.linalg.lapack import dgtsv as reference
+
+    size = rows * n
+    rng = np.random.default_rng(size + overwrite)
+    lower, upper = rng.standard_normal(size - 1), rng.standard_normal(size - 1)
+    # zero couplings between the last node of a row and the first of the next
+    lower[n - 1::n] = 0.0
+    upper[n - 1::n] = 0.0
+    diag, rhs = rng.standard_normal(size), rng.standard_normal(size)
+    # the last row's first column is all zeros: info names its 1-based pivot
+    first = (rows - 1) * n
+    singular_lower, singular_diag = lower.copy(), diag.copy()
+    singular_lower[first] = singular_diag[first] = 0.0
+    flags = dict.fromkeys(("overwrite_dl", "overwrite_d", "overwrite_du", "overwrite_b"), overwrite)
+    infos = []
+    for system in ((lower, diag, upper, rhs), (singular_lower, singular_diag, upper, rhs)):
+        got = dsm.operators.dgtsv(*(x.copy() for x in system), **flags)
+        want = reference(*(x.copy() for x in system), **flags)
+        assert len(got) == len(want) == 5
+        for got_out, want_out in zip(got[:4], want[:4]):
+            assert got_out.tobytes() == want_out.tobytes()
+        assert got[4] == want[4]
+        infos.append(got[4])
+    assert infos == [0, first + 1]
+
+
+def test_missing_flapack_names_the_scipy_version(tmp_path, monkeypatch):
+    # a scipy without linalg/_flapack: one ImportError naming the version
+    scipy = importlib.machinery.ModuleSpec("scipy", None, is_package=True)
+    scipy.submodule_search_locations = [str(tmp_path)]
+    monkeypatch.setattr(importlib.util, "find_spec", lambda name: scipy)
+    with pytest.raises(ImportError, match=f"scipy {importlib.metadata.version('scipy')} "):
+        dsm.operators._load_flapack()
+
+
+def test_running_a_cell_imports_no_scipy_linalg():
+    # scipy.linalg's package import pulls in numpy.testing and numpy.f2py
+    # and costs about 0.3 s of every start-up; a run needs only dgtsv
+    code = (
+        "import sys\n"
+        "import dsm\n"
+        "from dsm.harness import PRESETS, run_cells\n"
+        "cells = list(run_cells(PRESETS['exp2-const'].override(delta_rel=(0.05,))))\n"
+        "assert all(cell.record.stopped_by_discrepancy for cell in cells)\n"
+        "print(sorted(m for m in ('scipy.linalg', 'numpy.f2py', 'numpy.testing') if m in sys.modules))\n"
+    )
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1")
+    result = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "[]"
