@@ -12,12 +12,17 @@ quadrature-weighted L^2 norm, so the stop does not depend on the mesh.
 Each step is globalized by :func:`dsm.regsolve.line_search`, the same
 backtracking search :func:`dsm.regsolve.solve_regularized` uses, on the
 regularized residual ||F(u) + a_n u - f_delta|| in the quadrature-weighted
-norm.  The full step (scaled by h) is taken whenever it passes the Armijo
-test, so wherever the raw iteration is stable the damping never engages;
-halving kicks in only when a step would run away (saturating
-nonlinearities at small a_n can trap raw Newton on a plateau it never
-leaves).  When no step length passes, the run takes the candidate with the
-smallest regularized residual.
+norm.  Each run's search starts at lam0 = min(1, 2*lam_prev), twice the
+step length the run last accepted (1 at its first step), and halves from
+there: the initial step length of Nocedal & Wright, *Numerical
+Optimization* (2006), section 3.5.  Wherever the raw iteration is stable
+the full step (scaled by h) passes the Armijo test and the damping never
+engages; a run whose steps would run away (saturating nonlinearities at
+small a_n can trap raw Newton on a plateau it never leaves) starts near
+the damping its last step needed instead of at the full step.  When no
+step length passes, the run takes the candidate with the smallest
+regularized residual and that candidate's lam; a run with no finite
+candidate stays where it is and keeps its lam0.
 
 There is one loop, and it advances a batch: :func:`run_batch` stacks one
 row of node values per run, each with its own data, schedule and stopping
@@ -124,8 +129,12 @@ class RunRecord:
     """Trace of one driver run.
 
     ``residuals[k]`` and ``a_values[k]`` belong to iterate k; both have
-    length ``n_stop + 1``.  ``stopped_by_discrepancy`` is False when the
-    step cap ran out first (the caller treats that as divergence).
+    length ``n_stop + 1``.  ``step_lengths[k]`` is the step length lam the
+    line search took from iterate k to k + 1 (the step is lam*h times the
+    Newton step), and ``fallback[k]`` is True where no lam passed its
+    Armijo test; both have length ``n_stop``.  ``stopped_by_discrepancy``
+    is False when the step cap ran out first (the caller treats that as
+    divergence).
     ``wall_time`` runs from the start of the batch the run belonged to (see
     :func:`run_batch`) to the run's stop.
     """
@@ -135,6 +144,8 @@ class RunRecord:
     residuals: np.ndarray
     a_values: np.ndarray
     stopped_by_discrepancy: bool
+    step_lengths: np.ndarray
+    fallback: np.ndarray
     wall_time: float = field(default=0.0)
 
 
@@ -142,10 +153,11 @@ _FIRST_STEPS = 64
 
 
 def _drive(model, f_values, schedules, thresholds, u, h, max_steps):
-    # Rows still running are stacked in u, fu and f_values, next to their
-    # tables of a_n and of residuals; ``rows`` maps them back to the batch.
-    # The stack is compacted only when a row stops.  The tables start with
-    # room for _FIRST_STEPS steps and double when full.
+    # Rows still running are stacked in u, fu, f_values and lam (each row's
+    # last accepted step length), next to their tables of a_n, residuals,
+    # step lengths and fallbacks; ``rows`` maps them back to the batch.  The
+    # stack is compacted only when a row stops.  The tables start with room
+    # for _FIRST_STEPS steps and double when full.
     start = time.perf_counter()
     grid = model.grid
 
@@ -159,6 +171,9 @@ def _drive(model, f_values, schedules, thresholds, u, h, max_steps):
     rows = np.arange(len(u))
     a_table = a_columns(rows, 0, min(_FIRST_STEPS, max_steps + 1))
     residuals = np.empty_like(a_table)
+    lengths = np.empty_like(a_table)
+    fallback = np.empty(a_table.shape, dtype=bool)
+    lam = np.ones(len(u))
     # trial points may overflow; the line search rejects them by their norm
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         # F(u) is evaluated here once, checked; afterwards every iterate's F
@@ -172,6 +187,8 @@ def _drive(model, f_values, schedules, thresholds, u, h, max_steps):
                 more = a_columns(rows, n, min(2 * n, max_steps + 1))
                 a_table = np.hstack([a_table, more])
                 residuals = np.hstack([residuals, np.empty_like(more)])
+                lengths = np.hstack([lengths, np.empty_like(more)])
+                fallback = np.hstack([fallback, np.empty(more.shape, dtype=bool)])
             d = fu - f_values
             res = np.sqrt(np.vecdot(d, grid.weights * d))
             residuals[:, n] = res
@@ -186,20 +203,30 @@ def _drive(model, f_values, schedules, thresholds, u, h, max_steps):
                         residuals=residuals[i, : n + 1].copy(),
                         a_values=a_table[i, : n + 1].copy(),
                         stopped_by_discrepancy=bool(stopped[i]),
+                        step_lengths=lengths[i, :n].copy(),
+                        fallback=fallback[i, :n].copy(),
                         wall_time=wall,
                     )
                 if out.all():
                     return records
                 keep = ~out
-                rows, u, fu, f_values = rows[keep], u[keep], fu[keep], f_values[keep]
+                rows, u, fu, f_values, lam = (x[keep] for x in (rows, u, fu, f_values, lam))
                 a_table, residuals, thresholds = a_table[keep], residuals[keep], thresholds[keep]
+                lengths, fallback = lengths[keep], fallback[keep]
             a_n = a_table[:, n : n + 1]
             g_values, g_norm = regularized_residual(grid, fu, u, a_n, f_values)
             try:
                 step = model.solve_shifted_values(u, a_n, g_values)
             except SingularShiftError as err:
                 raise SingularShiftError(err.pivot_index, rows[err.row]) from err
-            u, fu, _, _, _ = line_search(model, u, fu, h * step, a_n, f_values, g_norm)
+            # lam0 rides on the step's one scaling by h, not a second pass
+            # over the stack; as a power of two it changes no other bit
+            lam0 = np.minimum(1.0, 2.0 * lam)
+            step *= (h * lam0)[:, None]
+            u, fu, _, _, accepted, lam = line_search(
+                model, u, fu, step, a_n, f_values, g_norm, lam0
+            )
+            lengths[:, n], fallback[:, n] = lam, ~accepted
             n += 1
 
 

@@ -110,64 +110,70 @@ _HALVINGS = 40
 _DECREASE_SLACK = 1e-4
 
 
-def line_search(model: OperatorModel, v, fv, step, a, f_values, g_norm):
-    """Backtracking line search on the regularized residual along v - lam*step,
+def line_search(model: OperatorModel, v, fv, step, a, f_values, g_norm, lam0=None):
+    """Backtracking line search on the regularized residual along v - 2^-k*step,
     row by row.
 
     ``v``, ``fv`` = F(v), ``step`` and ``f_values`` are stacks of rows
     ``(S, n)``, ``a`` a column ``(S, 1)`` of per-row shifts and
     ``g_norm`` the weighted norm of each row's G(v) = F(v) - f_delta + a*v.
-    Each row tries lam = 1, 1/2, ... (``_HALVINGS`` halvings) and accepts its
-    first candidate with ||G|| <= (1 - 1e-4*lam) * g_norm (Armijo).  For a
-    Newton direction the slope of ||G(v - lam*step)|| at lam = 0 is -g_norm,
-    so a small enough lam always passes unless rounding intervenes.  The
-    first trial evaluates every row at once; each halving evaluates only the
-    rows that have not yet passed.
+    ``lam0`` (default all ones) holds each row's first step length: ``step``
+    comes already scaled by it, so trial k of a row, v - 2^-k*step, is at
+    lam = lam0*2^-k along the Newton direction.  Each row tries k = 0, 1, ...
+    (``_HALVINGS`` halvings) and accepts its first candidate with
+    ||G|| <= (1 - 1e-4*lam) * g_norm (Armijo).  For a Newton direction the
+    slope of ||G(v - lam*s)|| at lam = 0 is -g_norm, so a small enough lam
+    always passes unless rounding intervenes.  The first trial evaluates
+    every row at once; each halving evaluates only the rows that have not
+    yet passed.
 
-    Returns ``(iterate, F(iterate), G(iterate), ||G(iterate)||, accepted)``,
-    one entry per row.  A row where no candidate passes takes the candidate
-    with the smallest finite residual norm, or stays at v, with the F it
-    came in with, if no candidate has one.  Trial points may overflow: call
-    it under ``np.errstate(over="ignore", invalid="ignore")``, as the Newton
-    loops do.
+    Returns ``(iterate, F(iterate), G(iterate), ||G(iterate)||, accepted,
+    lam)``, one entry per row.  A row where no candidate passes takes the
+    candidate with the smallest finite residual norm, and that candidate's
+    lam, or stays at v, with the F it came in with and its lam0, if no
+    candidate has one.  Trial points may overflow: call it under
+    ``np.errstate(over="ignore", invalid="ignore")``, as the Newton loops do.
     """
     grid = model.grid
+    lam0 = np.ones(len(v)) if lam0 is None else lam0
     new = v - step
     f_new = model.apply_values(new)
     g_new, norm = regularized_residual(grid, f_new, new, a, f_values)
-    accepted = norm <= (1.0 - _DECREASE_SLACK) * g_norm
+    accepted = norm <= (1.0 - _DECREASE_SLACK * lam0) * g_norm
     if np.count_nonzero(accepted) == len(accepted):
-        return new, f_new, g_new, norm, accepted
+        return new, f_new, g_new, norm, accepted, lam0
     # The rows still searching, stacked, with the residual norm of each of
-    # their trials (trial k at lam = 2^-k); a row that passes leaves the stack.
+    # their trials (trial k at 2^-k*step); a row that passes leaves the stack.
+    lam_out = lam0.copy()
     pending = np.flatnonzero(~accepted)
-    vp, sp, ap, fp, gp = v, step, a, f_values, g_norm
+    vp, sp, ap, fp, gp, lp = v, step, a, f_values, g_norm, lam0
     if len(pending) < len(v):
-        vp, sp, ap, fp, gp = (x[pending] for x in (v, step, a, f_values, g_norm))
+        vp, sp, ap, fp, gp, lp = (x[pending] for x in (v, step, a, f_values, g_norm, lam0))
     trial_norms = np.empty((len(pending), _HALVINGS + 1))
     trial_norms[:, 0] = norm[pending]
-    lam = 1.0
+    scale = 1.0
     for k in range(1, _HALVINGS + 1):
-        lam *= 0.5
-        candidate = vp - lam * sp
+        scale *= 0.5
+        candidate = vp - scale * sp
         fc = model.apply_values(candidate)
         gc, cand_norm = regularized_residual(grid, fc, candidate, ap, fp)
         trial_norms[:, k] = cand_norm
+        lam = lp * scale
         passed = cand_norm <= (1.0 - _DECREASE_SLACK * lam) * gp
         n_passed = np.count_nonzero(passed)
         if n_passed == len(v):
             # every row searched to this step length and passed here
-            return candidate, fc, gc, cand_norm, passed
+            return candidate, fc, gc, cand_norm, passed, lam
         if n_passed:
             rows = pending[passed]
             new[rows], f_new[rows], g_new[rows] = candidate[passed], fc[passed], gc[passed]
-            norm[rows] = cand_norm[passed]
+            norm[rows], lam_out[rows] = cand_norm[passed], lam[passed]
             accepted[rows] = True
             keep = ~passed
             if not np.count_nonzero(keep):
-                return new, f_new, g_new, norm, accepted
-            pending, vp, sp, ap, fp, gp, trial_norms = (
-                x[keep] for x in (pending, vp, sp, ap, fp, gp, trial_norms)
+                return new, f_new, g_new, norm, accepted, lam_out
+            pending, vp, sp, ap, fp, gp, lp, trial_norms = (
+                x[keep] for x in (pending, vp, sp, ap, fp, gp, lp, trial_norms)
             )
     # No step length passed: take the trial with the smallest finite norm
     # (the first of equals) again, or stay at v where no trial is finite.
@@ -178,11 +184,12 @@ def line_search(model: OperatorModel, v, fv, step, a, f_values, g_norm):
     stay = pending[~found]
     new[stay], f_new[stay], norm[stay] = v[stay], fv[stay], g_norm[stay]
     rows = pending[found]
-    new[rows] = vp[found] - np.ldexp(1.0, -k_best[found, None]) * sp[found]
+    scale = np.ldexp(1.0, -k_best[found])
+    new[rows] = vp[found] - scale[:, None] * sp[found]
     f_new[rows] = model.apply_values(new[rows])
-    norm[rows] = best_norm[found]
+    norm[rows], lam_out[rows] = best_norm[found], lp[found] * scale
     g_new[pending] = regularized_residual(grid, f_new[pending], new[pending], ap, fp)[0]
-    return new, f_new, g_new, norm, accepted
+    return new, f_new, g_new, norm, accepted, lam_out
 
 
 def solve_regularized(
@@ -216,7 +223,7 @@ def solve_regularized(
         while res_norm[0] > opts.tol and iterations < opts.max_iter:
             step = model.solve_shifted_values(v, a, residual)
             iterations += 1
-            new, f_new, g_new, new_norm, accepted = line_search(
+            new, f_new, g_new, new_norm, accepted, _ = line_search(
                 model, v, fv, step, a, f_values, res_norm
             )
             if not accepted[0]:

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dsm.driver import (
@@ -108,6 +108,7 @@ def test_record_shapes_and_schedule_trace(identity_setup):
     record = run_iteration(model, f_delta, delta, sched)
     assert len(record.residuals) == record.n_stop + 1
     assert len(record.a_values) == record.n_stop + 1
+    assert len(record.step_lengths) == len(record.fallback) == record.n_stop
     expected_a = [sched.a(n) for n in range(record.n_stop + 1)]
     np.testing.assert_array_equal(record.a_values, expected_a)
     assert record.wall_time >= 0.0
@@ -134,6 +135,7 @@ def test_immediate_stop_returns_start(identity_setup):
     assert record.stopped_by_discrepancy
     assert record.n_stop == 0
     assert len(record.residuals) == 1
+    assert len(record.step_lengths) == len(record.fallback) == 0
     np.testing.assert_array_equal(record.final.values, np.zeros(grid.n))
 
 
@@ -209,13 +211,16 @@ class _CountingModel(OperatorModel):
 def test_accepted_trial_supplies_next_residual(identity_setup):
     """F is evaluated once at the start and then only by the line search:
     on F = I every full step is accepted, so a run costs n_stop + 1
-    evaluations of the raw F kernel (the checked start included)."""
+    evaluations of the raw F kernel (the checked start included) and records
+    step length 1 at every step."""
     grid, _, f_delta = identity_setup
     model = _CountingModel("identity", grid)
     delta = 0.05
     record = run_iteration(model, f_delta, delta, DiscreteSchedule(2.0, delta, 0.9, 1))
     assert record.stopped_by_discrepancy and record.n_stop > 1
     assert model.calls == record.n_stop + 1
+    np.testing.assert_array_equal(record.step_lengths, np.ones(record.n_stop))
+    assert not record.fallback.any()
 
 
 # c0 * (n - 1)**(p/2) for c0 = 3, p = 0.9 on the 60-point grid below: the
@@ -269,9 +274,9 @@ def test_runs_are_deterministic(arctan_setup):
     np.testing.assert_array_equal(rec1.final.values, rec2.final.values)
 
 
-def test_backtracking_recovers_saturating_runaway():
-    """Small a_0 on the saturating model overshoots onto the arctan plateau;
-    the damped step must still bring the run to the discrepancy stop."""
+def _saturating_runaway():
+    """A counting arctan3 model and a run of it from a small a_0 that
+    overshoots onto the arctan plateau without damping."""
     grid = QuadratureGrid(100)
     model = _CountingModel("arctan3", grid)
     x = grid.nodes
@@ -283,13 +288,44 @@ def test_backtracking_recovers_saturating_runaway():
     # c0 = 7 * 99**0.495, the exp1 preset's
     sched = DiscreteSchedule(c0=68.1, delta=delta, p=0.99, shift=1)
     model.calls = 0
-    record = run_iteration(model, f_delta, delta, sched, max_iter=200)
+    return model, run_iteration(model, f_delta, delta, sched, max_iter=200)
+
+
+def test_backtracking_recovers_saturating_runaway():
+    """Small a_0 on the saturating model overshoots onto the arctan plateau;
+    the damped step must still bring the run to the discrepancy stop."""
+    model, record = _saturating_runaway()
     assert record.stopped_by_discrepancy
     # the run is long enough to reach the small a_n where raw steps run
     # away, and the line search rejects at least one full step on the way
     assert record.n_stop >= 40
     assert model.calls > record.n_stop + 1
     assert np.max(np.abs(record.final.values)) < 5.0
+
+
+def test_search_starts_at_twice_the_last_step_length():
+    """Each step's search starts at lam0 = min(1, 2*lam_prev) and halves from
+    there, so a step that takes lam costs 1 + log2(lam0/lam) evaluations of F;
+    a fallback step tries all 41 step lengths and evaluates its pick once
+    more, unless it stays at v.  The run is one row, so a call of the kernel
+    is one row evaluation."""
+    model, record = _saturating_runaway()
+    lam = record.step_lengths
+    assert len(lam) == len(record.fallback) == record.n_stop
+    assert np.all((lam > 0) & (lam <= 1))
+    assert lam.min() < 1
+    lam0 = np.minimum(1.0, 2.0 * np.concatenate([[1.0], lam[:-1]]))
+    # a row that stays at v keeps its F, so its residual repeats exactly
+    stays = record.residuals[1:] == record.residuals[:-1]
+    expected = 1
+    for first, took, fell_back, stay in zip(lam0, lam, record.fallback, stays):
+        if fell_back:
+            expected += 41 if stay else 42
+        else:
+            halvings = np.log2(first / took)
+            assert halvings == int(halvings) >= 0
+            expected += 1 + int(halvings)
+    assert model.calls == expected
 
 
 def _count_wraps(monkeypatch, fn):
@@ -357,6 +393,10 @@ def test_large_grid_run_builds_no_dense_kernel():
     c0=st.floats(0.05, 10.0),
 )
 @settings(max_examples=40, deadline=None)
+# a stiff start: every row backtracks, and the rows stop after 17, 6 and 35
+# steps, so the stops compact the step-length state of rows still running
+# from the middle and from the front of the stack
+@example(kind="arctan3", n=60, mode="euler-0.5", levels=[0.01, 0.1, 1e-4], c0=0.05)
 def test_batch_rows_match_runs_alone(kind, n, mode, levels, c0):
     """Each row of a batch, with its own noise level, schedule and stop,
     gets bit for bit the record it gets from run_iteration / run_euler
@@ -387,6 +427,8 @@ def test_batch_rows_match_runs_alone(kind, n, mode, levels, c0):
         np.testing.assert_array_equal(record.residuals, alone.residuals)
         np.testing.assert_array_equal(record.a_values, alone.a_values)
         np.testing.assert_array_equal(record.final.values, alone.final.values)
+        np.testing.assert_array_equal(record.step_lengths, alone.step_lengths)
+        np.testing.assert_array_equal(record.fallback, alone.fallback)
 
 
 class _SingularModel(OperatorModel):

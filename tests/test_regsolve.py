@@ -190,17 +190,21 @@ _N = 12
     data=st.data(),
 )
 def test_line_search_result_is_consistent(kind, a, data):
-    """Whatever the direction, the search returns for every row a finite
-    iterate, the model's own F there, its regularized residual and norm, and an
-    Armijo decrease whenever it reports acceptance; each row of a stack gets
-    what it gets alone.  Scale 1e200 makes every candidate overflow F or the
+    """Whatever the direction and first step length lam0, the search returns
+    for every row a finite iterate, the model's own F there, its regularized
+    residual and norm, and a step length lam0*2^-k it took, with an Armijo
+    decrease at that lam whenever it reports acceptance; each row of a stack
+    gets what it gets alone.  The direction comes scaled by lam0, as the
+    drivers pass it.  Scale 1e200 makes every candidate overflow F or the
     residual."""
     rows = data.draw(st.integers(1, 3))
     v = data.draw(arrays(np.float64, (rows, _N), elements=st.floats(-5.0, 5.0)))
     f_values = data.draw(arrays(np.float64, (rows, _N), elements=st.floats(-5.0, 5.0)))
     direction = data.draw(arrays(np.float64, (rows, _N), elements=st.floats(-100.0, 100.0)))
     scale = data.draw(arrays(np.float64, (rows, 1), elements=st.sampled_from([1.0, 1e3, 1e200])))
-    direction = direction * scale
+    first = st.sampled_from([0.5 ** j for j in range(11)])
+    lam0 = data.draw(arrays(np.float64, rows, elements=first))
+    direction = direction * scale * lam0[:, None]
     grid = QuadratureGrid(_N)
     model = OperatorModel(kind, grid)
     fv = model.apply_values(v)
@@ -209,23 +213,25 @@ def test_line_search_result_is_consistent(kind, a, data):
     # the raw kernels leave overflow warnings to the caller, as in the Newton loops
     quiet = dict(over="ignore", invalid="ignore")
     with np.errstate(**quiet):
-        new, f_new, g_new, new_norm, accepted = line_search(
-            model, v, fv, direction, a, f_values, g_norm
-        )
+        got = line_search(model, v, fv, direction, a, f_values, g_norm, lam0)
+    new, f_new, g_new, new_norm, accepted, lam = got
     for k in range(rows):
         assert np.all(np.isfinite(new[k]))
         np.testing.assert_array_equal(f_new[k], model.apply(GridFunction(grid, new[k])).values)
         g, norm_k = regularized_residual(grid, f_new[k], new[k], a[k], f_values[k])
         np.testing.assert_array_equal(g_new[k], g)
         assert new_norm[k] == norm_k
+        assert lam[k] in [lam0[k] * 0.5 ** j for j in range(41)]
+        # a row stays at v, with its lam0, only where no candidate was finite
+        stayed = not accepted[k] and lam[k] == lam0[k] and np.array_equal(new[k], v[k])
+        assert stayed or np.array_equal(new[k], v[k] - (lam[k] / lam0[k]) * direction[k])
         if accepted[k]:
-            lams = [0.5 ** j for j in range(41)
-                    if np.array_equal(new[k], v[k] - 0.5 ** j * direction[k])]
-            assert any(new_norm[k] <= (1.0 - 1e-4 * lam) * g_norm[k] for lam in lams)
+            assert new_norm[k] <= (1.0 - 1e-4 * lam[k]) * g_norm[k]
         one = slice(k, k + 1)
         with np.errstate(**quiet):
             alone = line_search(
-                model, v[one], fv[one], direction[one], a[one], f_values[one], g_norm[one]
+                model, v[one], fv[one], direction[one], a[one], f_values[one], g_norm[one],
+                lam0[one],
             )
-        for got, want in zip(alone, (new, f_new, g_new, new_norm, accepted)):
-            np.testing.assert_array_equal(got[0], want[k])
+        for got_alone, want in zip(alone, got):
+            np.testing.assert_array_equal(got_alone[0], want[k])
