@@ -38,6 +38,7 @@ start point must be finite, and each final iterate is wrapped as a
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 
@@ -70,13 +71,13 @@ class DiscreteSchedule:
     shift: int
 
     def __post_init__(self):
-        if not self.c0 > 0:
-            raise ValueError(f"c0 must be positive, got {self.c0}")
-        if not self.delta > 0:
-            raise ValueError(f"delta must be positive, got {self.delta}")
+        if not 0 < self.c0 < math.inf:
+            raise ValueError(f"c0 must be positive and finite, got {self.c0}")
+        if not 0 < self.delta < math.inf:
+            raise ValueError(f"delta must be positive and finite, got {self.delta}")
         if not 0.0 < self.p <= 1.0:
             raise ValueError(f"p must be in (0, 1], got {self.p}")
-        if int(self.shift) != self.shift or self.shift < 1:
+        if not (self.shift >= 1 and float(self.shift).is_integer()):
             raise ValueError(f"shift must be an integer >= 1, got {self.shift}")
 
     def a(self, n: int) -> float:
@@ -85,15 +86,17 @@ class DiscreteSchedule:
 
 @dataclass(frozen=True)
 class ContinuousSchedule:
-    """a(t) = d / (c + t)**b for t >= 0, with d, c, b > 0 and 0 < b <= 1."""
+    """a(t) = d / (c + t)**b for t >= 0, with finite d, c > 0 and 0 < b <= 1."""
 
     d: float
     c: float
     b: float
 
     def __post_init__(self):
-        if not (self.d > 0 and self.c > 0 and self.b > 0):
-            raise ValueError(f"d, c, b must all be positive, got {(self.d, self.c, self.b)}")
+        if not (0 < self.d < math.inf and 0 < self.c < math.inf and self.b > 0):
+            raise ValueError(
+                f"d, c must be positive and finite and b positive, got {(self.d, self.c, self.b)}"
+            )
         if self.b > 1.0:
             raise ValueError(f"b must be in (0, 1], got {self.b}")
 
@@ -255,10 +258,10 @@ def run_batch(
     row's stop.  A :class:`~dsm.operators.SingularShiftError` names the
     batch row it arose in.
     """
-    if not h > 0:
-        raise ValueError(f"step size h must be positive, got {h}")
-    if max_steps < 0:
-        raise ValueError(f"max_steps must be >= 0, got {max_steps}")
+    if not 0 < h < math.inf:
+        raise ValueError(f"step size h must be positive and finite, got {h}")
+    if not (max_steps >= 0 and float(max_steps).is_integer()):
+        raise ValueError(f"max_steps must be an integer >= 0, got {max_steps}")
     if not len(f_deltas) == len(deltas) == len(schedules) > 0:
         raise ValueError("need one delta and one schedule per data row, and at least one row")
     for schedule in schedules:

@@ -184,12 +184,12 @@ class ExperimentConfig:
             raise ValueError(f"c0 must be positive and finite, got {self.c0}")
         if not 0.0 < self.p <= 1.0:
             raise ValueError(f"p must lie in (0, 1], got {self.p}")
-        if self.shift < 1:
-            raise ValueError(f"shift must be >= 1, got {self.shift}")
+        if not (self.shift >= 1 and float(self.shift).is_integer()):
+            raise ValueError(f"shift must be an integer >= 1, got {self.shift}")
         if not (math.isfinite(self.h) and self.h > 0):
             raise ValueError(f"h must be positive and finite, got {self.h}")
-        if self.max_iter < 1:
-            raise ValueError(f"max_iter must be >= 1, got {self.max_iter}")
+        if not (self.max_iter >= 1 and float(self.max_iter).is_integer()):
+            raise ValueError(f"max_iter must be an integer >= 1, got {self.max_iter}")
         # stop_c / gamma bounds are enforced by StoppingRule at run time,
         # but fail fast here too
         StoppingRule(self.stop_c, self.gamma)

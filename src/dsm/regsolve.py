@@ -79,8 +79,8 @@ def solve_shifted_linear(
     :func:`solve_regularized` and the run drivers take on raw arrays.
     Raises :class:`SingularShiftError` at a zero or non-finite pivot or step.
     """
-    if not a > 0:
-        raise ValueError(f"shift a must be positive, got {a}")
+    if not 0 < a < math.inf:
+        raise ValueError(f"shift a must be positive and finite, got {a}")
     return model.solve_shifted(u, a, rhs)
 
 
@@ -206,8 +206,8 @@ def solve_regularized(
     passes its Armijo test, or the iteration cap is hit, the current iterate
     is returned with ``converged=False`` unless it already meets ``tol``.
     """
-    if not a > 0:
-        raise ValueError(f"regularization parameter a must be positive, got {a}")
+    if not 0 < a < math.inf:
+        raise ValueError(f"regularization parameter a must be positive and finite, got {a}")
     opts = options or NewtonOptions()
     grid = model.grid
     # one row of the row-wise Newton kernels, with its shift as a column

@@ -1,5 +1,6 @@
 """Analytic-fact checks: trajectories, bounds, crossing times, majorants."""
 
+import math
 import tracemalloc
 
 import numpy as np
@@ -126,6 +127,8 @@ def test_large_a_limit_identity_closed_form():
     assert report.passed
     with pytest.raises(ValueError):
         check_large_a_limit(model, f, a_values=(0.0,))
+    with pytest.raises(ValueError):
+        check_large_a_limit(model, f, a_values=())
 
 
 def _dense_derivative_norm_bound(model, rng, n_probe=10, power_steps=50):
@@ -266,7 +269,7 @@ def test_gronwall_recipe_passes():
     report = check_gronwall_majorant(schedule, lam, 1.0, 1.0, g0)
     assert report.passed
     assert report.worst_margin > 0.0
-    assert report.samples == 100_001
+    assert report.samples == 10_001
 
 
 def test_gronwall_precondition_failures():
@@ -282,6 +285,8 @@ def test_gronwall_precondition_failures():
         check_gronwall_majorant(ContinuousSchedule(0.1, 7.0, 1.0), lam, 0.01, 1.0, 1e-4)
     with pytest.raises(ValueError):
         check_gronwall_majorant(schedule, lam, 1.0, 1.0, g0, dt=0.0)
+    with pytest.raises(ValueError):
+        check_gronwall_majorant(schedule, lam, 1.0, 1.0, g0, t_max=math.inf)
 
 
 def test_gronwall_rejects_dt_that_does_not_divide_t_max():
@@ -294,27 +299,37 @@ def test_gronwall_rejects_dt_that_does_not_divide_t_max():
         check_gronwall_majorant(schedule, lam, 1.0, 1.0, g0, t_max=100.0, dt=0.3)
 
 
-def _gronwall_reference(schedule, lam, c0, c1, g0, t_max=100.0, dt=1e-3):
+def _gronwall_reference(schedule, lam, c0, c1, g0, t_max, dt, doubling=True):
     """Reference for the Gronwall check: RK4 step by step, with one call of
-    the right-hand side per stage; returns (worst_margin, passed, samples)."""
+    the right-hand side per stage, by steps of dt and, when ``doubling``, by
+    steps of dt/2 too, whose difference at t_k = k*dt is subtracted from the
+    margin; returns (worst_margin, passed, samples)."""
     d, c, b = schedule.d, schedule.c, schedule.b
 
     def rhs(t, g):
         a = d / (c + t) ** b
         return -g + (c0 / a) * g * g + c1 * b / (c + t)
 
-    steps = int(round(t_max / dt))
-    g = g0
-    t = 0.0
-    worst = d / c ** b / lam - g0
-    for _ in range(steps):
+    def step(t, g, h):
         k1 = rhs(t, g)
-        k2 = rhs(t + 0.5 * dt, g + 0.5 * dt * k1)
-        k3 = rhs(t + 0.5 * dt, g + 0.5 * dt * k2)
-        k4 = rhs(t + dt, g + dt * k3)
-        g = g + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        t += dt
-        margin = d / (c + t) ** b / lam - g
+        k2 = rhs(t + 0.5 * h, g + 0.5 * h * k1)
+        k3 = rhs(t + 0.5 * h, g + 0.5 * h * k2)
+        k4 = rhs(t + h, g + h * k3)
+        return g + h / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+    steps = int(round(t_max / dt))
+    coarse = fine = g0
+    worst = d / c ** b / lam - g0
+    for k in range(steps):
+        t = k * dt
+        coarse = step(t, coarse, dt)
+        bound = d / (c + (k + 1) * dt) ** b / lam
+        if doubling:
+            fine = step(t, fine, dt / 2)
+            fine = step(t + dt / 2, fine, dt / 2)
+            margin = bound - fine - abs(fine - coarse)
+        else:
+            margin = bound - coarse
         if margin < worst:
             worst = margin
     return worst, worst > 0.0, steps + 1
@@ -323,11 +338,13 @@ def _gronwall_reference(schedule, lam, c0, c1, g0, t_max=100.0, dt=1e-3):
 @pytest.mark.parametrize(
     "b, t_max, dt",
     [
-        (1.0, 100.0, 1e-3),  # the recipe: 97 full chunks of 1024 steps and 672
-        (1.0, 10.0, 0.25),  # 40 steps, below one chunk
-        (1.0, 1.024, 1e-3),  # exactly one chunk
-        (1.0, 1.025, 1e-3),  # one chunk and one step
-        (1.0, 3.3, 1e-3),  # 3300 steps, not a multiple of the chunk
+        (1.0, 100.0, 1e-2),  # the recipe at the default step
+        (1.0, 100.0, 1e-3),
+        (1.0, 10.0, 0.25),
+        (1.0, 1.024, 1e-3),
+        (1.0, 1.025, 1e-3),
+        (1.0, 3.3, 1e-3),
+        (0.7, 100.0, 1e-2),
         (0.7, 100.0, 1e-3),
         (0.7, 10.0, 0.25),
     ],
@@ -341,18 +358,64 @@ def test_gronwall_matches_step_by_step_reference(b, t_max, dt):
     assert report.samples == samples
 
 
+@pytest.mark.parametrize("b", [1.0, 0.7])
+def test_gronwall_default_step_agrees_with_fine_plain_rk4(b):
+    # dt = 1e-2 with its step-doubling estimate against plain RK4 at 1e-3
+    schedule, lam, g0 = gronwall_recipe(b=b)
+    report = check_gronwall_majorant(schedule, lam, 1.0, 1.0, g0)
+    worst, _, _ = _gronwall_reference(
+        schedule, lam, 1.0, 1.0, g0, 100.0, 1e-3, doubling=False
+    )
+    assert report.passed
+    assert abs(report.worst_margin - worst) <= 1e-12
+
+
+def test_gronwall_subtracts_the_step_doubling_estimate():
+    # at dt = 1 the dt/2 solution alone would report the plain dt/2 margin
+    # (or a larger one, sampled at every other point); the estimate
+    # |g_fine - g_coarse| pulls the reported margin below it
+    schedule, lam, g0 = gronwall_recipe()
+    report = check_gronwall_majorant(schedule, lam, 1.0, 1.0, g0, t_max=100.0, dt=1.0)
+    plain, _, _ = _gronwall_reference(
+        schedule, lam, 1.0, 1.0, g0, 100.0, 0.5, doubling=False
+    )
+    assert report.samples == 101
+    assert report.worst_margin < plain
+
+
+def test_gronwall_nan_margin_counts_as_minus_inf():
+    # at dt = 5 the dt-step solution overflows and turns NaN on its fourth
+    # step while the dt/2 one stays finite; that NaN margin must count as
+    # -inf, not be skipped as a minimum
+    schedule, lam, g0 = gronwall_recipe()
+    report = check_gronwall_majorant(schedule, lam, 1.0, 1.0, g0, t_max=100.0, dt=5.0)
+    assert report.worst_margin == -math.inf
+    assert not report.passed
+
+
 def test_gronwall_memory_does_not_grow_with_steps():
     schedule, lam, g0 = gronwall_recipe()
     peaks = []
     for t_max in (2.048, 8.192):  # 2048 and 8192 steps
         tracemalloc.start()
         try:
-            check_gronwall_majorant(schedule, lam, 1.0, 1.0, g0, t_max=t_max)
+            check_gronwall_majorant(schedule, lam, 1.0, 1.0, g0, t_max=t_max, dt=1e-3)
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
     # keeping every step's g would add 6144 floats, about 200 kB
     assert peaks[1] <= peaks[0] + 16_000
+
+
+def test_default_suite_passes():
+    reports = run_lemma_suite()
+    checks = ("monotonicity", "perturbation_bounds", "large_a_limit",
+              "discrepancy_crossing", "weighted_integral_bound")
+    assert [r.name for r in reports] == [
+        f"{kind}:{check}" for kind in ("identity", "arctan3", "cubic") for check in checks
+    ] + ["exp_integral_bound", "gronwall_majorant"]
+    assert all(r.passed for r in reports)
+    assert reports[-1].samples == 10_001
 
 
 def test_suite_and_report_serialization(tmp_path):

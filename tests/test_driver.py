@@ -40,6 +40,10 @@ def test_discrete_schedule_validation():
         DiscreteSchedule(c0=1.0, delta=0.01, p=1.1, shift=1)
     with pytest.raises(ValueError):
         DiscreteSchedule(c0=1.0, delta=0.01, p=0.9, shift=0)
+    for bad in (dict(delta=math.inf, shift=1), dict(delta=0.01, shift=1.5),
+                dict(delta=0.01, shift=math.inf)):
+        with pytest.raises(ValueError):
+            DiscreteSchedule(c0=1.0, p=0.9, **bad)
 
 
 def test_continuous_schedule_values():
@@ -53,7 +57,8 @@ def test_continuous_schedule_values():
 
 def test_continuous_schedule_validation():
     for bad in (dict(d=0.0, c=1.0, b=1.0), dict(d=1.0, c=0.0, b=1.0),
-                dict(d=1.0, c=1.0, b=0.0), dict(d=1.0, c=1.0, b=1.5)):
+                dict(d=1.0, c=1.0, b=0.0), dict(d=1.0, c=1.0, b=1.5),
+                dict(d=math.inf, c=1.0, b=1.0), dict(d=1.0, c=math.inf, b=1.0)):
         with pytest.raises(ValueError):
             ContinuousSchedule(**bad)
 
@@ -183,6 +188,16 @@ def test_driver_schedule_type_checks(identity_setup):
         run_euler(model, f_delta, 0.01, ContinuousSchedule(1.0, 1.0, 1.0), h=0.0)
     with pytest.raises(ValueError):
         run_euler(model, f_delta, 0.01, ContinuousSchedule(1.0, 1.0, 1.0), max_steps=-1)
+    with pytest.raises(ValueError):
+        run_euler(model, f_delta, 0.01, ContinuousSchedule(1.0, 1.0, 1.0), h=math.inf)
+    with pytest.raises(ValueError):
+        run_euler(model, f_delta, 0.01, ContinuousSchedule(1.0, 1.0, 1.0), max_steps=2.5)
+    with pytest.raises(ValueError):
+        run_batch(model, [f_delta], [0.01], [ContinuousSchedule(1.0, 1.0, 1.0)], h=math.inf)
+    with pytest.raises(ValueError):
+        run_batch(model, [f_delta], [0.01], [DiscreteSchedule(1.0, 0.01, 0.9, 1)], max_steps=2.5)
+    with pytest.raises(ValueError):
+        DiscreteSchedule(math.inf, 0.01, 0.9, 1)
 
 
 def test_grid_mismatch_rejected(identity_setup):

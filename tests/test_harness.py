@@ -159,13 +159,17 @@ def test_config_validation():
         base.override(stop_c=1.0)
     with pytest.raises(ValueError):
         base.override(n_points=1)
+    with pytest.raises(ValueError):
+        base.override(max_iter=2.5)
 
 
 @pytest.mark.parametrize("mode", ["iterate", "euler"])
-@pytest.mark.parametrize("change", [{"c0": 0.0}, {"p": 2.0}, {"shift": 0.5}, {"h": 0.0}])
+@pytest.mark.parametrize(
+    "change", [{"c0": 0.0}, {"p": 2.0}, {"shift": 0.5}, {"h": 0.0}, {"shift": 1.5}]
+)
 def test_config_rejects_schedule_parameters_when_built(mode, change):
     # before any cell runs; in Euler mode nothing later would reject p = 2 or
-    # shift = 0.5, since ContinuousSchedule(d=c0*delta**p, c=shift, b=1) takes both
+    # shift = 0.5 or 1.5, since ContinuousSchedule(d=c0*delta**p, c=shift, b=1) takes them
     with pytest.raises(ValueError):
         PRESETS["exp2-const"].override(mode=mode, **change)
 

@@ -1,5 +1,7 @@
 """Shifted linear solves and the regularized Newton solver."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -64,7 +66,7 @@ def test_singular_shift_reports_pivot(grid):
 
 def test_nonpositive_shift_rejected(grid):
     model = OperatorModel("linear", grid)
-    for a in (0.0, -1.0, float("nan")):
+    for a in (0.0, -1.0, float("nan"), math.inf):
         with pytest.raises(ValueError):
             solve_shifted_linear(model, grid.zero(), a, grid.zero())
 
@@ -163,8 +165,9 @@ def test_unevaluable_start_rejected(grid):
 
 def test_nonpositive_a_rejected(grid):
     model = OperatorModel("identity", grid)
-    with pytest.raises(ValueError):
-        solve_regularized(model, grid.zero(), 0.0)
+    for a in (0.0, math.inf):
+        with pytest.raises(ValueError):
+            solve_regularized(model, grid.zero(), a)
 
 
 def test_grid_mismatch_rejected():
