@@ -18,9 +18,14 @@ All norms in this module are quadrature-weighted.  Checks return a
 
 No check forms an n x n matrix: the large-a check's power iteration for
 the derivative norm runs through the model's O(n) kernel, so every check
-runs on grids of any size.  The Gronwall check advances its two RK4
-solutions (steps dt and dt/2) in one scalar loop and holds O(1) floats at
-any step count.
+runs on grids of any size.  A trajectory over a sweep of a, and the
+large-a check's shifts, are each one stacked Newton solve
+(:func:`~dsm.regsolve.solve_regularized_rows`), every row cold-started
+from 0; the crossing-time bisection alone solves one a at a time,
+warm-started from the last.  The Gronwall check advances its two RK4
+solutions (steps dt and dt/2) in one scalar loop that evaluates the
+schedule once per distinct stage time, and holds O(1) floats at any step
+count.
 """
 
 from __future__ import annotations
@@ -34,7 +39,12 @@ from .driver import ContinuousSchedule
 from .harness import calibrate_noise, exact_solution, sine_noise
 from .hilbert import GridFunction, QuadratureGrid, norm
 from .operators import OperatorModel
-from .regsolve import ConvergenceError, NewtonOptions, solve_regularized
+from .regsolve import (
+    ConvergenceError,
+    NewtonOptions,
+    solve_regularized,
+    solve_regularized_rows,
+)
 
 __all__ = [
     "CheckReport",
@@ -100,16 +110,36 @@ class Trajectory:
     solver_tol: float
 
 
+def _raise_unconverged(where, residual_norm):
+    raise ConvergenceError(
+        f"regularized solve did not converge at {where} (residual {residual_norm:.3e})"
+    )
+
+
 def _solve_converged(model, f_delta, a, where, options=None, start=None):
     # solve_regularized at a; a solve that did not converge raises
-    # ConvergenceError, whose message names ``where`` ("a=..." or "t=...")
+    # ConvergenceError, whose message names ``where`` ("t=...")
     report = solve_regularized(model, f_delta, float(a), options, start)
     if not report.converged:
-        raise ConvergenceError(
-            f"regularized solve did not converge at {where} "
-            f"(residual {report.residual_norm:.3e})"
-        )
+        _raise_unconverged(where, report.residual_norm)
     return report
+
+
+def _solve_rows_converged(model, f_delta, a_values, options=None):
+    # solve_regularized_rows for every a, cold-started from 0, as one stack;
+    # the first a whose solve did not converge raises ConvergenceError
+    solutions, res_norms, _, converged = solve_regularized_rows(
+        model, f_delta, a_values, options
+    )
+    if not converged.all():
+        k = int(np.argmin(converged))
+        _raise_unconverged(f"a={a_values[k]:g}", res_norms[k])
+    return solutions, res_norms
+
+
+def _row_norms(grid, rows):
+    # hilbert.norm of each row of a stack, summed as it sums one row
+    return np.sqrt(np.sum(grid.weights * rows * rows, axis=1))
 
 
 def _validate_a_grid(a_values):
@@ -129,22 +159,14 @@ def build_trajectory(
     a_values,
     options: NewtonOptions | None = None,
 ) -> Trajectory:
-    """Solve F(V) + a V = f_delta for every a, warm-starting down the grid."""
+    """Solve F(V) + a V = f_delta for every a as one stack of Newton solves,
+    each cold-started from 0 (see :func:`~dsm.regsolve.solve_regularized_rows`)."""
     a_values = _validate_a_grid(a_values)
     opts = options or NewtonOptions()
-    solutions = []
-    res_norms = np.empty(a_values.size)
-    sol_norms = np.empty(a_values.size)
-    eq_res = np.empty(a_values.size)
-    start = None
-    for k, a in enumerate(a_values):
-        report = _solve_converged(model, f_delta, a, f"a={a:g}", opts, start)
-        v = report.solution
-        solutions.append(v)
-        res_norms[k] = norm(model.apply(v) - f_delta)
-        sol_norms[k] = norm(v)
-        eq_res[k] = report.residual_norm
-        start = v
+    values, eq_res = _solve_rows_converged(model, f_delta, a_values, opts)
+    res_norms = _row_norms(model.grid, model.apply_values(values) - f_delta.values)
+    sol_norms = _row_norms(model.grid, values)
+    solutions = [GridFunction(model.grid, v) for v in values]
     return Trajectory(
         model=model,
         f_delta=f_delta,
@@ -268,10 +290,10 @@ def check_large_a_limit(
     base = norm(f_delta - model.apply(zero))
     m1 = _derivative_norm_bound(model, np.random.default_rng(seed), n_probe, power_steps)
     margins = []
-    for a in a_values:
-        v = _solve_converged(model, f_delta, a, f"a={a:g}").solution
-        v_norm = norm(v)
-        phi = norm(model.apply(v) - f_delta)
+    values, _ = _solve_rows_converged(model, f_delta, a_values)
+    v_norms = _row_norms(model.grid, values)
+    phis = _row_norms(model.grid, model.apply_values(values) - f_delta.values)
+    for a, v_norm, phi in zip(a_values, v_norms, phis):
         margins.append(base / a - v_norm)
         margins.append(m1 * v_norm - abs(phi - base))
     return _report("large_a_limit", margins, tolerance)
@@ -454,25 +476,50 @@ def check_gronwall_majorant(
     if steps < 1 or abs(steps * dt - t_max) > 1e-9 * t_max:
         raise ValueError(f"dt={dt:g} does not divide t_max={t_max:g} into whole steps")
 
-    def rhs(t, g):
-        a = d / (c + t) ** b
-        return -g + (c0 / a) * g * g + c1 * b / (c + t)
-
-    def rk4(t, g, h):
-        k1 = rhs(t, g)
-        k2 = rhs(t + 0.5 * h, g + 0.5 * h * k1)
-        k3 = rhs(t + 0.5 * h, g + 0.5 * h * k2)
-        k4 = rhs(t + h, g + h * k3)
+    def rk4(g, h, p1, q1, p2, q2, p4, q4):
+        # one RK4 step of length h for g' = -g + p g^2 + q, with p = c0/a and
+        # q = c1 |a'|/a = c1 b/(c + t) at the step's start, midpoint and end
+        k1 = -g + p1 * g * g + q1
+        y = g + 0.5 * h * k1
+        k2 = -y + p2 * y * y + q2
+        y = g + 0.5 * h * k2
+        k3 = -y + p2 * y * y + q2
+        y = g + h * k3
+        k4 = -y + p4 * y * y + q4
         return g + h / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
+    # p and q are evaluated once per distinct stage time of a step, each time
+    # rounded as the stages round it: t + dt/4, t + dt/2, t + dt/2 + dt/4,
+    # t + dt and t + dt/2 + dt/2 (the last two, and (k + 1)*dt, differ in
+    # their last bit at most steps).  a at (k + 1)*dt serves the margin and
+    # the next step's start.
+    cb = c1 * b
     half = 0.5 * dt
+    quarter = 0.5 * half
     coarse = fine = g0
-    worst = a0 / lam - g0
+    a_t = a0
+    p0, q0 = c0 / a_t, cb / c
+    worst = a_t / lam - g0
     for k in range(steps):
         t = k * dt
-        coarse = rk4(t, coarse, dt)
-        fine = rk4(t + half, rk4(t, fine, half), half)
-        margin = d / (c + (k + 1) * dt) ** b / lam - fine - abs(fine - coarse)
+        mid = t + half
+        x = c + (t + quarter)
+        pa, qa = c0 / (d / x ** b), cb / x
+        x = c + mid
+        pm, qm = c0 / (d / x ** b), cb / x
+        x = c + (mid + quarter)
+        pb, qb = c0 / (d / x ** b), cb / x
+        x = c + (t + dt)
+        pe, qe = c0 / (d / x ** b), cb / x
+        x = c + (mid + half)
+        pf, qf = c0 / (d / x ** b), cb / x
+        coarse = rk4(coarse, dt, p0, q0, pm, qm, pe, qe)
+        fine = rk4(fine, half, p0, q0, pa, qa, pm, qm)
+        fine = rk4(fine, half, pm, qm, pb, qb, pf, qf)
+        x = c + (k + 1) * dt
+        a_t = d / x ** b
+        p0, q0 = c0 / a_t, cb / x
+        margin = a_t / lam - fine - abs(fine - coarse)
         if not margin >= worst:
             worst = -math.inf if math.isnan(margin) else margin
     return CheckReport(

@@ -169,8 +169,11 @@ class ExperimentConfig:
             raise ValueError(f"unknown noise kind {self.noise!r}")
         if self.mode not in ("iterate", "euler"):
             raise ValueError(f"mode must be 'iterate' or 'euler', got {self.mode!r}")
-        if self.n_points < 2:
-            raise ValueError(f"n_points must be >= 2, got {self.n_points}")
+        if not (self.n_points >= 2 and float(self.n_points).is_integer()):
+            raise ValueError(f"n_points must be an integer >= 2, got {self.n_points}")
+        for s in self.seeds:
+            if not float(s).is_integer():
+                raise ValueError(f"seeds must be integers, got {s}")
         object.__setattr__(self, "delta_rel", tuple(float(d) for d in self.delta_rel))
         object.__setattr__(self, "seeds", tuple(int(s) for s in self.seeds))
         if not self.delta_rel:

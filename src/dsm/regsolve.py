@@ -13,7 +13,10 @@ kernels :meth:`~dsm.operators.OperatorModel.apply_values` and
 :class:`~dsm.hilbert.GridFunction` only for the returned solution.
 :func:`line_search` and :func:`regularized_residual` work row by row on a
 stack of rows ``(S, n)``, so the drivers advance a whole batch of runs with
-one call each; :func:`solve_regularized` is their one-row case.
+one call each.  :func:`solve_regularized_rows` is the one damped-Newton
+loop for the regularized equation: it solves a stack of rows, one shift
+each, and each row leaves the stack at its own stop, with what it gets
+alone.  :func:`solve_regularized` is its one-row case.
 A trial point where F or the residual is not finite has a non-finite norm,
 which fails every comparison of the line search.
 """
@@ -37,6 +40,7 @@ __all__ = [
     "regularized_residual",
     "start_values",
     "line_search",
+    "solve_regularized_rows",
     "solve_regularized",
 ]
 
@@ -56,8 +60,8 @@ class NewtonOptions:
     def __post_init__(self):
         if not self.tol > 0:
             raise ValueError(f"tol must be positive, got {self.tol}")
-        if self.max_iter < 1:
-            raise ValueError(f"max_iter must be >= 1, got {self.max_iter}")
+        if not (self.max_iter >= 1 and float(self.max_iter).is_integer()):
+            raise ValueError(f"max_iter must be an integer >= 1, got {self.max_iter}")
 
 
 @dataclass
@@ -192,6 +196,78 @@ def line_search(model: OperatorModel, v, fv, step, a, f_values, g_norm, lam0=Non
     return new, f_new, g_new, norm, accepted, lam_out
 
 
+def solve_regularized_rows(
+    model: OperatorModel,
+    f_delta: GridFunction,
+    a_values,
+    options: NewtonOptions | None = None,
+    start: GridFunction | None = None,
+):
+    """Solve F(v) + a*v = f_delta for every shift a of ``a_values`` by damped
+    Newton, one row per shift, each from v = start (default 0).
+
+    Each step solves (F'(v) + a*I) s = G(v) = F(v) + a*v - f_delta and
+    backtracks along v - lam*s with :func:`line_search`, for all rows still
+    in the stack at once.  A row leaves the stack when it meets ``tol``, and
+    also, with its current iterate, when no step length passes its Armijo
+    test; rows still in the stack at the iteration cap stop there.  Every
+    row gets bit for bit what it gets alone.
+
+    Returns ``(solutions, residual_norms, iterations, converged)``: the rows
+    ``(S, n)``, each row's weighted residual norm, its Newton iteration count
+    and whether that norm meets ``tol``.
+    """
+    a = np.array(a_values, dtype=float).reshape(-1, 1)
+    valid = (a > 0) & (a < math.inf)
+    if not valid.all():
+        raise ValueError(
+            f"regularization parameter a must be positive and finite, got {a[~valid][0]}"
+        )
+    opts = options or NewtonOptions()
+    grid = model.grid
+    # C-ordered copies: on a broadcast view numpy would lay new rows out in
+    # another order, and sum the norms of those rows in another order too.
+    # A row is written to the output only once it has left the stack, so the
+    # output can reuse the start rows.
+    solutions = v = np.tile(start_values(model, f_delta, start), (len(a), 1))
+    f_values = np.tile(f_delta.values, (len(a), 1))
+    residual_norms = np.empty(len(a))
+    iterations = np.zeros(len(a), dtype=int)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        fv = model.apply_values(v)
+        if not np.isfinite(fv).all():
+            raise ValueError("cannot evaluate the model at the start point")
+        residual, res_norm = regularized_residual(grid, fv, v, a, f_values)
+        # the rows still in the stack, and the output row of each
+        rows = np.arange(len(a))
+        stay = res_norm > opts.tol
+        for k in range(1, int(opts.max_iter) + 1):
+            n_stay = np.count_nonzero(stay)
+            if not n_stay:
+                break
+            if n_stay < len(rows):
+                leave = ~stay
+                solutions[rows[leave]], residual_norms[rows[leave]] = v[leave], res_norm[leave]
+                rows, v, fv, residual, res_norm, a, f_values = (
+                    x[stay] for x in (rows, v, fv, residual, res_norm, a, f_values)
+                )
+            step = model.solve_shifted_values(v, a, residual)
+            iterations[rows] = k
+            # G(v) goes before the line search makes its successor: the
+            # search holds about a dozen (S, n) arrays at its peak
+            del residual
+            new, fv, residual, new_norm, accepted, _ = line_search(
+                model, v, fv, step, a, f_values, res_norm
+            )
+            # a row whose search failed keeps its iterate and leaves
+            stay = accepted & (new_norm > opts.tol)
+            if np.count_nonzero(accepted) < len(rows):
+                new[~accepted], new_norm[~accepted] = v[~accepted], res_norm[~accepted]
+            v, res_norm = new, new_norm
+        solutions[rows], residual_norms[rows] = v, res_norm
+    return solutions, residual_norms, iterations, residual_norms <= opts.tol
+
+
 def solve_regularized(
     model: OperatorModel,
     f_delta: GridFunction,
@@ -199,37 +275,19 @@ def solve_regularized(
     options: NewtonOptions | None = None,
     start: GridFunction | None = None,
 ) -> RegularizedSolveReport:
-    """Solve F(v) + a*v = f_delta by damped Newton from v = start (default 0).
+    """Solve F(v) + a*v = f_delta by damped Newton from v = start (default 0):
+    the one-row case of :func:`solve_regularized_rows`.
 
-    Each step solves (F'(v) + a*I) s = G(v) = F(v) + a*v - f_delta and
-    backtracks along v - lam*s with :func:`line_search`.  When no step length
-    passes its Armijo test, or the iteration cap is hit, the current iterate
-    is returned with ``converged=False`` unless it already meets ``tol``.
+    When no step length passes its Armijo test, or the iteration cap is hit,
+    the current iterate is returned with ``converged=False`` unless it
+    already meets ``tol``.
     """
-    if not 0 < a < math.inf:
-        raise ValueError(f"regularization parameter a must be positive and finite, got {a}")
-    opts = options or NewtonOptions()
-    grid = model.grid
-    # one row of the row-wise Newton kernels, with its shift as a column
-    v = start_values(model, f_delta, start)[None, :]
-    f_values = f_delta.values[None, :]
-    a = np.full((1, 1), float(a))
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        fv = model.apply_values(v)
-        if not np.isfinite(fv).all():
-            raise ValueError("cannot evaluate the model at the start point")
-        residual, res_norm = regularized_residual(grid, fv, v, a, f_values)
-        iterations = 0
-        while res_norm[0] > opts.tol and iterations < opts.max_iter:
-            step = model.solve_shifted_values(v, a, residual)
-            iterations += 1
-            new, f_new, g_new, new_norm, accepted, _ = line_search(
-                model, v, fv, step, a, f_values, res_norm
-            )
-            if not accepted[0]:
-                break
-            v, fv, residual, res_norm = new, f_new, g_new, new_norm
-    res_norm = float(res_norm[0])
+    solutions, norms, iterations, converged = solve_regularized_rows(
+        model, f_delta, [a], options, start
+    )
     return RegularizedSolveReport(
-        GridFunction(grid, v[0]), res_norm, iterations, res_norm <= opts.tol
+        GridFunction(model.grid, solutions[0]),
+        float(norms[0]),
+        int(iterations[0]),
+        bool(converged[0]),
     )

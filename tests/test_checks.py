@@ -200,6 +200,29 @@ def test_find_crossing_time_validation():
         find_crossing_time(model, f, 10.0, 1.01, schedule)
 
 
+class _CountingModel(OperatorModel):
+    shifted_solves = 0
+
+    def solve_shifted_values(self, values, a, rhs):
+        self.shifted_solves += 1
+        return super().solve_shifted_values(values, a, rhs)
+
+
+@pytest.mark.parametrize("kind", ["arctan3", "cubic"])
+def test_trajectory_is_one_stacked_solve(kind):
+    # the suite's 101-point t-grid: one Newton loop over the whole stack
+    # takes as many shifted solves as its slowest row needs (at most 12
+    # here); one solve per a would take at least one shifted solve per a
+    grid = QuadratureGrid(100)
+    model = _CountingModel(kind, grid)
+    f = model.apply(exact_solution("step", grid))
+    f_delta, _ = calibrate_noise(f, sine_noise(grid), 0.01)
+    a_values = ContinuousSchedule(d=1.0, c=7.0, b=1.0).a(np.linspace(0.0, 50.0, 101))
+    traj = build_trajectory(model, f_delta, a_values)
+    assert len(traj.solutions) == 101
+    assert model.shifted_solves <= 25
+
+
 def test_unconverged_solves_raise_and_name_where():
     # one Newton iteration cannot solve the cubic equation from zero
     grid = QuadratureGrid(40)

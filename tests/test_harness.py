@@ -161,6 +161,10 @@ def test_config_validation():
         base.override(n_points=1)
     with pytest.raises(ValueError):
         base.override(max_iter=2.5)
+    with pytest.raises(ValueError):
+        base.override(n_points=30.5)
+    with pytest.raises(ValueError):
+        base.override(seeds=(1.5,))
 
 
 @pytest.mark.parametrize("mode", ["iterate", "euler"])

@@ -16,6 +16,7 @@ from dsm.regsolve import (
     line_search,
     regularized_residual,
     solve_regularized,
+    solve_regularized_rows,
     solve_shifted_linear,
 )
 
@@ -86,6 +87,8 @@ def test_newton_options_validation():
         NewtonOptions(tol=0.0)
     with pytest.raises(ValueError):
         NewtonOptions(max_iter=0)
+    with pytest.raises(ValueError):
+        NewtonOptions(max_iter=2.5)
 
 
 def test_identity_model_solved_in_one_step(grid):
@@ -238,3 +241,57 @@ def test_line_search_result_is_consistent(kind, a, data):
             )
         for got_alone, want in zip(alone, got):
             np.testing.assert_array_equal(got_alone[0], want[k])
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    kind=st.sampled_from(MODEL_KINDS),
+    n=st.integers(2, 40),
+    shifts=st.lists(st.floats(1e-4, 10.0), min_size=1, max_size=6),
+    warm=st.booleans(),
+    data=st.data(),
+)
+def test_rows_match_one_row_solves(kind, n, shifts, warm, data):
+    """Every row of a stacked solve is bit for bit its one-row
+    solve_regularized: solution, residual norm, iterations and convergence,
+    whichever rows leave the stack before it."""
+    grid = QuadratureGrid(n)
+    model = OperatorModel(kind, grid)
+    f = GridFunction(grid, data.draw(arrays(np.float64, n, elements=st.floats(-3.0, 3.0))))
+    start = f if warm else None
+    solutions, norms, iterations, converged = solve_regularized_rows(
+        model, f, shifts, start=start
+    )
+    assert solutions.shape == (len(shifts), n)
+    for k, a in enumerate(shifts):
+        alone = solve_regularized(model, f, a, start=start)
+        np.testing.assert_array_equal(solutions[k], alone.solution.values)
+        assert norms[k] == alone.residual_norm
+        assert iterations[k] == alone.iterations
+        assert converged[k] == alone.converged
+
+
+def test_capped_row_alone_reports_not_converged(grid):
+    # one Newton step solves the cubic equation to 1e-12 at a large shift
+    # (the cubic term of v ~ f/a is below 1e-13), not at a = 1e-2
+    model = OperatorModel("cubic", grid)
+    f = grid.sample(lambda x: 1.0 + x)
+    one_step = NewtonOptions(max_iter=1)
+    shifts = [1e6, 1e-2, 1e5]
+    solutions, norms, iterations, converged = solve_regularized_rows(
+        model, f, shifts, one_step
+    )
+    assert converged.tolist() == [True, False, True]
+    assert iterations.tolist() == [1, 1, 1]
+    for k, a in enumerate(shifts):
+        alone = solve_regularized(model, f, a, one_step)
+        np.testing.assert_array_equal(solutions[k], alone.solution.values)
+        assert norms[k] == alone.residual_norm
+        assert converged[k] == alone.converged
+
+
+def test_rows_reject_a_bad_shift(grid):
+    model = OperatorModel("identity", grid)
+    for bad in (0.0, -1.0, math.inf, math.nan):
+        with pytest.raises(ValueError):
+            solve_regularized_rows(model, grid.zero(), [1.0, bad])
