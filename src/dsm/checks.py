@@ -13,7 +13,8 @@ holds for monotone F and the schedules used by the drivers:
 * two scalar integral inequalities for a(t) = d/(c+t)^b schedules;
 * a Gronwall-type majorant g(t) stays strictly below a(t)/lam.
 
-All norms in this module are quadrature-weighted.  Checks return a
+All norms in this module are quadrature-weighted, taken by
+:func:`~dsm.hilbert.norms` on raw node arrays.  Checks return a
 :class:`CheckReport`; precondition violations raise ``ValueError``.
 
 No check forms an n x n matrix: the large-a check's power iteration for
@@ -21,9 +22,10 @@ the derivative norm runs through the model's O(n) kernel, so every check
 runs on grids of any size.  A trajectory over a sweep of a, and the
 large-a check's shifts, are each one stacked Newton solve
 (:func:`~dsm.regsolve.solve_regularized_rows`), every row cold-started
-from 0; the crossing-time bisection alone solves one a at a time,
-warm-started from the last.  The Gronwall check advances its two RK4
-solutions (steps dt and dt/2) in one scalar loop that evaluates the
+from 0, and stays one ``(S, n)`` array whose norms and margins are taken
+a whole stack at a time; the crossing-time bisection alone solves one a at
+a time, warm-started from the last.  The Gronwall check advances its two
+RK4 solutions (steps dt and dt/2) in one scalar loop that evaluates the
 schedule once per distinct stage time, and holds O(1) floats at any step
 count.
 """
@@ -37,7 +39,7 @@ import numpy as np
 
 from .driver import ContinuousSchedule
 from .harness import calibrate_noise, exact_solution, sine_noise
-from .hilbert import GridFunction, QuadratureGrid, norm
+from .hilbert import GridFunction, GridMismatchError, QuadratureGrid, norm, norms
 from .operators import OperatorModel
 from .regsolve import (
     ConvergenceError,
@@ -94,16 +96,16 @@ def _report(name, margins, tolerance):
 class Trajectory:
     """Regularized solutions swept over a strictly decreasing a-grid.
 
-    ``residual_norms[k] = ||F(V_k) - f_delta||`` and
-    ``solution_norms[k] = ||V_k||`` for the solution V_k at ``a_values[k]``;
-    ``eq_residuals[k]`` is the solver's residual for the regularized
-    equation itself, bounded by ``solver_tol``.
+    ``solutions`` is the ``(S, n)`` array of node values whose row k is the
+    solution V_k at ``a_values[k]``; ``residual_norms[k] = ||F(V_k) - f_delta||``
+    and ``solution_norms[k] = ||V_k||``; ``eq_residuals[k]`` is the solver's
+    residual for the regularized equation itself, bounded by ``solver_tol``.
     """
 
     model: OperatorModel
     f_delta: GridFunction
     a_values: np.ndarray
-    solutions: list
+    solutions: np.ndarray
     residual_norms: np.ndarray
     solution_norms: np.ndarray
     eq_residuals: np.ndarray
@@ -116,30 +118,23 @@ def _raise_unconverged(where, residual_norm):
     )
 
 
-def _solve_converged(model, f_delta, a, where, options=None, start=None):
-    # solve_regularized at a; a solve that did not converge raises
-    # ConvergenceError, whose message names ``where`` ("t=...")
-    report = solve_regularized(model, f_delta, float(a), options, start)
-    if not report.converged:
-        _raise_unconverged(where, report.residual_norm)
-    return report
+def _data_residual_norms(model, f_delta, values):
+    # ||F(v) - f_delta|| of one row of node values, or of each row of a stack
+    return norms(model.grid, model.apply_values(values) - f_delta.values)
 
 
-def _solve_rows_converged(model, f_delta, a_values, options=None):
+def _solve_sweep(model, f_delta, a_values, options=None):
     # solve_regularized_rows for every a, cold-started from 0, as one stack;
-    # the first a whose solve did not converge raises ConvergenceError
-    solutions, res_norms, _, converged = solve_regularized_rows(
+    # the first a whose solve did not converge raises ConvergenceError.
+    # Returns the solutions, equation residuals, ||F(V) - f_delta|| and ||V||.
+    solutions, eq_res, _, converged = solve_regularized_rows(
         model, f_delta, a_values, options
     )
     if not converged.all():
         k = int(np.argmin(converged))
-        _raise_unconverged(f"a={a_values[k]:g}", res_norms[k])
-    return solutions, res_norms
-
-
-def _row_norms(grid, rows):
-    # hilbert.norm of each row of a stack, summed as it sums one row
-    return np.sqrt(np.sum(grid.weights * rows * rows, axis=1))
+        _raise_unconverged(f"a={a_values[k]:g}", eq_res[k])
+    res_norms = _data_residual_norms(model, f_delta, solutions)
+    return solutions, eq_res, res_norms, norms(model.grid, solutions)
 
 
 def _validate_a_grid(a_values):
@@ -163,10 +158,7 @@ def build_trajectory(
     each cold-started from 0 (see :func:`~dsm.regsolve.solve_regularized_rows`)."""
     a_values = _validate_a_grid(a_values)
     opts = options or NewtonOptions()
-    values, eq_res = _solve_rows_converged(model, f_delta, a_values, opts)
-    res_norms = _row_norms(model.grid, model.apply_values(values) - f_delta.values)
-    sol_norms = _row_norms(model.grid, values)
-    solutions = [GridFunction(model.grid, v) for v in values]
+    solutions, eq_res, res_norms, sol_norms = _solve_sweep(model, f_delta, a_values, opts)
     return Trajectory(
         model=model,
         f_delta=f_delta,
@@ -183,15 +175,14 @@ def check_monotonicity(traj: Trajectory, rtol: float = 1e-9) -> CheckReport:
     """Residual norms strictly decrease and solution norms strictly increase
     along decreasing a, with per-step relative tolerance ``rtol``."""
     _validate_a_grid(traj.a_values)
-    zero = traj.model.grid.zero()
-    if norm(traj.model.apply(zero) - traj.f_delta) == 0.0:
+    if _data_residual_norms(traj.model, traj.f_delta, np.zeros(traj.model.grid.n)) == 0.0:
         raise ValueError("data coincides with F(0); sweep is degenerate")
     phi = traj.residual_norms
     psi = traj.solution_norms
-    margins = []
-    for k in range(phi.size - 1):
-        margins.append((phi[k] - phi[k + 1]) / max(phi[k], _TINY))
-        margins.append((psi[k + 1] - psi[k]) / max(psi[k + 1], _TINY))
+    margins = np.column_stack((
+        (phi[:-1] - phi[1:]) / np.maximum(phi[:-1], _TINY),
+        (psi[1:] - psi[:-1]) / np.maximum(psi[1:], _TINY),
+    )).ravel()
     return _report("monotonicity", margins, rtol)
 
 
@@ -210,21 +201,21 @@ def check_perturbation_bounds(
     """
     if not np.array_equal(traj_noisy.a_values, traj_exact.a_values):
         raise ValueError("trajectories must share the same a-grid")
-    if traj_noisy.model.grid != traj_exact.model.grid:
-        raise ValueError("trajectories must share the same grid")
+    grid = traj_noisy.model.grid
+    if not traj_exact.model.grid == exact.grid == grid:
+        raise GridMismatchError("trajectories and the exact solution must share one grid")
     if not delta > 0:
         raise ValueError(f"delta must be positive, got {delta}")
     tol = tolerance
     if tol is None:
         tol = 10.0 * max(traj_noisy.solver_tol, traj_exact.solver_tol) + 1e-9
     y_norm = norm(exact)
-    margins = []
-    for k, a in enumerate(traj_noisy.a_values):
-        v_d = traj_noisy.solutions[k]
-        v = traj_exact.solutions[k]
-        margins.append(delta / a - norm(v_d - v))
-        margins.append(y_norm - traj_exact.solution_norms[k])
-        margins.append(y_norm + delta / a - traj_noisy.solution_norms[k])
+    bound = delta / traj_noisy.a_values
+    margins = np.column_stack((
+        bound - norms(grid, traj_noisy.solutions - traj_exact.solutions),
+        y_norm - traj_exact.solution_norms,
+        y_norm + bound - traj_noisy.solution_norms,
+    )).ravel()
     return _report("perturbation_bounds", margins, tol)
 
 
@@ -240,8 +231,7 @@ def _derivative_norm_bound(model, rng, n_probe, power_steps):
     x = np.empty((n_probe, grid.n))
     for k in range(n_probe):
         g = rng.standard_normal(grid.n)
-        g_norm = norm(GridFunction(grid, g))
-        points[k] = (rng.random() / max(g_norm, _TINY)) * g
+        points[k] = (rng.random() / max(norms(grid, g), _TINY)) * g
         x[k] = rng.standard_normal(grid.n)
     if model.kind == "identity":
         def s_times(v):
@@ -286,17 +276,11 @@ def check_large_a_limit(
         raise ValueError("a_values must be a nonempty 1-d sequence")
     if not np.all(a_values > 0):
         raise ValueError("a_values must be strictly positive")
-    zero = model.grid.zero()
-    base = norm(f_delta - model.apply(zero))
+    base = _data_residual_norms(model, f_delta, np.zeros(model.grid.n))
     m1 = _derivative_norm_bound(model, np.random.default_rng(seed), n_probe, power_steps)
-    margins = []
-    values, _ = _solve_rows_converged(model, f_delta, a_values)
-    v_norms = _row_norms(model.grid, values)
-    phis = _row_norms(model.grid, model.apply_values(values) - f_delta.values)
-    for a, v_norm, phi in zip(a_values, v_norms, phis):
-        margins.append(base / a - v_norm)
-        margins.append(m1 * v_norm - abs(phi - base))
-    return _report("large_a_limit", margins, tolerance)
+    _, _, phis, v_norms = _solve_sweep(model, f_delta, a_values)
+    margins = np.column_stack((base / a_values - v_norms, m1 * v_norms - np.abs(phis - base)))
+    return _report("large_a_limit", margins.ravel(), tolerance)
 
 
 def find_crossing_time(
@@ -321,17 +305,17 @@ def find_crossing_time(
     if not C > 1.0:
         raise ValueError(f"C must be > 1, got {C}")
     target = C * delta
-    zero = model.grid.zero()
-    if norm(model.apply(zero) - f_delta) <= target:
+    if _data_residual_norms(model, f_delta, np.zeros(model.grid.n)) <= target:
         raise ValueError("C*delta is not below ||F(0) - f_delta||; no crossing")
     opts = options or NewtonOptions()
     state = {"start": None}
 
     def phi(t):
-        a = schedule.a(t)
-        v = _solve_converged(model, f_delta, a, f"t={t:g}", opts, state["start"]).solution
-        state["start"] = v
-        return norm(model.apply(v) - f_delta)
+        report = solve_regularized(model, f_delta, float(schedule.a(t)), opts, state["start"])
+        if not report.converged:
+            _raise_unconverged(f"t={t:g}", report.residual_norm)
+        state["start"] = report.solution
+        return _data_residual_norms(model, f_delta, report.solution.values)
 
     if phi(0.0) <= target:
         raise ValueError("phi(0) <= C*delta; a(0) is not large enough")
@@ -574,7 +558,7 @@ def run_lemma_suite(
         crossing_schedule = ContinuousSchedule(d=1.0, c=7.0, b=1.0)
         t1 = find_crossing_time(model, f_delta, delta, 1.01, crossing_schedule)
         report = solve_regularized(model, f_delta, float(crossing_schedule.a(t1)))
-        gap = abs(norm(model.apply(report.solution) - f_delta) - 1.01 * delta)
+        gap = abs(_data_residual_norms(model, f_delta, report.solution.values) - 1.01 * delta)
         t_grid = np.linspace(0.0, 50.0, 101)
         traj_t = build_trajectory(model, f_delta, crossing_schedule.a(t_grid))
         for r in (

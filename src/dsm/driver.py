@@ -7,7 +7,8 @@ integrators for the damped-Newton dynamical system
 with the discrepancy-principle stop: quit at the first iterate with
 ``||F(u_n) - f_delta|| < C * delta**gamma``.  Like every norm in the
 package, the discrepancy and the noise level ``delta`` are in the
-quadrature-weighted L^2 norm, so the stop does not depend on the mesh.
+quadrature-weighted L^2 norm (:func:`dsm.hilbert.norms`), so the stop
+does not depend on the mesh.
 
 Each step is globalized by :func:`dsm.regsolve.line_search`, the same
 backtracking search :func:`dsm.regsolve.solve_regularized` uses, on the
@@ -44,7 +45,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .hilbert import GridFunction
+from .hilbert import GridFunction, norms
 from .operators import OperatorModel, SingularShiftError
 from .regsolve import line_search, regularized_residual, start_values
 # unused here; imported only because benchmarks/spans.py patches this name
@@ -122,8 +123,9 @@ class StoppingRule:
             raise ValueError(f"gamma must be in (0, 1), got {self.gamma}")
 
     def threshold(self, delta: float) -> float:
-        if not delta > 0:
-            raise ValueError(f"delta must be positive, got {delta}")
+        # an infinite delta gives a threshold every iterate meets: a vacuous stop
+        if not 0 < delta < math.inf:
+            raise ValueError(f"delta must be positive and finite, got {delta}")
         return self.C * delta ** self.gamma
 
 
@@ -192,8 +194,7 @@ def _drive(model, f_values, schedules, thresholds, u, h, max_steps):
                 residuals = np.hstack([residuals, np.empty_like(more)])
                 lengths = np.hstack([lengths, np.empty_like(more)])
                 fallback = np.hstack([fallback, np.empty(more.shape, dtype=bool)])
-            d = fu - f_values
-            res = np.sqrt(np.vecdot(d, grid.weights * d))
+            res = norms(grid, fu - f_values)
             residuals[:, n] = res
             stopped = res < thresholds
             if n == max_steps or np.count_nonzero(stopped):

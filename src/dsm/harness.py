@@ -361,7 +361,8 @@ def run_solution_dump(config: ExperimentConfig, delta_rel: float, seed=None, out
     is given."""
     if seed is None:
         seed = config.seeds[0]
-    single = config.override(delta_rel=(float(delta_rel),), seeds=(int(seed),))
+    # unconverted, so that ExperimentConfig rejects a fractional seed
+    single = config.override(delta_rel=(float(delta_rel),), seeds=(seed,))
     cell = next(iter(run_cells(single)))
     lines = ["x,u_exact,u_dsm"]
     for x, ue, ud in zip(

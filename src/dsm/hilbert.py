@@ -3,7 +3,8 @@
 Functions on [0, 1] are represented by their node values on a uniform closed
 grid.  All inner products and norms in this module are weighted by the
 trapezoidal quadrature weights, so they approximate the continuum L2
-quantities and are independent of grid resolution.
+quantities and are independent of grid resolution.  :func:`norms`, on raw
+node arrays, is the one weighted-norm sum in the package.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ __all__ = [
     "QuadratureGrid",
     "GridFunction",
     "inner",
+    "norms",
     "norm",
     "rel_error",
 ]
@@ -116,12 +118,18 @@ def _check_same_grid(u: GridFunction, v: GridFunction):
 def inner(u: GridFunction, v: GridFunction) -> float:
     """Quadrature-weighted inner product sum_i w_i u_i v_i."""
     _check_same_grid(u, v)
-    return float(np.sum(u.grid.weights * u.values * v.values))
+    return float(np.vecdot(u.values, u.grid.weights * v.values))
+
+
+def norms(grid: QuadratureGrid, values) -> np.ndarray:
+    """Weighted L2 norm of raw node values along the last axis: one norm for
+    one row ``(n,)``, one per row for a stack ``(S, n)``; unchecked."""
+    return np.sqrt(np.vecdot(values, grid.weights * values))
 
 
 def norm(u: GridFunction) -> float:
     """Weighted L2 norm sqrt(inner(u, u))."""
-    return float(np.sqrt(inner(u, u)))
+    return float(norms(u.grid, u.values))
 
 
 def rel_error(u: GridFunction, ref: GridFunction) -> float:

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hilbert import GridFunction, GridMismatchError
+from .hilbert import GridFunction, GridMismatchError, norms
 from .operators import OperatorModel, SingularShiftError
 
 __all__ = [
@@ -89,7 +89,8 @@ def solve_shifted_linear(
 
 
 def regularized_residual(grid, fv, v, a, f_values):
-    """G(v) = F(v) - f_delta + a*v on raw arrays, with its weighted norm.
+    """G(v) = F(v) - f_delta + a*v on raw arrays, with its weighted norm
+    (:func:`~dsm.hilbert.norms`).
 
     ``fv`` holds F(v).  Arrays are one row or a stack of rows ``(S, n)``,
     with a scalar ``a`` or a column ``(S, 1)`` of per-row shifts; the norm
@@ -98,7 +99,7 @@ def regularized_residual(grid, fv, v, a, f_values):
     """
     g = fv - f_values
     g += a * v
-    return g, np.sqrt(np.vecdot(g, grid.weights * g))
+    return g, norms(grid, g)
 
 
 def start_values(model: OperatorModel, f_delta: GridFunction, start: GridFunction | None):

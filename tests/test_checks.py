@@ -24,9 +24,9 @@ from dsm.checks import (
 )
 from dsm.driver import ContinuousSchedule
 from dsm.harness import calibrate_noise, exact_solution, sine_noise
-from dsm.hilbert import GridFunction, QuadratureGrid, norm
+from dsm.hilbert import GridFunction, GridMismatchError, QuadratureGrid, norm
 from dsm.operators import MODEL_KINDS, OperatorModel
-from dsm.regsolve import ConvergenceError, NewtonOptions
+from dsm.regsolve import ConvergenceError, NewtonOptions, solve_regularized
 
 SWEEP = np.logspace(0.5, -3.0, 12)
 
@@ -115,6 +115,55 @@ def test_perturbation_bounds_validation(arctan_traj):
         check_perturbation_bounds(traj, other, u_star, 0.01)
     with pytest.raises(ValueError):
         check_perturbation_bounds(traj, traj_exact, u_star, 0.0)
+    # an exact solution on another grid than the trajectories'
+    coarse = QuadratureGrid(7).sample(lambda x: 1.0 - 0.5 * x)
+    with pytest.raises(GridMismatchError):
+        check_perturbation_bounds(traj, traj_exact, coarse, 0.01)
+
+
+def _monotonicity_reference(traj):
+    phi, psi = traj.residual_norms, traj.solution_norms
+    margins = []
+    for k in range(phi.size - 1):
+        margins.append((phi[k] - phi[k + 1]) / max(phi[k], 1e-300))
+        margins.append((psi[k + 1] - psi[k]) / max(psi[k + 1], 1e-300))
+    return margins
+
+
+def _perturbation_reference(traj_noisy, traj_exact, exact, delta):
+    grid = exact.grid
+    y_norm = norm(exact)
+    margins = []
+    for k, a in enumerate(traj_noisy.a_values):
+        v_d = GridFunction(grid, traj_noisy.solutions[k])
+        v = GridFunction(grid, traj_exact.solutions[k])
+        margins.append(delta / a - norm(v_d - v))
+        margins.append(y_norm - norm(v))
+        margins.append(y_norm + delta / a - norm(v_d))
+    return margins
+
+
+def _large_a_reference(model, f_delta, a_values=(1e2, 1e3, 1e4)):
+    base = norm(f_delta - model.apply(model.grid.zero()))
+    m1 = _derivative_norm_bound(model, np.random.default_rng(7), 10, 50)
+    margins = []
+    for a in a_values:
+        v = solve_regularized(model, f_delta, a).solution
+        phi = norm(model.apply(v) - f_delta)
+        margins.append(base / a - norm(v))
+        margins.append(m1 * norm(v) - abs(phi - base))
+    return margins
+
+
+def test_stacked_margins_match_per_row_reference(arctan_traj):
+    # the checks take their margins a whole stack at a time; each detail,
+    # in its interleaved order, is bit for bit that of a loop over the rows
+    model, u_star, f, f_delta, traj, traj_exact = arctan_traj
+    delta = norm(f_delta - f)
+    assert check_monotonicity(traj).details == _monotonicity_reference(traj)
+    report = check_perturbation_bounds(traj, traj_exact, u_star, delta)
+    assert report.details == _perturbation_reference(traj, traj_exact, u_star, delta)
+    assert check_large_a_limit(model, f_delta).details == _large_a_reference(model, f_delta)
 
 
 def test_large_a_limit_identity_closed_form():
@@ -209,18 +258,28 @@ class _CountingModel(OperatorModel):
 
 
 @pytest.mark.parametrize("kind", ["arctan3", "cubic"])
-def test_trajectory_is_one_stacked_solve(kind):
+def test_trajectory_is_one_stacked_solve(kind, monkeypatch):
     # the suite's 101-point t-grid: one Newton loop over the whole stack
     # takes as many shifted solves as its slowest row needs (at most 12
-    # here); one solve per a would take at least one shifted solve per a
+    # here); one solve per a would take at least one shifted solve per a.
+    # The solutions stay one (S, n) array: no row is wrapped as a GridFunction.
     grid = QuadratureGrid(100)
     model = _CountingModel(kind, grid)
     f = model.apply(exact_solution("step", grid))
     f_delta, _ = calibrate_noise(f, sine_noise(grid), 0.01)
     a_values = ContinuousSchedule(d=1.0, c=7.0, b=1.0).a(np.linspace(0.0, 50.0, 101))
+    wraps = []
+    wrap = GridFunction.__init__
+
+    def counting_wrap(self, *args, **kwargs):
+        wraps.append(1)
+        wrap(self, *args, **kwargs)
+
+    monkeypatch.setattr(GridFunction, "__init__", counting_wrap)
     traj = build_trajectory(model, f_delta, a_values)
-    assert len(traj.solutions) == 101
+    assert traj.solutions.shape == (101, 100)
     assert model.shifted_solves <= 25
+    assert len(wraps) == 0
 
 
 def test_unconverged_solves_raise_and_name_where():

@@ -73,8 +73,9 @@ def test_stopping_rule():
         StoppingRule(gamma=0.0)
     with pytest.raises(ValueError):
         StoppingRule(gamma=1.0)
-    with pytest.raises(ValueError):
-        rule.threshold(0.0)
+    for bad in (0.0, math.inf, math.nan):
+        with pytest.raises(ValueError):
+            rule.threshold(bad)
 
 
 @pytest.fixture

@@ -336,6 +336,13 @@ def test_solution_dump_defaults_to_first_seed():
     assert cell.row.seed == FAST.seeds[0]
 
 
+def test_solution_dump_rejects_a_fractional_seed(tmp_path):
+    path = tmp_path / "sol.csv"
+    with pytest.raises(ValueError, match="seeds must be integers"):
+        run_solution_dump(FAST, 0.03, seed=1.5, out=path)
+    assert not path.exists()
+
+
 def test_euler_mode_cell_runs():
     cfg = FAST.override(mode="euler", h=1.0, shift=1)
     rows = run_experiment(cfg)

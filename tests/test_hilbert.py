@@ -12,8 +12,10 @@ from dsm.hilbert import (
     QuadratureGrid,
     inner,
     norm,
+    norms,
     rel_error,
 )
+from dsm.regsolve import regularized_residual
 
 
 def test_grid_nodes_and_weights():
@@ -160,3 +162,26 @@ def test_norm_scales_linearly(values):
     grid = QuadratureGrid(len(values))
     u = GridFunction(grid, values)
     assert norm(-2.5 * u) == pytest.approx(2.5 * norm(u), rel=1e-12, abs=1e-15)
+
+
+@st.composite
+def stacks(draw):
+    n = draw(st.integers(min_value=2, max_value=40))
+    rows = draw(st.integers(min_value=1, max_value=6))
+    elements = st.floats(min_value=-3.0, max_value=3.0)
+    return [draw(arrays(np.float64, (rows, n), elements=elements)) for _ in range(3)]
+
+
+@given(stacks(), st.floats(min_value=1e-4, max_value=10.0))
+@settings(max_examples=200, deadline=None)
+def test_norms_of_a_stack_is_the_one_weighted_norm(stack, a):
+    # norms is the one weighted-norm sum: one norm per row of a stack, bit
+    # for bit hilbert.norm of that row and the regularized residual's norm
+    fv, v, f_values = stack
+    grid = QuadratureGrid(v.shape[1])
+    g, g_norms = regularized_residual(grid, fv, v, a, f_values)
+    np.testing.assert_array_equal(norms(grid, g), g_norms)
+    assert norms(grid, g).shape == (len(g),)
+    for k, row in enumerate(g):
+        assert norm(GridFunction(grid, row)) == g_norms[k]
+        assert norms(grid, row) == g_norms[k]
