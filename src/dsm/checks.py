@@ -8,14 +8,16 @@ holds for monotone F and the schedules used by the drivers:
 * the regularized solutions with noisy and exact data stay within delta/a
   of each other, and the exact-data solution never exceeds the true
   solution's norm;
-* for large a the regularized solution shrinks like 1/a;
+* for large a the regularized solution shrinks like 1/a, with the
+  derivative norm near zero sampled at random probe points;
 * the residual-equals-C*delta crossing time exists and can be bracketed;
 * two scalar integral inequalities for a(t) = d/(c+t)^b schedules;
 * a Gronwall-type majorant g(t) stays strictly below a(t)/lam.
 
 All norms in this module are quadrature-weighted, taken by
 :func:`~dsm.hilbert.norms` on raw node arrays.  Checks return a
-:class:`CheckReport`; precondition violations raise ``ValueError``.
+:class:`CheckReport`; precondition violations raise ``ValueError``, as
+does a check left with no margin to test, which would otherwise pass.
 
 No check forms an n x n matrix: the large-a check's power iteration for
 the derivative norm runs through the model's O(n) kernel, so every check
@@ -28,6 +30,12 @@ a time, warm-started from the last.  The Gronwall check advances its two
 RK4 solutions (steps dt and dt/2) in one scalar loop that evaluates the
 schedule once per distinct stage time, and holds O(1) floats at any step
 count.
+
+Every random draw comes from the package's one counter-based SplitMix64
+stream, the one behind the Gaussian noise; ``numpy.random`` is never
+imported.  Each large-a probe draws its direction and its power-iteration
+start uniform on [-1, 1) per node and its radius uniform on [0, 1); the
+suite draws the exponential-integral check's parameters from seed 2024.
 """
 
 from __future__ import annotations
@@ -38,7 +46,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .driver import ContinuousSchedule
-from .harness import calibrate_noise, exact_solution, sine_noise
+from .harness import _uniforms, calibrate_noise, exact_solution, sine_noise
 from .hilbert import GridFunction, GridMismatchError, QuadratureGrid, norm, norms
 from .operators import OperatorModel
 from .regsolve import (
@@ -81,7 +89,9 @@ class CheckReport:
 
 def _report(name, margins, tolerance):
     margins = np.asarray(margins, dtype=float)
-    worst = float(margins.min()) if margins.size else math.inf
+    if not margins.size:
+        raise ValueError(f"{name}: no margins to check")
+    worst = float(margins.min())
     return CheckReport(
         name=name,
         passed=bool(worst >= -tolerance),
@@ -137,12 +147,17 @@ def _solve_sweep(model, f_delta, a_values, options=None):
     return solutions, eq_res, res_norms, norms(model.grid, solutions)
 
 
-def _validate_a_grid(a_values):
+def _validate_shifts(a_values):
     a_values = np.asarray(a_values, dtype=float)
     if a_values.ndim != 1 or a_values.size == 0:
         raise ValueError("a_values must be a nonempty 1-d sequence")
     if not np.all(a_values > 0):
         raise ValueError("a_values must be strictly positive")
+    return a_values
+
+
+def _validate_a_grid(a_values):
+    a_values = _validate_shifts(a_values)
     if not np.all(np.diff(a_values) < 0):
         raise ValueError("a_values must be strictly decreasing")
     return a_values
@@ -219,20 +234,21 @@ def check_perturbation_bounds(
     return _report("perturbation_bounds", margins, tol)
 
 
-def _derivative_norm_bound(model, rng, n_probe, power_steps):
+def _derivative_norm_bound(model, seed, n_probe, power_steps):
     # The largest weighted operator norm of F'(u) over n_probe random points u
     # of the weighted unit ball, by power_steps steps of power iteration from
     # random starts.  That norm is the spectral norm of the symmetric
     # S = W^(1/2) E W^(1/2) + diag(g'(u)) (S = I for the identity model); the
     # iteration runs on S^T S = S^2 for all probes at once, a stack of rows
-    # through the O(n) kernel.
+    # through the O(n) kernel.  Probe k takes counters k(2n + 1) on: its
+    # direction g, its start x, then its radius r; u = (r/||g||) g.
     grid = model.grid
-    points = np.empty((n_probe, grid.n))
-    x = np.empty((n_probe, grid.n))
-    for k in range(n_probe):
-        g = rng.standard_normal(grid.n)
-        points[k] = (rng.random() / max(norms(grid, g), _TINY)) * g
-        x[k] = rng.standard_normal(grid.n)
+    n = grid.n
+    draws = _uniforms(seed, np.arange(n_probe * (2 * n + 1), dtype=np.uint64))
+    draws = draws.reshape(n_probe, 2 * n + 1)
+    g = 2.0 * draws[:, :n] - 1.0
+    x = 2.0 * draws[:, n:2 * n] - 1.0
+    points = (draws[:, 2 * n] / np.maximum(norms(grid, g), _TINY))[:, None] * g
     if model.kind == "identity":
         def s_times(v):
             return v
@@ -270,14 +286,16 @@ def check_large_a_limit(
     each by ``power_steps`` steps of power iteration.  The iteration runs on
     all points at once through the model's O(n) kernel and forms no n x n
     matrix, so the check runs on grids of any size.
+
+    The probes come from the package's SplitMix64 stream at ``seed``, any
+    integer in [0, 2**64).  Each probe is u = (r/||g||) g, with g uniform on
+    the cube [-1, 1)^n and r uniform on [0, 1); its power iteration starts
+    from a second draw uniform on [-1, 1)^n.  The shifts need not be
+    ordered.
     """
-    a_values = np.asarray(a_values, dtype=float)
-    if a_values.ndim != 1 or a_values.size == 0:
-        raise ValueError("a_values must be a nonempty 1-d sequence")
-    if not np.all(a_values > 0):
-        raise ValueError("a_values must be strictly positive")
+    a_values = _validate_shifts(a_values)
     base = _data_residual_norms(model, f_delta, np.zeros(model.grid.n))
-    m1 = _derivative_norm_bound(model, np.random.default_rng(seed), n_probe, power_steps)
+    m1 = _derivative_norm_bound(model, seed, n_probe, power_steps)
     _, _, phis, v_norms = _solve_sweep(model, f_delta, a_values)
     margins = np.column_stack((base / a_values - v_norms, m1 * v_norms - np.abs(phis - base)))
     return _report("large_a_limit", margins.ravel(), tolerance)
@@ -577,15 +595,16 @@ def run_lemma_suite(
             r.name = f"{kind}:{r.name}"
             reports.append(r)
 
-    rng = np.random.default_rng(2024)
+    # candidate k is draws 8k..8k+7 of seed 2024: p, b, c, then five t values
     scalar_reports = []
+    start = 0
     while len(scalar_reports) < 20:
-        p = rng.uniform(0.2, 1.5)
-        b = rng.uniform(0.3, 2.0)
-        c = rng.uniform(0.5, 8.0)
+        u = _uniforms(2024, np.arange(start, start + 8, dtype=np.uint64))
+        start += 8
+        p, b, c = 0.2 + 1.3 * u[0], 0.3 + 1.7 * u[1], 0.5 + 7.5 * u[2]
         if p - b / c <= 0:
             continue
-        t_values = np.sort(rng.uniform(0.0, 15.0, size=5))
+        t_values = np.sort(15.0 * u[3:])
         scalar_reports.append(check_exponential_integral_bound(p, b, c, t_values))
     reports.append(_merge("exp_integral_bound", scalar_reports))
 

@@ -15,6 +15,7 @@ each cell hands the drivers that absolute level ``delta_abs`` as its delta.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import astuple, dataclass, replace
 from typing import Iterable, NamedTuple
 
@@ -72,7 +73,6 @@ def exact_solution(kind: str, grid: QuadratureGrid) -> GridFunction:
     raise ValueError(f"unknown exact solution {kind!r}; expected one of {EXACT_KINDS}")
 
 
-_MASK = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 
 
@@ -80,26 +80,40 @@ def _mix(seed: int, counters: np.ndarray) -> np.ndarray:
     # SplitMix64 output function on seed + (counter+1)*golden: a counter-based
     # stream, identical across platforms and numpy versions.  uint64 array
     # arithmetic wraps mod 2^64, as the generator's does.
-    z = np.uint64(seed & _MASK) + (counters + np.uint64(1)) * np.uint64(_GOLDEN)
+    z = np.uint64(seed) + (counters + np.uint64(1)) * np.uint64(_GOLDEN)
     z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
     z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
     return z ^ (z >> np.uint64(31))
 
 
+def _uniforms(seed, counters: np.ndarray) -> np.ndarray:
+    # The package's one random stream: the draws of seed at the given uint64
+    # counters, as 53-bit uniforms on [0, 1).  Integer scaling by a power of
+    # two, so every draw is exact and the same on every platform.  The seed
+    # is any integer in [0, 2^64); anything else raises ValueError.
+    try:
+        value = operator.index(seed)
+    except TypeError:
+        raise ValueError(f"seed must be an integer, got {seed!r}") from None
+    if not 0 <= value < 2 ** 64:
+        raise ValueError(f"seed must lie in [0, 2**64), got {value}")
+    return (_mix(value, counters) >> np.uint64(11)) * 2.0 ** -53
+
+
 def gaussian_noise(grid: QuadratureGrid, seed: int) -> GridFunction:
     """One standard normal draw per node, in node order.
 
-    Box-Muller on two 53-bit uniforms per node; u1 is shifted into (0, 1]
-    so the log never sees zero.  The stream depends only on (seed, node
-    index), never on numpy's generator internals; the integer mixing runs
-    on whole arrays, the log and cosine per node in ``math``, whose results
-    do not depend on numpy's vectorized kernels.
+    Box-Muller on two 53-bit uniforms per node, counters 2i and 2i + 1 of
+    the package's one SplitMix64 stream; u1 is shifted into (0, 1] so the
+    log never sees zero.  The stream depends only on (seed, node index),
+    never on numpy's generator internals; the log and cosine run per node
+    in ``math``, whose results do not depend on numpy's vectorized kernels.
+    ``seed`` is any integer in [0, 2**64); anything else raises
+    ``ValueError``.
     """
-    if seed < 0:
-        raise ValueError(f"seed must be nonnegative, got {seed}")
-    bits = _mix(seed, np.arange(2 * grid.n, dtype=np.uint64)) >> np.uint64(11)
-    u1 = ((bits[0::2] + np.uint64(1)) * 2.0 ** -53).tolist()
-    u2 = (bits[1::2] * 2.0 ** -53).tolist()
+    u = _uniforms(seed, np.arange(2 * grid.n, dtype=np.uint64))
+    u1 = (u[0::2] + 2.0 ** -53).tolist()
+    u2 = u[1::2].tolist()
     values = [
         math.sqrt(-2.0 * math.log(x1)) * math.cos(2.0 * math.pi * x2)
         for x1, x2 in zip(u1, u2)

@@ -1,6 +1,9 @@
 """Analytic-fact checks: trajectories, bounds, crossing times, majorants."""
 
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -23,7 +26,7 @@ from dsm.checks import (
     run_lemma_suite,
 )
 from dsm.driver import ContinuousSchedule
-from dsm.harness import calibrate_noise, exact_solution, sine_noise
+from dsm.harness import _uniforms, calibrate_noise, exact_solution, sine_noise
 from dsm.hilbert import GridFunction, GridMismatchError, QuadratureGrid, norm
 from dsm.operators import MODEL_KINDS, OperatorModel
 from dsm.regsolve import ConvergenceError, NewtonOptions, solve_regularized
@@ -145,7 +148,7 @@ def _perturbation_reference(traj_noisy, traj_exact, exact, delta):
 
 def _large_a_reference(model, f_delta, a_values=(1e2, 1e3, 1e4)):
     base = norm(f_delta - model.apply(model.grid.zero()))
-    m1 = _derivative_norm_bound(model, np.random.default_rng(7), 10, 50)
+    m1 = _derivative_norm_bound(model, 7, 10, 50)
     margins = []
     for a in a_values:
         v = solve_regularized(model, f_delta, a).solution
@@ -178,21 +181,45 @@ def test_large_a_limit_identity_closed_form():
         check_large_a_limit(model, f, a_values=(0.0,))
     with pytest.raises(ValueError):
         check_large_a_limit(model, f, a_values=())
+    with pytest.raises(ValueError):
+        check_large_a_limit(model, f, a_values=[[1e2, 1e3]])
 
 
-def _dense_derivative_norm_bound(model, rng, n_probe=10, power_steps=50):
+@pytest.mark.parametrize("seed", [-1, 2 ** 64, 1.5, "7"])
+def test_large_a_limit_rejects_a_seed_outside_the_stream(seed):
+    grid = QuadratureGrid(10)
+    model = OperatorModel("arctan3", grid)
+    f = grid.sample(lambda x: 1.0 + x)
+    with pytest.raises(ValueError, match="seed"):
+        check_large_a_limit(model, f, seed=seed)
+
+
+def test_large_a_limit_takes_any_integer_seed():
+    grid = QuadratureGrid(20)
+    model = OperatorModel("cubic", grid)
+    f = grid.sample(lambda x: 1.0 + x)
+    expected = check_large_a_limit(model, f).details
+    assert check_large_a_limit(model, f, seed=np.int64(7)).details == expected
+    assert check_large_a_limit(model, f, seed=np.uint64(7)).details == expected
+    assert check_large_a_limit(model, f, seed=2 ** 64 - 1).passed
+
+
+def _dense_derivative_norm_bound(model, seed, n_probe=10, power_steps=50):
     """Reference for the derivative-norm bound: power iteration on the dense
-    W^(1/2) F'(u) W^(-1/2) of each probe point in turn, drawing the point
-    and the start vector from rng in the same order."""
+    W^(1/2) F'(u) W^(-1/2) of each probe point in turn.  Probe k draws its
+    own 2n + 1 counters of the stream, from k(2n + 1) on: the direction and
+    the start vector uniform on [-1, 1), then the radius on [0, 1)."""
     grid = model.grid
+    n = grid.n
     sqrt_w = np.sqrt(grid.weights)
     m1 = 0.0
-    for _ in range(n_probe):
-        g = rng.standard_normal(grid.n)
-        radius = rng.random()
+    for k in range(n_probe):
+        u = _uniforms(seed, np.arange(k * (2 * n + 1), (k + 1) * (2 * n + 1), dtype=np.uint64))
+        g = 2.0 * u[:n] - 1.0
+        x = 2.0 * u[n:2 * n] - 1.0
+        radius = u[2 * n]
         point = GridFunction(grid, (radius / norm(GridFunction(grid, g))) * g)
         s = sqrt_w[:, None] * model.jacobian(point) / sqrt_w[None, :]
-        x = rng.standard_normal(grid.n)
         x /= np.linalg.norm(x)
         for _ in range(power_steps):
             y = s.T @ (s @ x)
@@ -204,8 +231,8 @@ def _dense_derivative_norm_bound(model, rng, n_probe=10, power_steps=50):
 @pytest.mark.parametrize("kind", MODEL_KINDS)
 def test_derivative_norm_bound_matches_dense_power_iteration(kind):
     model = OperatorModel(kind, QuadratureGrid(100))
-    expected = _dense_derivative_norm_bound(model, np.random.default_rng(7))
-    m1 = _derivative_norm_bound(model, np.random.default_rng(7), 10, 50)
+    expected = _dense_derivative_norm_bound(model, 7)
+    m1 = _derivative_norm_bound(model, 7, 10, 50)
     assert m1 == pytest.approx(expected, rel=1e-12, abs=0.0)
 
 
@@ -313,6 +340,20 @@ def test_exponential_integral_bound_validation():
         check_exponential_integral_bound(1.0, 1.0, 1.0, [-1.0])
     with pytest.raises(ValueError):
         check_exponential_integral_bound(1.0, 1.0, 1.0, [1.0], panels=11)
+
+
+def test_a_check_of_nothing_raises():
+    # no t values, or a one-point sweep, leave no margin to test; a report
+    # of them would pass with worst_margin inf
+    with pytest.raises(ValueError, match="no margins"):
+        check_exponential_integral_bound(0.9, 1.0, 3.0, [])
+    grid = QuadratureGrid(30)
+    model = OperatorModel("arctan3", grid)
+    f_delta, _ = calibrate_noise(
+        model.apply(exact_solution("step", grid)), sine_noise(grid), 0.01
+    )
+    with pytest.raises(ValueError, match="no margins"):
+        check_monotonicity(build_trajectory(model, f_delta, [1.0]))
 
 
 @pytest.fixture(scope="module")
@@ -498,6 +539,25 @@ def test_default_suite_passes():
     ] + ["exp_integral_bound", "gronwall_majorant"]
     assert all(r.passed for r in reports)
     assert reports[-1].samples == 10_001
+
+
+def _loads_numpy_random(code):
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1")
+    code += "\nimport sys\nprint('numpy.random' in sys.modules)\n"
+    result = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert result.returncode == 0, result.stderr
+    return result.stdout.strip() == "True"
+
+
+def test_lemma_suite_imports_no_numpy_random():
+    # every draw comes from dsm's own stream; numpy.random costs about 6 MB
+    # of resident memory and 10 ms of start-up to import
+    if _loads_numpy_random("import numpy"):
+        pytest.skip("this numpy loads numpy.random on import")
+    assert not _loads_numpy_random("import dsm\ndsm.run_lemma_suite()")
 
 
 def test_suite_and_report_serialization(tmp_path):
