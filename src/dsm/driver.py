@@ -6,35 +6,17 @@ integrators for the damped-Newton dynamical system
 
 with the discrepancy-principle stop: quit at the first iterate with
 ``||F(u_n) - f_delta|| < C * delta**gamma``.  Like every norm in the
-package, the discrepancy and the noise level ``delta`` are in the
-quadrature-weighted L^2 norm (:func:`dsm.hilbert.norms`), so the stop
-does not depend on the mesh.
+package, the discrepancy and ``delta`` are in the quadrature-weighted L^2
+norm (:func:`dsm.hilbert.norms`), so the stop does not depend on the mesh.
 
-Each step is globalized by :func:`dsm.regsolve.line_search`, the same
-backtracking search :func:`dsm.regsolve.solve_regularized` uses, on the
-regularized residual ||F(u) + a_n u - f_delta|| in the quadrature-weighted
-norm.  Each run's search starts at lam0 = min(1, 2*lam_prev), twice the
-step length the run last accepted (1 at its first step), and halves from
-there: the initial step length of Nocedal & Wright, *Numerical
-Optimization* (2006), section 3.5.  Wherever the raw iteration is stable
-the full step (scaled by h) passes the Armijo test and the damping never
-engages; a run whose steps would run away (saturating nonlinearities at
-small a_n can trap raw Newton on a plateau it never leaves) starts near
-the damping its last step needed instead of at the full step.  When no
-step length passes, the run takes the candidate with the smallest
-regularized residual and that candidate's lam; a run with no finite
-candidate stays where it is and keeps its lam0.
-
-There is one loop, and it advances a batch: :func:`run_batch` stacks one
-row of node values per run, each with its own data, schedule and stopping
-threshold, and every step calls the model's unchecked kernels
-(:meth:`~dsm.operators.OperatorModel.apply_values`,
-:meth:`~dsm.operators.OperatorModel.solve_shifted_values`) and the line
-search once for all the rows still running.  A row leaves the stack when it
-stops; its record is bit for bit the one it gets when run alone.
-:func:`run_iteration` and :func:`run_euler` are the one-row case.  F at the
-start point must be finite, and each final iterate is wrapped as a
-:class:`~dsm.hilbert.GridFunction` once per run.
+:func:`run_batch` takes a batch of runs, one row each with its own data,
+schedule and threshold, through the package's one Newton loop (see
+:mod:`dsm.regsolve`); :func:`run_iteration` and :func:`run_euler` are its
+one-row case.  A run's line search starts at min(1, 2*lam), twice the
+step length it last took (1 at first; Nocedal & Wright, *Numerical
+Optimization*, 2006, section 3.5), so the full step, scaled by h, is taken
+wherever the raw iteration is stable.  Where no step length passes, a run
+takes the search's best candidate (see :func:`dsm.regsolve.line_search`).
 """
 
 from __future__ import annotations
@@ -46,8 +28,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .hilbert import GridFunction, norms
-from .operators import OperatorModel, SingularShiftError
-from .regsolve import line_search, regularized_residual, start_values
+from .operators import OperatorModel
+from .regsolve import _newton_rows, start_values
 # unused here; imported only because benchmarks/spans.py patches this name
 from .regsolve import solve_shifted_linear  # noqa: F401
 
@@ -154,84 +136,51 @@ class RunRecord:
     wall_time: float = field(default=0.0)
 
 
-_FIRST_STEPS = 64
-
-
 def _drive(model, f_values, schedules, thresholds, u, h, max_steps):
-    # Rows still running are stacked in u, fu, f_values and lam (each row's
-    # last accepted step length), next to their tables of a_n, residuals,
-    # step lengths and fallbacks; ``rows`` maps them back to the batch.  The
-    # stack is compacted only when a row stops.  The tables start with room
-    # for _FIRST_STEPS steps and double when full.
+    # The runs' side of the Newton loop.  table[:, i] holds stack row i's
+    # a_n, residuals, step lengths and fallbacks (1.0 or 0.0) by step, and
+    # loses rows with the stack; it has room for 64 steps, then doubles.
     start = time.perf_counter()
-    grid = model.grid
-
-    def a_columns(live, first, stop):
-        # a_n at t = n*h; h = 1 for a discrete schedule, whose a at the
-        # float n is its a at the integer n
-        t = np.arange(first, stop) * h
-        return np.array([schedules[k].a(t) for k in live])
-
     records = [None] * len(u)
-    rows = np.arange(len(u))
-    a_table = a_columns(rows, 0, min(_FIRST_STEPS, max_steps + 1))
-    residuals = np.empty_like(a_table)
-    lengths = np.empty_like(a_table)
-    fallback = np.empty(a_table.shape, dtype=bool)
-    lam = np.ones(len(u))
-    # trial points may overflow; the line search rejects them by their norm
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        # F(u) is evaluated here once, checked; afterwards every iterate's F
-        # comes back from the line search trial that produced it
-        fu = model.apply_values(u)
-        if not np.isfinite(fu).all():
-            raise ValueError("cannot evaluate the model at the start point")
-        n = 0
-        while True:
-            if n == residuals.shape[1]:
-                more = a_columns(rows, n, min(2 * n, max_steps + 1))
-                a_table = np.hstack([a_table, more])
-                residuals = np.hstack([residuals, np.empty_like(more)])
-                lengths = np.hstack([lengths, np.empty_like(more)])
-                fallback = np.hstack([fallback, np.empty(more.shape, dtype=bool)])
-            res = norms(grid, fu - f_values)
-            residuals[:, n] = res
-            stopped = res < thresholds
-            if n == max_steps or np.count_nonzero(stopped):
-                out = stopped | (n == max_steps)
-                wall = time.perf_counter() - start
-                for i in np.flatnonzero(out):
-                    records[rows[i]] = RunRecord(
-                        final=GridFunction(grid, u[i]),
-                        n_stop=n,
-                        residuals=residuals[i, : n + 1].copy(),
-                        a_values=a_table[i, : n + 1].copy(),
-                        stopped_by_discrepancy=bool(stopped[i]),
-                        step_lengths=lengths[i, :n].copy(),
-                        fallback=fallback[i, :n].copy(),
-                        wall_time=wall,
-                    )
-                if out.all():
-                    return records
-                keep = ~out
-                rows, u, fu, f_values, lam = (x[keep] for x in (rows, u, fu, f_values, lam))
-                a_table, residuals, thresholds = a_table[keep], residuals[keep], thresholds[keep]
-                lengths, fallback = lengths[keep], fallback[keep]
-            a_n = a_table[:, n : n + 1]
-            g_values, g_norm = regularized_residual(grid, fu, u, a_n, f_values)
-            try:
-                step = model.solve_shifted_values(u, a_n, g_values)
-            except SingularShiftError as err:
-                raise SingularShiftError(err.pivot_index, rows[err.row]) from err
-            # lam0 rides on the step's one scaling by h, not a second pass
-            # over the stack; as a power of two it changes no other bit
-            lam0 = np.minimum(1.0, 2.0 * lam)
-            step *= (h * lam0)[:, None]
-            u, fu, _, _, accepted, lam = line_search(
-                model, u, fu, step, a_n, f_values, g_norm, lam0
-            )
-            lengths[:, n], fallback[:, n] = lam, ~accepted
-            n += 1
+    table = np.empty((4, len(u), 0))
+
+    def shifts(n, rows):
+        nonlocal table
+        if n == table.shape[2]:
+            # a_n at t = n*h; h = 1 for a discrete schedule, whose a at the
+            # float n is its a at the integer n
+            t = np.arange(n, min(max(2 * n, 64), max_steps + 1)) * h
+            table = np.concatenate([table, np.empty((4, len(rows), len(t)))], axis=2)
+            table[0, :, n:] = [schedules[k].a(t) for k in rows]
+        return table[0, :, n : n + 1]
+
+    def first_step(lam, step):
+        # lam0 rides on the step's one scaling by h, not a second pass over
+        # the stack; as a power of two it changes no other bit
+        lam0 = np.minimum(1.0, 2.0 * lam)
+        step *= (h * lam0)[:, None]
+        return lam0
+
+    def stop(n, rows, u, fu, f_values, g_norm, accepted, lam, *_):
+        nonlocal table, thresholds
+        if n:
+            table[2, :, n - 1], table[3, :, n - 1] = lam, ~accepted
+        table[1, :, n] = res = norms(model.grid, fu - f_values)
+        stopped = res < thresholds
+        leave = stopped | (n == max_steps)
+        if np.count_nonzero(leave):
+            wall = time.perf_counter() - start
+            for i in np.flatnonzero(leave):
+                a_values, residuals, lengths, fallback = table[:, i, : n + 1].copy()
+                records[rows[i]] = RunRecord(
+                    GridFunction(model.grid, u[i]), n, residuals, a_values,
+                    bool(stopped[i]), lengths[:n], fallback[:n] == 1.0, wall,
+                )
+            table, thresholds = table[:, ~leave], thresholds[~leave]
+        return leave
+
+    _newton_rows(model, u, f_values, shifts, first_step, stop)
+    return records
 
 
 def run_batch(

@@ -188,6 +188,8 @@ class ExperimentConfig:
         for s in self.seeds:
             if not float(s).is_integer():
                 raise ValueError(f"seeds must be integers, got {s}")
+            if not 0 <= s < 2 ** 64:
+                raise ValueError(f"seed must lie in [0, 2**64), got {int(s)}")
         object.__setattr__(self, "delta_rel", tuple(float(d) for d in self.delta_rel))
         object.__setattr__(self, "seeds", tuple(int(s) for s in self.seeds))
         if not self.delta_rel:

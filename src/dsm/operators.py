@@ -28,7 +28,7 @@ relative residual bound of 1e-10, one step of iterative refinement follows.
 
 Both live on raw node arrays as the unchecked kernels
 :meth:`OperatorModel.apply_values` and :meth:`OperatorModel.solve_shifted_values`,
-which the Newton loops call directly.  They take one row of node values or
+which the Newton loop calls directly.  They take one row of node values or
 a stack of rows of shape ``(S, n)``, one row per run of a batch, and treat
 every row on its own: a row of a stack gives bit for bit what it gives
 alone.  The public :meth:`~OperatorModel.apply`,
@@ -333,7 +333,9 @@ class OperatorModel:
         upper[n - 1::n] = 0.0
         off[..., -1] = 0.0
         lower = off.ravel()[:-1]
-        _, pivots, _, step, info = dgtsv(lower, diag, upper, self._t_times(rhs), overwrite_b=1)
+        # dgtsv works on the system in place, unless refinement needs it again
+        flags = (int(n <= _UNREFINED_MAX_N),) * 3
+        _, pivots, _, step, info = dgtsv(lower, diag, upper, self._t_times(rhs), *flags, 1)
         step = step.reshape(shift.shape)
         if info == 0 and _all_finite(pivots):
             if n > _UNREFINED_MAX_N:
@@ -344,12 +346,13 @@ class OperatorModel:
             if _all_finite(step):
                 return step
         # a non-finite row can spill into its neighbours' pivots and
-        # solutions, so blame a non-finite system first, then the pivots;
-        # failing those, dgtsv's info > 0 is its 1-based report of an exactly
-        # zero pivot (info < 0, a rejected argument, names node 0 of row 0)
+        # solutions, so blame a non-finite system (its diagonal built again,
+        # as dgtsv may have overwritten it) first, then the pivots; failing
+        # those, dgtsv's info > 0 is its 1-based report of an exactly zero
+        # pivot (info < 0, a rejected argument, names node 0 of row 0)
         _raise_singular(
             n,
-            ~np.isfinite(diag) | ~np.isfinite(rhs.ravel()),
+            ~np.isfinite(self._t_diag * shift + self._cw).ravel() | ~np.isfinite(rhs.ravel()),
             (pivots == 0.0) | ~np.isfinite(pivots),
             ~np.isfinite(step),
             fallback=max(info - 1, 0),

@@ -1,24 +1,15 @@
-"""Damped Newton for the regularized equation F(v) + a*v = f_delta.
+"""Damped Newton for the regularized equation F(v) + a*v = f_delta, and
+the package's one damped-Newton loop.
 
 For monotone F and a > 0 the regularized equation has a unique solution;
-Newton with a backtracking line search on the regularized residual finds
-it from any reasonable starting point.  :func:`line_search` is the one
-globalization in the package: :func:`solve_regularized` and the run drivers
-in :mod:`dsm.driver` both take their steps through it.  Regularized
-residuals, and the tolerance here, are in the weighted L2 norm.
+Newton with a backtracking line search on the regularized residual, in
+the weighted L2 norm, finds it from any reasonable starting point.
 
-The Newton loops work on raw node arrays: they call the model's unchecked
-kernels :meth:`~dsm.operators.OperatorModel.apply_values` and
-:meth:`~dsm.operators.OperatorModel.solve_shifted_values` and wrap a
-:class:`~dsm.hilbert.GridFunction` only for the returned solution.
-:func:`line_search` and :func:`regularized_residual` work row by row on a
-stack of rows ``(S, n)``, so the drivers advance a whole batch of runs with
-one call each.  :func:`solve_regularized_rows` is the one damped-Newton
-loop for the regularized equation: it solves a stack of rows, one shift
-each, and each row leaves the stack at its own stop, with what it gets
-alone.  :func:`solve_regularized` is its one-row case.
-A trial point where F or the residual is not finite has a non-finite norm,
-which fails every comparison of the line search.
+``_newton_rows`` is that loop.  It advances a stack of rows ``(S, n)`` of
+raw node values with one call each of the model's kernels and of
+:func:`line_search` per step, and drops each row, with what it gets alone,
+at its caller's stop: :func:`solve_regularized_rows` (a fixed shift per
+row, stop at ``tol``) and the run drivers in :mod:`dsm.driver`.
 """
 
 from __future__ import annotations
@@ -75,14 +66,9 @@ class RegularizedSolveReport:
 def solve_shifted_linear(
     model: OperatorModel, u: GridFunction, a: float, rhs: GridFunction
 ) -> GridFunction:
-    """Solve the Newton system (F'(u) + a*I) w = rhs for a shift a > 0.
-
-    The checked form of :meth:`OperatorModel.solve_shifted_values`, the O(n)
-    step (one solve through the exp kernel's tridiagonal inverse, plus one
-    refinement step on grids of more than 1000 points) that
-    :func:`solve_regularized` and the run drivers take on raw arrays.
-    Raises :class:`SingularShiftError` at a zero or non-finite pivot or step.
-    """
+    """Solve (F'(u) + a*I) w = rhs for a shift a > 0: the checked form of
+    :meth:`OperatorModel.solve_shifted_values`; raises :class:`SingularShiftError`
+    at a zero or non-finite pivot or step."""
     if not 0 < a < math.inf:
         raise ValueError(f"shift a must be positive and finite, got {a}")
     return model.solve_shifted(u, a, rhs)
@@ -137,7 +123,7 @@ def line_search(model: OperatorModel, v, fv, step, a, f_values, g_norm, lam0=Non
     candidate with the smallest finite residual norm, and that candidate's
     lam, or stays at v, with the F it came in with and its lam0, if no
     candidate has one.  Trial points may overflow: call it under
-    ``np.errstate(over="ignore", invalid="ignore")``, as the Newton loops do.
+    ``np.errstate(over="ignore", invalid="ignore")``, as the Newton loop does.
     """
     grid = model.grid
     lam0 = np.ones(len(v)) if lam0 is None else lam0
@@ -197,6 +183,58 @@ def line_search(model: OperatorModel, v, fv, step, a, f_values, g_norm, lam0=Non
     return new, f_new, g_new, norm, accepted, lam_out
 
 
+def _newton_rows(model: OperatorModel, u, f_values, shifts, first_step, stop):
+    """Step each row of ``u`` ``(S, n)`` still in the stack to u - lam*s,
+    (F'(u) + a*I) s = F(u) + a*u - f with f its row of ``f_values``, until
+    ``stop`` has let every row leave.  ``shifts`` is a column ``(S, 1)`` of
+    fixed shifts, or ``shifts(k, rows)`` gives step k's.  ``first_step(lam,
+    s)`` scales each Newton step s in place by its row's first step length,
+    from its last one lam, and returns the search's lam0; None takes full
+    steps.  ``stop(k, rows, u, F(u), f_values, ||G(u)||, accepted, lam,
+    u_prev, ||G(u_prev)||)`` sees iterate k (0 at the start), the search
+    that made it and the iterate before, and returns which rows leave.
+    """
+    grid = model.grid
+    rows = np.arange(len(u))
+    lam, accepted = np.ones(len(u)), np.ones(len(u), dtype=bool)
+    # trial points may overflow; the line search rejects them by their norm
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        # F is evaluated here once, checked; afterwards every iterate's F
+        # comes back from the line search trial that produced it
+        fu = model.apply_values(u)
+        if not np.isfinite(fu).all():
+            raise ValueError("cannot evaluate the model at the start point")
+        a = shifts(0, rows) if callable(shifts) else shifts
+        g, g_norm = regularized_residual(grid, fu, u, a, f_values)
+        u_prev, norm_prev, k = u, g_norm, 0
+        while True:
+            leave = stop(k, rows, u, fu, f_values, g_norm, accepted, lam, u_prev, norm_prev)
+            n_leave = np.count_nonzero(leave)
+            if n_leave == len(rows):
+                return
+            if n_leave:
+                keep = ~leave
+                rows, u, fu, f_values, a, g, g_norm, lam = (
+                    x[keep] for x in (rows, u, fu, f_values, a, g, g_norm, lam)
+                )
+            try:
+                step = model.solve_shifted_values(u, a, g)
+            except SingularShiftError as err:
+                raise SingularShiftError(err.pivot_index, rows[err.row]) from err
+            # G goes before the line search makes its successor: the search
+            # holds about a dozen (S, n) arrays at its peak
+            del g
+            lam0 = None if first_step is None else first_step(lam, step)
+            u_prev, norm_prev = u, g_norm
+            u, fu, g, g_norm, accepted, lam = line_search(
+                model, u, fu, step, a, f_values, g_norm, lam0
+            )
+            k += 1
+            if callable(shifts):
+                a = shifts(k, rows)
+                g, g_norm = regularized_residual(grid, fu, u, a, f_values)
+
+
 def solve_regularized_rows(
     model: OperatorModel,
     f_delta: GridFunction,
@@ -207,13 +245,10 @@ def solve_regularized_rows(
     """Solve F(v) + a*v = f_delta for every shift a of ``a_values`` by damped
     Newton, one row per shift, each from v = start (default 0).
 
-    Each step solves (F'(v) + a*I) s = G(v) = F(v) + a*v - f_delta and
-    backtracks along v - lam*s with :func:`line_search`, for all rows still
-    in the stack at once.  A row leaves the stack when it meets ``tol``, and
-    also, with its current iterate, when no step length passes its Armijo
-    test; rows still in the stack at the iteration cap stop there.  Every
-    row gets bit for bit what it gets alone.
-
+    All rows take full Newton steps in one stack.  A row leaves when it
+    meets ``tol``, at the iteration cap, and, with the iterate it had
+    before, when no step length passes its Armijo test.  Each row gets bit
+    for bit what it gets alone; a :class:`SingularShiftError` names its shift.
     Returns ``(solutions, residual_norms, iterations, converged)``: the rows
     ``(S, n)``, each row's weighted residual norm, its Newton iteration count
     and whether that norm meets ``tol``.
@@ -221,51 +256,25 @@ def solve_regularized_rows(
     a = np.array(a_values, dtype=float).reshape(-1, 1)
     valid = (a > 0) & (a < math.inf)
     if not valid.all():
-        raise ValueError(
-            f"regularization parameter a must be positive and finite, got {a[~valid][0]}"
-        )
+        raise ValueError(f"shift a must be positive and finite, got {a[~valid][0]}")
     opts = options or NewtonOptions()
-    grid = model.grid
-    # C-ordered copies: on a broadcast view numpy would lay new rows out in
-    # another order, and sum the norms of those rows in another order too.
-    # A row is written to the output only once it has left the stack, so the
-    # output can reuse the start rows.
-    solutions = v = np.tile(start_values(model, f_delta, start), (len(a), 1))
+    # C-ordered copies: numpy would lay out the new rows of a broadcast view,
+    # and sum their norms, in another order.  A row is written to the output
+    # only once it has left the stack, so the output can reuse the start rows.
+    solutions = np.tile(start_values(model, f_delta, start), (len(a), 1))
     f_values = np.tile(f_delta.values, (len(a), 1))
-    residual_norms = np.empty(len(a))
-    iterations = np.zeros(len(a), dtype=int)
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        fv = model.apply_values(v)
-        if not np.isfinite(fv).all():
-            raise ValueError("cannot evaluate the model at the start point")
-        residual, res_norm = regularized_residual(grid, fv, v, a, f_values)
-        # the rows still in the stack, and the output row of each
-        rows = np.arange(len(a))
-        stay = res_norm > opts.tol
-        for k in range(1, int(opts.max_iter) + 1):
-            n_stay = np.count_nonzero(stay)
-            if not n_stay:
-                break
-            if n_stay < len(rows):
-                leave = ~stay
-                solutions[rows[leave]], residual_norms[rows[leave]] = v[leave], res_norm[leave]
-                rows, v, fv, residual, res_norm, a, f_values = (
-                    x[stay] for x in (rows, v, fv, residual, res_norm, a, f_values)
-                )
-            step = model.solve_shifted_values(v, a, residual)
-            iterations[rows] = k
-            # G(v) goes before the line search makes its successor: the
-            # search holds about a dozen (S, n) arrays at its peak
-            del residual
-            new, fv, residual, new_norm, accepted, _ = line_search(
-                model, v, fv, step, a, f_values, res_norm
-            )
-            # a row whose search failed keeps its iterate and leaves
-            stay = accepted & (new_norm > opts.tol)
-            if np.count_nonzero(accepted) < len(rows):
-                new[~accepted], new_norm[~accepted] = v[~accepted], res_norm[~accepted]
-            v, res_norm = new, new_norm
-        solutions[rows], residual_norms[rows] = v, res_norm
+    residual_norms, iterations = np.empty(len(a)), np.zeros(len(a), dtype=int)
+
+    def stop(k, rows, v, fv, f_values, g_norm, accepted, lam, v_prev, norm_prev):
+        leave = ~accepted | ~(g_norm > opts.tol) | (k == opts.max_iter)
+        if np.count_nonzero(leave):
+            done, kept = rows[leave], accepted[leave]
+            solutions[done] = np.where(kept[:, None], v[leave], v_prev[leave])
+            residual_norms[done] = np.where(kept, g_norm[leave], norm_prev[leave])
+            iterations[done] = k
+        return leave
+
+    _newton_rows(model, solutions, f_values, a, None, stop)
     return solutions, residual_norms, iterations, residual_norms <= opts.tol
 
 
@@ -283,12 +292,9 @@ def solve_regularized(
     the current iterate is returned with ``converged=False`` unless it
     already meets ``tol``.
     """
-    solutions, norms, iterations, converged = solve_regularized_rows(
-        model, f_delta, [a], options, start
+    v, norm, iterations, converged = (
+        x[0] for x in solve_regularized_rows(model, f_delta, [a], options, start)
     )
     return RegularizedSolveReport(
-        GridFunction(model.grid, solutions[0]),
-        float(norms[0]),
-        int(iterations[0]),
-        bool(converged[0]),
+        GridFunction(model.grid, v), float(norm), int(iterations), bool(converged)
     )

@@ -192,6 +192,15 @@ def test_config_rejects_schedule_parameters_when_built(mode, change):
         PRESETS["exp2-const"].override(mode=mode, **change)
 
 
+@pytest.mark.parametrize("preset", ["exp1", "exp2-const"])
+@pytest.mark.parametrize("seed", [-1, 2 ** 64])
+def test_config_rejects_a_seed_outside_the_stream(preset, seed):
+    # when built, with the noise stream's own message: exp2-const's sine
+    # noise never draws a seed, and exp1 would fail only at its first draw
+    with pytest.raises(ValueError, match=r"seed must lie in \[0, 2\*\*64\)"):
+        PRESETS[preset].override(seeds=(seed,))
+
+
 def test_presets_pin_experiment_parameters():
     exp1 = PRESETS["exp1"]
     assert (exp1.model, exp1.exact, exp1.n_points) == ("arctan3", "step", 100)

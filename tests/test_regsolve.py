@@ -295,3 +295,45 @@ def test_rows_reject_a_bad_shift(grid):
     for bad in (0.0, -1.0, math.inf, math.nan):
         with pytest.raises(ValueError):
             solve_regularized_rows(model, grid.zero(), [1.0, bad])
+
+
+@pytest.mark.parametrize(
+    "kind, iterations", [("arctan3", 15), ("cubic", 10), ("linear", 8), ("identity", 3)]
+)
+def test_failed_armijo_search_stops_with_the_iterate_before_it(grid, kind, iterations):
+    # tol = 1e-300 is out of reach: rounding ends the solve, when no step
+    # length passes the Armijo test, before the cap of 100 iterations
+    model = OperatorModel(kind, grid)
+    f = grid.sample(lambda x: 1.0 + x)
+    report = solve_regularized(model, f, 1e-2, NewtonOptions(tol=1e-300, max_iter=100))
+    assert not report.converged
+    assert report.iterations == iterations
+    # the row leaves with the iterate it had before the failed search
+    capped = solve_regularized(
+        model, f, 1e-2, NewtonOptions(tol=1e-300, max_iter=iterations - 1)
+    )
+    np.testing.assert_array_equal(report.solution.values, capped.solution.values)
+    assert report.residual_norm == capped.residual_norm
+
+
+class _SecondSolveSingular(OperatorModel):
+    """Raises for the last row of the stack on its second shifted solve."""
+
+    solves = 0
+
+    def solve_shifted_values(self, values, a, rhs):
+        self.solves += 1
+        if self.solves == 2:
+            raise SingularShiftError(5, row=len(values) - 1)
+        return super().solve_shifted_values(values, a, rhs)
+
+
+def test_rows_name_the_singular_shift():
+    # the shift 1e6 row meets tol after one step and leaves the stack, so
+    # the second solve stacks shifts 1 and 2, and its row 1 is shift 2
+    grid = QuadratureGrid(30)
+    model = _SecondSolveSingular("cubic", grid)
+    f = grid.sample(lambda x: 1.0 + x)
+    with pytest.raises(SingularShiftError) as err:
+        solve_regularized_rows(model, f, [1e6, 1e-2, 1e-3])
+    assert (err.value.row, err.value.pivot_index) == (2, 5)
