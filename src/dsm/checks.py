@@ -22,14 +22,17 @@ does a check left with no margin to test, which would otherwise pass.
 No check forms an n x n matrix: the large-a check's power iteration for
 the derivative norm runs through the model's O(n) kernel, so every check
 runs on grids of any size.  A trajectory over a sweep of a, and the
-large-a check's shifts, are each one stacked Newton solve
-(:func:`~dsm.regsolve.solve_regularized_rows`), every row cold-started
-from 0, and stays one ``(S, n)`` array whose norms and margins are taken
-a whole stack at a time; the crossing-time bisection alone solves one a at
-a time, warm-started from the last.  The Gronwall check advances its two
-RK4 solutions (steps dt and dt/2) in one scalar loop that evaluates the
-schedule once per distinct stage time, and holds O(1) floats at any step
-count.
+large-a check's shifts, follow the path of regularized solutions from the
+largest a down: a few consecutive stacked Newton solves, the first from 0
+and every row of each next one warm-started from the last solution of the
+one before.  The data residual ||F(V) - f_delta|| takes F(V) from the
+solve, and the solutions stay one ``(S, n)`` array whose norms and margins
+are taken a whole stack at a time.  The crossing-time search alone solves
+one a at a time, each warm-started from the last, by Illinois regula falsi
+inside a doubling bracket.  The Gronwall check advances its two RK4
+solutions (steps dt and dt/2) in one scalar loop, its stages written out,
+that evaluates the schedule once per distinct stage time, and holds O(1)
+floats at any step count.
 
 Every random draw comes from the package's one counter-based SplitMix64
 stream, the one behind the Gaussian noise; ``numpy.random`` is never
@@ -41,6 +44,7 @@ suite draws the exponential-integral check's parameters from seed 2024.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -48,12 +52,13 @@ import numpy as np
 from .driver import ContinuousSchedule
 from .harness import _uniforms, calibrate_noise, exact_solution, sine_noise
 from .hilbert import GridFunction, GridMismatchError, QuadratureGrid, norm, norms
-from .operators import OperatorModel
+from .operators import OperatorModel, SingularShiftError
 from .regsolve import (
     ConvergenceError,
     NewtonOptions,
+    _regularized_rows,
     solve_regularized,
-    solve_regularized_rows,
+    start_values,
 )
 
 __all__ = [
@@ -133,17 +138,43 @@ def _data_residual_norms(model, f_delta, values):
     return norms(model.grid, model.apply_values(values) - f_delta.values)
 
 
+# A sweep follows the path of regularized solutions V(a) from the largest a
+# down (Allgower & Georg, *Numerical Continuation Methods*, 1990) in this many
+# consecutive stacks: the first starts from 0, every row of each next one
+# from the last (smallest-a) solution of the one before.  One stack takes as
+# many steps as its slowest row, from 0 at the smallest a; one stack per a
+# would pay the Python cost of a step per a.  The lemma suite's nine sweeps
+# (three models, three sweeps each) took, by stack count, 1: 60 ms, 2: 34,
+# 3: 29, 4: 31, 5: 34, 6: 36, 8: 43 and 12: 49 ms (medians of 15 alternating
+# rounds, 2-core Xeon, one BLAS thread).
+_SWEEP_CHUNKS = 3
+
+
 def _solve_sweep(model, f_delta, a_values, options=None):
-    # solve_regularized_rows for every a, cold-started from 0, as one stack;
-    # the first a whose solve did not converge raises ConvergenceError.
-    # Returns the solutions, equation residuals, ||F(V) - f_delta|| and ||V||.
-    solutions, eq_res, _, converged = solve_regularized_rows(
-        model, f_delta, a_values, options
-    )
+    # Solve F(V) + a V = f_delta for every a, in _SWEEP_CHUNKS stacks by
+    # decreasing a; the first a (in the caller's order) whose solve did not
+    # converge raises ConvergenceError.  Returns the solutions, equation
+    # residuals, ||F(V) - f_delta|| (with F(V) from the solve) and ||V||.
+    opts = options or NewtonOptions()
+    solutions = np.empty((len(a_values), model.grid.n))
+    f_solutions = np.empty_like(solutions)
+    eq_res, converged = np.empty(len(a_values)), np.empty(len(a_values), dtype=bool)
+    start = start_values(model, f_delta, None)
+    order = np.argsort(-a_values, kind="stable")
+    for chunk in np.array_split(order, min(_SWEEP_CHUNKS, len(order))):
+        try:
+            v, fv, eq_res[chunk], _, converged[chunk] = _regularized_rows(
+                model, f_delta.values, a_values[chunk, None],
+                np.tile(start, (len(chunk), 1)), opts,
+            )
+        except SingularShiftError as err:
+            raise SingularShiftError(err.pivot_index, chunk[err.row]) from err
+        solutions[chunk], f_solutions[chunk] = v, fv
+        start = v[-1]
     if not converged.all():
         k = int(np.argmin(converged))
         _raise_unconverged(f"a={a_values[k]:g}", eq_res[k])
-    res_norms = _data_residual_norms(model, f_delta, solutions)
+    res_norms = norms(model.grid, f_solutions - f_delta.values)
     return solutions, eq_res, res_norms, norms(model.grid, solutions)
 
 
@@ -169,8 +200,13 @@ def build_trajectory(
     a_values,
     options: NewtonOptions | None = None,
 ) -> Trajectory:
-    """Solve F(V) + a V = f_delta for every a as one stack of Newton solves,
-    each cold-started from 0 (see :func:`~dsm.regsolve.solve_regularized_rows`)."""
+    """Solve F(V) + a V = f_delta for every a of the strictly decreasing
+    ``a_values``, following the path of solutions: the sweep is split into
+    a few consecutive stacks of damped-Newton solves, the first started
+    from 0 and every row of each next one from the last (smallest-a)
+    solution of the one before.  Each row meets the solver's ``tol``, so it
+    lies within 2*tol/a of its own solve from 0 (strong monotonicity of
+    F + a I); the first a that does not raises ``ConvergenceError``."""
     a_values = _validate_a_grid(a_values)
     opts = options or NewtonOptions()
     solutions, eq_res, res_norms, sol_norms = _solve_sweep(model, f_delta, a_values, opts)
@@ -283,17 +319,22 @@ def check_large_a_limit(
     weighted unit ball).
 
     M1 is the largest weighted operator norm of F' over ``n_probe`` points,
-    each by ``power_steps`` steps of power iteration.  The iteration runs on
-    all points at once through the model's O(n) kernel and forms no n x n
-    matrix, so the check runs on grids of any size.
+    each by ``power_steps`` steps of power iteration, both integers >= 1.
+    The iteration runs on all points at once through the model's O(n)
+    kernel and forms no n x n matrix, so the check runs on grids of any
+    size.
 
     The probes come from the package's SplitMix64 stream at ``seed``, any
     integer in [0, 2**64).  Each probe is u = (r/||g||) g, with g uniform on
     the cube [-1, 1)^n and r uniform on [0, 1); its power iteration starts
     from a second draw uniform on [-1, 1)^n.  The shifts need not be
-    ordered.
+    ordered: they are solved as one sweep by decreasing a, as in
+    :func:`build_trajectory`.
     """
     a_values = _validate_shifts(a_values)
+    for name, count in (("n_probe", n_probe), ("power_steps", power_steps)):
+        if not (isinstance(count, numbers.Integral) and count >= 1):
+            raise ValueError(f"{name} must be an integer >= 1, got {count!r}")
     base = _data_residual_norms(model, f_delta, np.zeros(model.grid.n))
     m1 = _derivative_norm_bound(model, seed, n_probe, power_steps)
     _, _, phis, v_norms = _solve_sweep(model, f_delta, a_values)
@@ -311,49 +352,71 @@ def find_crossing_time(
     options: NewtonOptions | None = None,
     max_doublings: int = 30,
 ) -> float:
-    """Bisection for the time t1 where the regularized residual
+    """The time t1 where the regularized residual
     phi(t) = ||F(V(a(t))) - f_delta|| equals C*delta.
 
     phi is continuous and strictly decreasing in t, so a sign change
-    bracketed by doubling T (capped at 2**max_doublings) pins t1 down;
-    returns t1 with |phi(t1) - C*delta| <= tol.
+    bracketed by doubling T (capped at 2**max_doublings) pins t1 down.
+    Inside the bracket the Illinois variant of regula falsi (Dowell &
+    Jarratt, BIT 1971) on phi(t) - C*delta narrows it, with a midpoint
+    wherever the secant point leaves the bracket; returns t1 with
+    |phi(t1) - C*delta| <= tol, a positive finite tolerance, after at most
+    200 steps.  Each phi(t) is one regularized solve, warm-started from the
+    last.
     """
     if not delta > 0:
         raise ValueError(f"delta must be positive, got {delta}")
     if not C > 1.0:
         raise ValueError(f"C must be > 1, got {C}")
+    if not 0 < tol < math.inf:
+        raise ValueError(f"tol must be positive and finite, got {tol}")
+    if not (isinstance(max_doublings, numbers.Integral) and max_doublings >= 0):
+        raise ValueError(f"max_doublings must be an integer >= 0, got {max_doublings!r}")
     target = C * delta
     if _data_residual_norms(model, f_delta, np.zeros(model.grid.n)) <= target:
         raise ValueError("C*delta is not below ||F(0) - f_delta||; no crossing")
     opts = options or NewtonOptions()
     state = {"start": None}
 
-    def phi(t):
+    def excess(t):
+        # phi(t) - C*delta
         report = solve_regularized(model, f_delta, float(schedule.a(t)), opts, state["start"])
         if not report.converged:
             _raise_unconverged(f"t={t:g}", report.residual_norm)
         state["start"] = report.solution
-        return _data_residual_norms(model, f_delta, report.solution.values)
+        return _data_residual_norms(model, f_delta, report.solution.values) - target
 
-    if phi(0.0) <= target:
+    lo, e_lo = 0.0, excess(0.0)
+    if e_lo <= 0:
         raise ValueError("phi(0) <= C*delta; a(0) is not large enough")
-    lo, hi = 0.0, 1.0
+    hi = 1.0
     doublings = 0
-    while phi(hi) >= target:
-        lo, hi = hi, 2.0 * hi
+    while (e_hi := excess(hi)) >= 0:
+        lo, e_lo, hi = hi, e_hi, 2.0 * hi
         doublings += 1
         if doublings > max_doublings:
             raise RuntimeError(f"no crossing found up to T=2**{max_doublings}")
+    # e_lo >= 0 > e_hi.  Illinois: an end kept twice running has its excess
+    # halved, so the secant point moves past the root towards it.
+    kept = 0
     for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        value = phi(mid)
-        if abs(value - target) <= tol:
-            return mid
-        if value > target:
-            lo = mid
+        t = hi - e_hi * (hi - lo) / (e_hi - e_lo)
+        if not lo < t < hi:
+            t = 0.5 * (lo + hi)
+        value = excess(t)
+        if abs(value) <= tol:
+            return t
+        if value > 0:
+            lo, e_lo = t, value
+            if kept > 0:
+                e_hi *= 0.5
+            kept = 1
         else:
-            hi = mid
-    raise RuntimeError("bisection failed to localize the crossing to tolerance")
+            hi, e_hi = t, value
+            if kept < 0:
+                e_lo *= 0.5
+            kept = -1
+    raise RuntimeError("crossing search failed to localize the crossing to tolerance")
 
 
 def _simpson(fn, upper, panels):
@@ -367,12 +430,17 @@ def check_exponential_integral_bound(
     p: float, b: float, c: float, t_values, panels: int = 10_000
 ) -> CheckReport:
     """(p - b/c) * integral_0^t exp(p s)/(s + c)^b ds < exp(p t)/(c + t)^b
-    for every t >= 0, evaluated by composite Simpson."""
+    for every t >= 0, evaluated by composite Simpson.  ``t_values`` is a 1-d
+    sequence of finite t >= 0; anything else raises ``ValueError``."""
     if not (p > 0 and b > 0 and c > 0):
         raise ValueError(f"p, b, c must be positive, got {(p, b, c)}")
     if panels < 2 or panels % 2:
         raise ValueError(f"panels must be a positive even count, got {panels}")
     t_values = np.asarray(t_values, dtype=float)
+    if t_values.ndim != 1:
+        raise ValueError(f"t_values must be a 1-d sequence, got shape {t_values.shape}")
+    if not np.all(np.isfinite(t_values)):
+        raise ValueError("t_values must be finite")
     if np.any(t_values < 0):
         raise ValueError("t_values must be nonnegative")
     factor = p - b / c
@@ -478,18 +546,6 @@ def check_gronwall_majorant(
     if steps < 1 or abs(steps * dt - t_max) > 1e-9 * t_max:
         raise ValueError(f"dt={dt:g} does not divide t_max={t_max:g} into whole steps")
 
-    def rk4(g, h, p1, q1, p2, q2, p4, q4):
-        # one RK4 step of length h for g' = -g + p g^2 + q, with p = c0/a and
-        # q = c1 |a'|/a = c1 b/(c + t) at the step's start, midpoint and end
-        k1 = -g + p1 * g * g + q1
-        y = g + 0.5 * h * k1
-        k2 = -y + p2 * y * y + q2
-        y = g + 0.5 * h * k2
-        k3 = -y + p2 * y * y + q2
-        y = g + h * k3
-        k4 = -y + p4 * y * y + q4
-        return g + h / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-
     # p and q are evaluated once per distinct stage time of a step, each time
     # rounded as the stages round it: t + dt/4, t + dt/2, t + dt/2 + dt/4,
     # t + dt and t + dt/2 + dt/2 (the last two, and (k + 1)*dt, differ in
@@ -498,6 +554,7 @@ def check_gronwall_majorant(
     cb = c1 * b
     half = 0.5 * dt
     quarter = 0.5 * half
+    coarse_sixth, fine_sixth = dt / 6.0, half / 6.0
     coarse = fine = g0
     a_t = a0
     p0, q0 = c0 / a_t, cb / c
@@ -515,9 +572,35 @@ def check_gronwall_majorant(
         pe, qe = c0 / (d / x ** b), cb / x
         x = c + (mid + half)
         pf, qf = c0 / (d / x ** b), cb / x
-        coarse = rk4(coarse, dt, p0, q0, pm, qm, pe, qe)
-        fine = rk4(fine, half, p0, q0, pa, qa, pm, qm)
-        fine = rk4(fine, half, pm, qm, pb, qb, pf, qf)
+        # Three RK4 steps of g' = -g + p g^2 + q, with p = c0/a and
+        # q = c1 |a'|/a = c1 b/(c + t) at each step's start, midpoint and
+        # end, written out: one of dt for the coarse solution, two of dt/2
+        # for the fine one.  0.5*dt is half and 0.5*half is quarter, so each
+        # stage rounds as g + (0.5*h)*k does.
+        k1 = -coarse + p0 * coarse * coarse + q0
+        y = coarse + half * k1
+        k2 = -y + pm * y * y + qm
+        y = coarse + half * k2
+        k3 = -y + pm * y * y + qm
+        y = coarse + dt * k3
+        k4 = -y + pe * y * y + qe
+        coarse = coarse + coarse_sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        k1 = -fine + p0 * fine * fine + q0
+        y = fine + quarter * k1
+        k2 = -y + pa * y * y + qa
+        y = fine + quarter * k2
+        k3 = -y + pa * y * y + qa
+        y = fine + half * k3
+        k4 = -y + pm * y * y + qm
+        fine = fine + fine_sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        k1 = -fine + pm * fine * fine + qm
+        y = fine + quarter * k1
+        k2 = -y + pb * y * y + qb
+        y = fine + quarter * k2
+        k3 = -y + pb * y * y + qb
+        y = fine + half * k3
+        k4 = -y + pf * y * y + qf
+        fine = fine + fine_sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         x = c + (k + 1) * dt
         a_t = d / x ** b
         p0, q0 = c0 / a_t, cb / x

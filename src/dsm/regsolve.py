@@ -235,6 +235,38 @@ def _newton_rows(model: OperatorModel, u, f_values, shifts, first_step, stop):
                 g, g_norm = regularized_residual(grid, fu, u, a, f_values)
 
 
+def _regularized_rows(model: OperatorModel, f_values, a, starts, opts: NewtonOptions):
+    # The loop of solve_regularized_rows on raw arrays: the rows ``starts``
+    # (S, n), a C-ordered array it overwrites with the solutions, the data row
+    # ``f_values`` (n,) and a column ``a`` (S, 1) of shifts.  Returns
+    # (solutions, F(solutions), residual_norms, iterations, converged).  A
+    # row's F comes from the line search trial that made its iterate; only a
+    # row that leaves at a failed search, with the iterate before it, is
+    # evaluated again.
+    valid = (a > 0) & (a < math.inf)
+    if not valid.all():
+        raise ValueError(f"shift a must be positive and finite, got {a[~valid][0]}")
+    f_values = np.tile(f_values, (len(a), 1))
+    solutions, f_solutions = starts, np.empty_like(starts)
+    residual_norms, iterations = np.empty(len(a)), np.zeros(len(a), dtype=int)
+
+    def stop(k, rows, v, fv, f_values, g_norm, accepted, lam, v_prev, norm_prev):
+        leave = ~accepted | ~(g_norm > opts.tol) | (k == opts.max_iter)
+        if np.count_nonzero(leave):
+            done, kept = rows[leave], accepted[leave]
+            solutions[done] = np.where(kept[:, None], v[leave], v_prev[leave])
+            f_solutions[done] = fv[leave]
+            if not kept.all():
+                failed = done[~kept]
+                f_solutions[failed] = model.apply_values(solutions[failed])
+            residual_norms[done] = np.where(kept, g_norm[leave], norm_prev[leave])
+            iterations[done] = k
+        return leave
+
+    _newton_rows(model, solutions, f_values, a, None, stop)
+    return solutions, f_solutions, residual_norms, iterations, residual_norms <= opts.tol
+
+
 def solve_regularized_rows(
     model: OperatorModel,
     f_delta: GridFunction,
@@ -254,28 +286,14 @@ def solve_regularized_rows(
     and whether that norm meets ``tol``.
     """
     a = np.array(a_values, dtype=float).reshape(-1, 1)
-    valid = (a > 0) & (a < math.inf)
-    if not valid.all():
-        raise ValueError(f"shift a must be positive and finite, got {a[~valid][0]}")
-    opts = options or NewtonOptions()
     # C-ordered copies: numpy would lay out the new rows of a broadcast view,
     # and sum their norms, in another order.  A row is written to the output
     # only once it has left the stack, so the output can reuse the start rows.
-    solutions = np.tile(start_values(model, f_delta, start), (len(a), 1))
-    f_values = np.tile(f_delta.values, (len(a), 1))
-    residual_norms, iterations = np.empty(len(a)), np.zeros(len(a), dtype=int)
-
-    def stop(k, rows, v, fv, f_values, g_norm, accepted, lam, v_prev, norm_prev):
-        leave = ~accepted | ~(g_norm > opts.tol) | (k == opts.max_iter)
-        if np.count_nonzero(leave):
-            done, kept = rows[leave], accepted[leave]
-            solutions[done] = np.where(kept[:, None], v[leave], v_prev[leave])
-            residual_norms[done] = np.where(kept, g_norm[leave], norm_prev[leave])
-            iterations[done] = k
-        return leave
-
-    _newton_rows(model, solutions, f_values, a, None, stop)
-    return solutions, residual_norms, iterations, residual_norms <= opts.tol
+    starts = np.tile(start_values(model, f_delta, start), (len(a), 1))
+    solutions, _, residual_norms, iterations, converged = _regularized_rows(
+        model, f_delta.values, a, starts, options or NewtonOptions()
+    )
+    return solutions, residual_norms, iterations, converged
 
 
 def solve_regularized(

@@ -8,7 +8,10 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
+from dsm import checks
 from dsm.checks import (
     Trajectory,
     _derivative_norm_bound,
@@ -27,9 +30,14 @@ from dsm.checks import (
 )
 from dsm.driver import ContinuousSchedule
 from dsm.harness import _uniforms, calibrate_noise, exact_solution, sine_noise
-from dsm.hilbert import GridFunction, GridMismatchError, QuadratureGrid, norm
-from dsm.operators import MODEL_KINDS, OperatorModel
-from dsm.regsolve import ConvergenceError, NewtonOptions, solve_regularized
+from dsm.hilbert import GridFunction, GridMismatchError, QuadratureGrid, norm, norms
+from dsm.operators import MODEL_KINDS, OperatorModel, SingularShiftError
+from dsm.regsolve import (
+    ConvergenceError,
+    NewtonOptions,
+    solve_regularized,
+    solve_regularized_rows,
+)
 
 SWEEP = np.logspace(0.5, -3.0, 12)
 
@@ -185,6 +193,18 @@ def test_large_a_limit_identity_closed_form():
         check_large_a_limit(model, f, a_values=[[1e2, 1e3]])
 
 
+@pytest.mark.parametrize(
+    "kwargs",
+    [{"n_probe": 0}, {"n_probe": -1}, {"n_probe": 2.0},
+     {"power_steps": 0}, {"power_steps": -1}, {"power_steps": 1.5}],
+)
+def test_large_a_limit_rejects_a_bad_probe_count(kwargs):
+    # n_probe <= 0 made M1 = 0, and the check failed on a working solver
+    model, f_delta, _ = _step_data("arctan3", 30)
+    with pytest.raises(ValueError, match=next(iter(kwargs))):
+        check_large_a_limit(model, f_delta, **kwargs)
+
+
 @pytest.mark.parametrize("seed", [-1, 2 ** 64, 1.5, "7"])
 def test_large_a_limit_rejects_a_seed_outside_the_stream(seed):
     grid = QuadratureGrid(10)
@@ -309,6 +329,118 @@ def test_trajectory_is_one_stacked_solve(kind, monkeypatch):
     assert len(wraps) == 0
 
 
+def _step_data(kind, n):
+    # the suite's data: the step solution's image plus 1% sine noise
+    grid = QuadratureGrid(n)
+    model = OperatorModel(kind, grid)
+    f_delta, delta = calibrate_noise(
+        model.apply(exact_solution("step", grid)), sine_noise(grid), 0.01
+    )
+    return model, f_delta, delta
+
+
+@given(
+    kind=st.sampled_from(MODEL_KINDS),
+    n=st.integers(min_value=2, max_value=60),
+    size=st.integers(min_value=1, max_value=30),
+    ends=st.tuples(st.floats(-5.0, 3.0), st.floats(-5.0, 3.0)),
+)
+@settings(max_examples=60, deadline=None)
+@example(kind="cubic", n=60, size=30, ends=(3.0, -5.0))
+def test_trajectory_rows_lie_near_their_cold_solves(kind, n, size, ends):
+    """A trajectory follows the path of solutions with warm starts; each row
+    still meets tol, so by strong monotonicity of F + a I,
+    a ||V1 - V2||^2 <= <G(V1) - G(V2), V1 - V2> <= 2 tol ||V1 - V2||, it lies
+    within 2 tol/a of the row's own solve from 0.  The stacked cold rows are
+    bit for bit their one-row solve_regularized."""
+    a_values = np.logspace(max(ends), min(ends), size)
+    assume(size == 1 or np.all(np.diff(a_values) < 0))
+    model, f_delta, _ = _step_data(kind, n)
+    cold, _, _, converged = solve_regularized_rows(model, f_delta, a_values)
+    try:
+        traj = build_trajectory(model, f_delta, a_values)
+    except ConvergenceError:
+        traj = None
+    # build_trajectory raises at any row that does not converge
+    assert (traj is not None) == bool(converged.all())
+    if traj is not None:
+        gaps = a_values * norms(model.grid, traj.solutions - cold)
+        assert np.all(gaps <= 2.0 * traj.solver_tol)
+
+
+def test_lemma_suite_follows_the_path_in_few_f_evaluations(monkeypatch):
+    # cold-started sweeps, with F evaluated again at every solution, took
+    # 5574 F row evaluations; warm-started chunks with F from the solve
+    # take 2365
+    rows = []
+    apply_values = OperatorModel.apply_values
+
+    def counting(self, values):
+        rows.append(1 if np.ndim(values) == 1 else len(values))
+        return apply_values(self, values)
+
+    monkeypatch.setattr(OperatorModel, "apply_values", counting)
+    assert all(r.passed for r in run_lemma_suite())
+    assert sum(rows) <= 2600
+
+
+@pytest.mark.parametrize("kind", ["identity", "arctan3", "cubic"])
+def test_crossing_search_takes_few_solves(kind, monkeypatch):
+    # bisection inside the doubling bracket took 24-27 solves per model;
+    # Illinois regula falsi takes 13-16
+    model, f_delta, delta = _step_data(kind, 100)
+    schedule = ContinuousSchedule(d=1.0, c=7.0, b=1.0)
+    calls = []
+    solve = checks.solve_regularized
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(checks, "solve_regularized", counting)
+    t1 = find_crossing_time(model, f_delta, delta, 1.01, schedule)
+    assert len(calls) <= 18
+    v = solve(model, f_delta, float(schedule.a(t1))).solution
+    assert abs(norm(model.apply(v) - f_delta) - 1.01 * delta) <= 1e-8
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [{"tol": 0.0}, {"tol": -1.0}, {"tol": math.nan}, {"tol": math.inf},
+     {"max_doublings": -1}, {"max_doublings": 2.5}],
+)
+def test_find_crossing_time_rejects_bad_search_settings(kwargs, monkeypatch):
+    # a tol that no |phi(t) - C delta| can meet ran all 200 search steps and
+    # then raised RuntimeError; max_doublings = -1 reported no crossing up
+    # to T = 2**-1.  Both must raise ValueError before the first solve.
+    model, f_delta, delta = _step_data("arctan3", 30)
+    schedule = ContinuousSchedule(d=1.0, c=7.0, b=1.0)
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solved before checking the search settings")
+
+    monkeypatch.setattr(checks, "solve_regularized", no_solve)
+    key = next(iter(kwargs))
+    with pytest.raises(ValueError, match=key):
+        find_crossing_time(model, f_delta, delta, 1.01, schedule, **kwargs)
+
+
+class _FirstSolveSingular(OperatorModel):
+    def solve_shifted_values(self, values, a, rhs):
+        raise SingularShiftError(3, row=0)
+
+
+def test_sweep_names_the_singular_shift():
+    # the shifts are solved largest first, so the first stack holds 1e4
+    # alone; the error names that shift's place among the given ones
+    grid = QuadratureGrid(20)
+    model = _FirstSolveSingular("cubic", grid)
+    f = grid.sample(lambda x: 1.0 + x)
+    with pytest.raises(SingularShiftError) as err:
+        check_large_a_limit(model, f, a_values=(1e2, 1e4, 1e3))
+    assert (err.value.row, err.value.pivot_index) == (1, 3)
+
+
 def test_unconverged_solves_raise_and_name_where():
     # one Newton iteration cannot solve the cubic equation from zero
     grid = QuadratureGrid(40)
@@ -340,6 +472,16 @@ def test_exponential_integral_bound_validation():
         check_exponential_integral_bound(1.0, 1.0, 1.0, [-1.0])
     with pytest.raises(ValueError):
         check_exponential_integral_bound(1.0, 1.0, 1.0, [1.0], panels=11)
+
+
+@pytest.mark.parametrize(
+    "t_values", [[1.0, math.nan], [math.inf], [[0.5, 1.0], [2.0, 3.0]], 1.0]
+)
+def test_exponential_integral_bound_rejects_bad_t_values(t_values):
+    # a NaN or inf t gave passed=False with worst_margin nan, and a 2-d
+    # t_values a TypeError
+    with pytest.raises(ValueError, match="t_values"):
+        check_exponential_integral_bound(0.8, 1.0, 3.0, t_values)
 
 
 def test_a_check_of_nothing_raises():

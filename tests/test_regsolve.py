@@ -12,6 +12,7 @@ from dsm.hilbert import GridFunction, GridMismatchError, QuadratureGrid, norm
 from dsm.operators import MODEL_KINDS, OperatorModel
 from dsm.regsolve import (
     NewtonOptions,
+    _regularized_rows,
     SingularShiftError,
     line_search,
     regularized_residual,
@@ -314,6 +315,41 @@ def test_failed_armijo_search_stops_with_the_iterate_before_it(grid, kind, itera
     )
     np.testing.assert_array_equal(report.solution.values, capped.solution.values)
     assert report.residual_norm == capped.residual_norm
+
+
+class _UphillSecondStep(OperatorModel):
+    """Turns the second shifted solve's step around, so no step length of
+    that search passes its Armijo test."""
+
+    solves = 0
+
+    def solve_shifted_values(self, values, a, rhs):
+        self.solves += 1
+        step = super().solve_shifted_values(values, a, rhs)
+        return -step if self.solves == 2 else step
+
+
+@pytest.mark.parametrize("kind", ["arctan3", "cubic"])
+def test_rows_return_f_at_their_solutions(grid, kind):
+    # F(v) of each row comes from the search trial that made v, or, for a
+    # row that leaves at a failed search with the iterate before it, from
+    # one evaluation there; either way it is F(v) bit for bit, next to the
+    # solutions, norms and flags of solve_regularized_rows
+    f = grid.sample(lambda x: 1.0 + x)
+    shifts = [1e6, 1.0, 1e-2, 1e-4]
+    a = np.array(shifts).reshape(-1, 1)
+    model = _UphillSecondStep(kind, grid)
+    solutions, f_solutions, norms, iterations, converged = _regularized_rows(
+        model, f.values, a, np.zeros((len(shifts), grid.n)), NewtonOptions()
+    )
+    # the shift 1e6 row meets tol in one step; the others leave at the
+    # failed second search
+    assert converged.tolist() == [True, False, False, False]
+    assert iterations.tolist() == [1, 2, 2, 2]
+    np.testing.assert_array_equal(f_solutions, model.apply_values(solutions))
+    expected = solve_regularized_rows(_UphillSecondStep(kind, grid), f, shifts)
+    for got, want in zip((solutions, norms, iterations, converged), expected):
+        np.testing.assert_array_equal(got, want)
 
 
 class _SecondSolveSingular(OperatorModel):
