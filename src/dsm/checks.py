@@ -17,22 +17,23 @@ holds for monotone F and the schedules used by the drivers:
 All norms in this module are quadrature-weighted, taken by
 :func:`~dsm.hilbert.norms` on raw node arrays.  Checks return a
 :class:`CheckReport`; precondition violations raise ``ValueError``, as
-does a check left with no margin to test, which would otherwise pass.
+do a non-finite tolerance and a check left with no margin to test, both of
+which would otherwise pass.
 
 No check forms an n x n matrix: the large-a check's power iteration for
 the derivative norm runs through the model's O(n) kernel, so every check
-runs on grids of any size.  A trajectory over a sweep of a, and the
-large-a check's shifts, follow the path of regularized solutions from the
-largest a down: a few consecutive stacked Newton solves, the first from 0
-and every row of each next one warm-started from the last solution of the
-one before.  The data residual ||F(V) - f_delta|| takes F(V) from the
-solve, and the solutions stay one ``(S, n)`` array whose norms and margins
-are taken a whole stack at a time.  The crossing-time search alone solves
-one a at a time, each warm-started from the last, by Illinois regula falsi
-inside a doubling bracket.  The Gronwall check advances its two RK4
-solutions (steps dt and dt/2) in one scalar loop, its stages written out,
-that evaluates the schedule once per distinct stage time, and holds O(1)
-floats at any step count.
+runs on grids of any size.  Every regularized solve follows the path of
+solutions V(a) from the largest a down, on raw arrays: consecutive stacked
+Newton solves in which each row carries its own data row and starts from
+the last solution on that data (from 0 in the first stack).  The suite's
+three sweeps of a model are one path, a lone trajectory or the large-a
+shifts the one-sweep case, and the crossing search's doubling times one
+more, before Illinois regula falsi narrows its bracket, one solve per step.
+The data residual ||F(V) - f_delta|| takes F(V) from the solve, and norms
+and margins are taken a whole ``(S, n)`` stack at a time.  The Gronwall
+check advances its two RK4 solutions (steps dt and dt/2) in one scalar
+loop, its stages written out, that evaluates the schedule once per
+distinct stage time, and holds O(1) floats at any step count.
 
 Every random draw comes from the package's one counter-based SplitMix64
 stream, the one behind the Gaussian noise; ``numpy.random`` is never
@@ -93,6 +94,8 @@ class CheckReport:
 
 
 def _report(name, margins, tolerance):
+    if not math.isfinite(tolerance):
+        raise ValueError(f"{name}: tolerance must be finite, got {tolerance}")
     margins = np.asarray(margins, dtype=float)
     if not margins.size:
         raise ValueError(f"{name}: no margins to check")
@@ -138,52 +141,78 @@ def _data_residual_norms(model, f_delta, values):
     return norms(model.grid, model.apply_values(values) - f_delta.values)
 
 
-# A sweep follows the path of regularized solutions V(a) from the largest a
-# down (Allgower & Georg, *Numerical Continuation Methods*, 1990) in this many
-# consecutive stacks: the first starts from 0, every row of each next one
-# from the last (smallest-a) solution of the one before.  One stack takes as
-# many steps as its slowest row, from 0 at the smallest a; one stack per a
-# would pay the Python cost of a step per a.  The lemma suite's nine sweeps
-# (three models, three sweeps each) took, by stack count, 1: 60 ms, 2: 34,
-# 3: 29, 4: 31, 5: 34, 6: 36, 8: 43 and 12: 49 ms (medians of 15 alternating
-# rounds, 2-core Xeon, one BLAS thread).
-_SWEEP_CHUNKS = 3
+# A path of regularized solutions V(a) is followed from the largest a down
+# (Allgower & Georg, *Numerical Continuation Methods*, 1990): its S rows, by
+# decreasing a over D = log10(a_max/a_min) decades, split evenly into
+# ceil(sqrt(S*D)/_PATH_STACK_ROOT) stacks.  A stack takes as many steps as its
+# slowest row, more the further a falls in it, and a step costs a fixed
+# overhead plus a share per row, so k stacks cost about k*fixed +
+# S*D/k*per-row, least near k ~ sqrt(S*D).  By this constant (3.5/4/4.5/5/6)
+# three models' merged 141-row suite paths took 23.3/22.0/22.0/21.3/20.9 ms,
+# lone 20-row sweeps 6.7/7.9/6.4/8.5/9.8 and lone 101-row t-grids (D = 0.91)
+# 16.3/17.2/16.8/17.6/17.1 (medians of 15 rounds, 2-core Xeon, 1 BLAS thread).
+_PATH_STACK_ROOT = 4.5
+
+# The crossing search's doubling times t = 0, 1, 2, 4, ... run as one path in
+# stacks of this many: 9 reach t = 128, a(0)/19 on the suite's schedule, and
+# leave one stack per model; 4/5/6/9 took 9.6/9.2/10.3/9.9 ms (31 rounds).
+_DOUBLING_STACK_ROWS = 9
 
 
-def _solve_sweep(model, f_delta, a_values, options=None):
-    # Solve F(V) + a V = f_delta for every a, in _SWEEP_CHUNKS stacks by
-    # decreasing a; the first a (in the caller's order) whose solve did not
-    # converge raises ConvergenceError.  Returns the solutions, equation
-    # residuals, ||F(V) - f_delta|| (with F(V) from the solve) and ||V||.
+def _trajectories(model, sweeps, options=None):
+    # Solve F(V) + a V = f for every pair (f, a_values) of ``sweeps`` and
+    # every a of it, all rows of all sweeps as one path by decreasing a, each
+    # row on its own data and started from the last solution on that data in
+    # the stacks before (0 in the first); the first a, sweep by sweep, whose
+    # solve did not converge raises ConvergenceError.  Returns one Trajectory
+    # per sweep, its residuals ||F(V) - f|| with F(V) from the solve.
     opts = options or NewtonOptions()
+    for f, _ in sweeps:
+        start = start_values(model, f, None)  # 0, once f is on the model's grid
+    sizes = [len(a) for _, a in sweeps]
+    a_values = np.concatenate([a for _, a in sweeps])
+    # each row's data, named by the first sweep on it; of the (S, n) stacks
+    # only the solutions are kept whole, the rest is taken a stack at a time
+    first = [next(j for j, (g, _) in enumerate(sweeps) if g is f) for f, _ in sweeps]
+    data = np.repeat(first, sizes)
+    values = np.stack([f.values for f, _ in sweeps])
     solutions = np.empty((len(a_values), model.grid.n))
-    f_solutions = np.empty_like(solutions)
-    eq_res, converged = np.empty(len(a_values)), np.empty(len(a_values), dtype=bool)
-    start = start_values(model, f_delta, None)
+    eq_res, res_norms, sol_norms = (np.empty(len(a_values)) for _ in range(3))
+    converged = np.empty(len(a_values), dtype=bool)
+    last = {}  # the last solution on each data so far
     order = np.argsort(-a_values, kind="stable")
-    for chunk in np.array_split(order, min(_SWEEP_CHUNKS, len(order))):
+    decades = math.log10(a_values[order[0]] / a_values[order[-1]])
+    stacks = max(1, math.ceil(math.sqrt(len(order) * decades) / _PATH_STACK_ROOT))
+    for chunk in np.array_split(order, stacks):
+        keys = data[chunk].tolist()
+        f_rows = values[keys]
         try:
             v, fv, eq_res[chunk], _, converged[chunk] = _regularized_rows(
-                model, f_delta.values, a_values[chunk, None],
-                np.tile(start, (len(chunk), 1)), opts,
+                model, f_rows, a_values[chunk, None],
+                np.array([last.get(key, start) for key in keys]), opts,
             )
         except SingularShiftError as err:
             raise SingularShiftError(err.pivot_index, chunk[err.row]) from err
-        solutions[chunk], f_solutions[chunk] = v, fv
-        start = v[-1]
+        solutions[chunk] = v
+        res_norms[chunk], sol_norms[chunk] = norms(model.grid, fv - f_rows), norms(model.grid, v)
+        last.update(zip(keys, v))
     if not converged.all():
         k = int(np.argmin(converged))
         _raise_unconverged(f"a={a_values[k]:g}", eq_res[k])
-    res_norms = norms(model.grid, f_solutions - f_delta.values)
-    return solutions, eq_res, res_norms, norms(model.grid, solutions)
+    bounds = np.cumsum(sizes)[:-1]
+    columns = (np.split(x, bounds) for x in (solutions, res_norms, sol_norms, eq_res))
+    return [
+        Trajectory(model, f, a, *rows, solver_tol=opts.tol)
+        for (f, a), *rows in zip(sweeps, *columns)
+    ]
 
 
 def _validate_shifts(a_values):
     a_values = np.asarray(a_values, dtype=float)
     if a_values.ndim != 1 or a_values.size == 0:
         raise ValueError("a_values must be a nonempty 1-d sequence")
-    if not np.all(a_values > 0):
-        raise ValueError("a_values must be strictly positive")
+    if not np.all((a_values > 0) & (a_values < math.inf)):
+        raise ValueError("a_values must be strictly positive and finite")
     return a_values
 
 
@@ -201,25 +230,13 @@ def build_trajectory(
     options: NewtonOptions | None = None,
 ) -> Trajectory:
     """Solve F(V) + a V = f_delta for every a of the strictly decreasing
-    ``a_values``, following the path of solutions: the sweep is split into
-    a few consecutive stacks of damped-Newton solves, the first started
-    from 0 and every row of each next one from the last (smallest-a)
-    solution of the one before.  Each row meets the solver's ``tol``, so it
-    lies within 2*tol/a of its own solve from 0 (strong monotonicity of
-    F + a I); the first a that does not raises ``ConvergenceError``."""
-    a_values = _validate_a_grid(a_values)
-    opts = options or NewtonOptions()
-    solutions, eq_res, res_norms, sol_norms = _solve_sweep(model, f_delta, a_values, opts)
-    return Trajectory(
-        model=model,
-        f_delta=f_delta,
-        a_values=a_values,
-        solutions=solutions,
-        residual_norms=res_norms,
-        solution_norms=sol_norms,
-        eq_residuals=eq_res,
-        solver_tol=opts.tol,
-    )
+    ``a_values``, following the path of solutions: consecutive stacks of
+    damped-Newton solves on raw arrays, the first started from 0 and every
+    row of each next one from the last solution of the one before.  Each
+    row meets the solver's ``tol``, so it lies within 2*tol/a of its own
+    solve from 0 (strong monotonicity of F + a I); the first a that does
+    not raises ``ConvergenceError``."""
+    return _trajectories(model, [(f_delta, _validate_a_grid(a_values))], options)[0]
 
 
 def check_monotonicity(traj: Trajectory, rtol: float = 1e-9) -> CheckReport:
@@ -255,8 +272,8 @@ def check_perturbation_bounds(
     grid = traj_noisy.model.grid
     if not traj_exact.model.grid == exact.grid == grid:
         raise GridMismatchError("trajectories and the exact solution must share one grid")
-    if not delta > 0:
-        raise ValueError(f"delta must be positive, got {delta}")
+    if not 0 < delta < math.inf:
+        raise ValueError(f"delta must be positive and finite, got {delta}")
     tol = tolerance
     if tol is None:
         tol = 10.0 * max(traj_noisy.solver_tol, traj_exact.solver_tol) + 1e-9
@@ -337,7 +354,8 @@ def check_large_a_limit(
             raise ValueError(f"{name} must be an integer >= 1, got {count!r}")
     base = _data_residual_norms(model, f_delta, np.zeros(model.grid.n))
     m1 = _derivative_norm_bound(model, seed, n_probe, power_steps)
-    _, _, phis, v_norms = _solve_sweep(model, f_delta, a_values)
+    traj = _trajectories(model, [(f_delta, a_values)])[0]
+    phis, v_norms = traj.residual_norms, traj.solution_norms
     margins = np.column_stack((base / a_values - v_norms, m1 * v_norms - np.abs(phis - base)))
     return _report("large_a_limit", margins.ravel(), tolerance)
 
@@ -361,11 +379,14 @@ def find_crossing_time(
     Jarratt, BIT 1971) on phi(t) - C*delta narrows it, with a midpoint
     wherever the secant point leaves the bracket; returns t1 with
     |phi(t1) - C*delta| <= tol, a positive finite tolerance, after at most
-    200 steps.  Each phi(t) is one regularized solve, warm-started from the
-    last.
+    200 steps.  phi(t) takes F(V) from the regularized solve, on raw arrays.
+    The doubling times t = 0, 1, 2, 4, ... follow the path of solutions in
+    consecutive stacks of nine, the first from 0 and each next one from the
+    last solution of the one before; each regula falsi step is one solve,
+    warm-started from the last.
     """
-    if not delta > 0:
-        raise ValueError(f"delta must be positive, got {delta}")
+    if not 0 < delta < math.inf:
+        raise ValueError(f"delta must be positive and finite, got {delta}")
     if not C > 1.0:
         raise ValueError(f"C must be > 1, got {C}")
     if not 0 < tol < math.inf:
@@ -373,29 +394,44 @@ def find_crossing_time(
     if not (isinstance(max_doublings, numbers.Integral) and max_doublings >= 0):
         raise ValueError(f"max_doublings must be an integer >= 0, got {max_doublings!r}")
     target = C * delta
-    if _data_residual_norms(model, f_delta, np.zeros(model.grid.n)) <= target:
+    start = start_values(model, f_delta, None)
+    if _data_residual_norms(model, f_delta, start) <= target:
         raise ValueError("C*delta is not below ||F(0) - f_delta||; no crossing")
     opts = options or NewtonOptions()
-    state = {"start": None}
 
-    def excess(t):
-        # phi(t) - C*delta
-        report = solve_regularized(model, f_delta, float(schedule.a(t)), opts, state["start"])
-        if not report.converged:
-            _raise_unconverged(f"t={t:g}", report.residual_norm)
-        state["start"] = report.solution
-        return _data_residual_norms(model, f_delta, report.solution.values) - target
+    def excess(times, start):
+        # the solutions at ``times``, one stack from ``start``, and a reader of
+        # phi(t) - C*delta at row k that raises if that row did not converge
+        a = schedule.a(times).reshape(-1, 1)
+        v, fv, res, _, converged = _regularized_rows(
+            model, f_delta.values, a, np.tile(start, (len(times), 1)), opts
+        )
+        values = norms(model.grid, fv - f_delta.values) - target
 
-    lo, e_lo = 0.0, excess(0.0)
-    if e_lo <= 0:
-        raise ValueError("phi(0) <= C*delta; a(0) is not large enough")
-    hi = 1.0
-    doublings = 0
-    while (e_hi := excess(hi)) >= 0:
-        lo, e_lo, hi = hi, e_hi, 2.0 * hi
-        doublings += 1
-        if doublings > max_doublings:
+        def read(k):
+            if not converged[k]:
+                _raise_unconverged(f"t={times[k]:g}", res[k])
+            return float(values[k])
+
+        return v, read
+
+    # doubling time j is 0 for j = 0 and 2**(j - 1) after it
+    count, first, hi = max_doublings + 2, 0, None
+    while hi is None:
+        if first == count:
             raise RuntimeError(f"no crossing found up to T=2**{max_doublings}")
+        j = np.arange(first, min(first + _DOUBLING_STACK_ROWS, count))
+        times = np.where(j > 0, np.ldexp(1.0, j - 1), 0.0)
+        v, read = excess(times, start)
+        for k, t in enumerate(times.tolist()):
+            value = read(k)
+            if t == 0.0 and value <= 0:
+                raise ValueError("phi(0) <= C*delta; a(0) is not large enough")
+            if value < 0:
+                hi, e_hi = t, value
+                break
+            lo, e_lo = t, value
+        start, first = v[k], j[-1] + 1
     # e_lo >= 0 > e_hi.  Illinois: an end kept twice running has its excess
     # halved, so the secant point moves past the root towards it.
     kept = 0
@@ -403,7 +439,8 @@ def find_crossing_time(
         t = hi - e_hi * (hi - lo) / (e_hi - e_lo)
         if not lo < t < hi:
             t = 0.5 * (lo + hi)
-        value = excess(t)
+        v, read = excess(np.array([t]), start)
+        value, start = read(0), v[0]
         if abs(value) <= tol:
             return t
         if value > 0:
@@ -420,9 +457,12 @@ def find_crossing_time(
 
 
 def _simpson(fn, upper, panels):
-    s = np.linspace(0.0, upper, panels + 1)
-    f = fn(s)
+    # node i at i*h and the last at upper, as np.linspace(0, upper, panels + 1)
+    # places them, without its Python overhead
     h = upper / panels
+    s = np.arange(panels + 1.0) * h
+    s[-1] = upper
+    f = fn(s)
     return h / 3.0 * (f[0] + f[-1] + 4.0 * f[1:-1:2].sum() + 2.0 * f[2:-1:2].sum())
 
 
@@ -430,12 +470,14 @@ def check_exponential_integral_bound(
     p: float, b: float, c: float, t_values, panels: int = 10_000
 ) -> CheckReport:
     """(p - b/c) * integral_0^t exp(p s)/(s + c)^b ds < exp(p t)/(c + t)^b
-    for every t >= 0, evaluated by composite Simpson.  ``t_values`` is a 1-d
-    sequence of finite t >= 0; anything else raises ``ValueError``."""
-    if not (p > 0 and b > 0 and c > 0):
-        raise ValueError(f"p, b, c must be positive, got {(p, b, c)}")
-    if panels < 2 or panels % 2:
-        raise ValueError(f"panels must be a positive even count, got {panels}")
+    for every t >= 0, by composite Simpson on exp(p s - b log(s + c)) over
+    ``panels`` panels, an even integer >= 2.  p, b, c are positive and
+    finite, ``t_values`` a 1-d sequence of finite t >= 0; anything else
+    raises ``ValueError``."""
+    if not all(0 < x < math.inf for x in (p, b, c)):
+        raise ValueError(f"p, b, c must be positive and finite, got {(p, b, c)}")
+    if not isinstance(panels, numbers.Integral) or panels < 2 or panels % 2:
+        raise ValueError(f"panels must be an even integer >= 2, got {panels!r}")
     t_values = np.asarray(t_values, dtype=float)
     if t_values.ndim != 1:
         raise ValueError(f"t_values must be a 1-d sequence, got shape {t_values.shape}")
@@ -450,7 +492,7 @@ def check_exponential_integral_bound(
         if t == 0.0:
             integral = 0.0
         else:
-            integral = _simpson(lambda s: np.exp(p * s) / (s + c) ** b, float(t), panels)
+            integral = _simpson(lambda s: np.exp(p * s - b * np.log(s + c)), float(t), panels)
         margins.append(rhs - factor * integral)
     return _report("exp_integral_bound", margins, 0.0)
 
@@ -508,7 +550,8 @@ def check_gronwall_majorant(
 
     Preconditions (raised as ``ValueError`` when violated): for all t,
     c0 <= (lam/2)(1 - |a'|/a) and c1 |a'|/a <= (a/(2 lam))(1 - |a'|/a),
-    both tightest at t = 0 for this schedule family, and lam*g0/a(0) < 1;
+    both tightest at t = 0 for this schedule family, and 0 <= g0 with
+    lam*g0/a(0) < 1 (a NaN g0 raises);
     and dt divides the finite t_max into round(t_max/dt) >= 1 whole steps,
     to a relative 1e-9, so the last step ends at t_max.
 
@@ -522,7 +565,7 @@ def check_gronwall_majorant(
     """
     if not (lam > 0 and c0 > 0 and c1 > 0):
         raise ValueError(f"lam, c0, c1 must be positive, got {(lam, c0, c1)}")
-    if g0 < 0:
+    if not g0 >= 0:
         raise ValueError(f"g0 must be nonnegative, got {g0}")
     if not (0 < t_max < math.inf and dt > 0):
         raise ValueError(f"t_max must be positive and finite, dt positive, got {(t_max, dt)}")
@@ -576,30 +619,31 @@ def check_gronwall_majorant(
         # q = c1 |a'|/a = c1 b/(c + t) at each step's start, midpoint and
         # end, written out: one of dt for the coarse solution, two of dt/2
         # for the fine one.  0.5*dt is half and 0.5*half is quarter, so each
-        # stage rounds as g + (0.5*h)*k does.
-        k1 = -coarse + p0 * coarse * coarse + q0
+        # stage rounds as g + (0.5*h)*k does; p*y*y - y + q rounds as
+        # -y + p*y*y + q, since x - y and -y + x are one IEEE operation.
+        k1 = p0 * coarse * coarse - coarse + q0
         y = coarse + half * k1
-        k2 = -y + pm * y * y + qm
+        k2 = pm * y * y - y + qm
         y = coarse + half * k2
-        k3 = -y + pm * y * y + qm
+        k3 = pm * y * y - y + qm
         y = coarse + dt * k3
-        k4 = -y + pe * y * y + qe
+        k4 = pe * y * y - y + qe
         coarse = coarse + coarse_sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        k1 = -fine + p0 * fine * fine + q0
+        k1 = p0 * fine * fine - fine + q0
         y = fine + quarter * k1
-        k2 = -y + pa * y * y + qa
+        k2 = pa * y * y - y + qa
         y = fine + quarter * k2
-        k3 = -y + pa * y * y + qa
+        k3 = pa * y * y - y + qa
         y = fine + half * k3
-        k4 = -y + pm * y * y + qm
+        k4 = pm * y * y - y + qm
         fine = fine + fine_sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        k1 = -fine + pm * fine * fine + qm
+        k1 = pm * fine * fine - fine + qm
         y = fine + quarter * k1
-        k2 = -y + pb * y * y + qb
+        k2 = pb * y * y - y + qb
         y = fine + quarter * k2
-        k3 = -y + pb * y * y + qb
+        k3 = pb * y * y - y + qb
         y = fine + half * k3
-        k4 = -y + pf * y * y + qf
+        k4 = pf * y * y - y + qf
         fine = fine + fine_sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         x = c + (k + 1) * dt
         a_t = d / x ** b
@@ -642,8 +686,7 @@ def run_lemma_suite(
 ) -> list:
     """Run every check against each model kind, plus the model-independent
     scalar checks, and return the reports (names prefixed by model kind)."""
-    if sweep is None:
-        sweep = np.logspace(1.0, -4.0, 20)
+    sweep = _validate_a_grid(np.logspace(1.0, -4.0, 20) if sweep is None else sweep)
     reports = []
     for kind in kinds:
         grid = QuadratureGrid(n_points)
@@ -653,15 +696,15 @@ def run_lemma_suite(
         noise = sine_noise(grid)
         f_delta, delta = calibrate_noise(f, noise, delta_rel)
 
-        traj = build_trajectory(model, f_delta, sweep)
-        traj_exact = build_trajectory(model, f, sweep)
-
         crossing_schedule = ContinuousSchedule(d=1.0, c=7.0, b=1.0)
+        t_grid = np.linspace(0.0, 50.0, 101)
+        traj, traj_exact, traj_t = _trajectories(model, [
+            (f_delta, sweep), (f, sweep), (f_delta, crossing_schedule.a(t_grid)),
+        ])
+
         t1 = find_crossing_time(model, f_delta, delta, 1.01, crossing_schedule)
         report = solve_regularized(model, f_delta, float(crossing_schedule.a(t1)))
         gap = abs(_data_residual_norms(model, f_delta, report.solution.values) - 1.01 * delta)
-        t_grid = np.linspace(0.0, 50.0, 101)
-        traj_t = build_trajectory(model, f_delta, crossing_schedule.a(t_grid))
         for r in (
             check_monotonicity(traj),
             check_perturbation_bounds(traj, traj_exact, u_exact, norm(f_delta - f)),

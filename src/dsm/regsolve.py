@@ -237,8 +237,9 @@ def _newton_rows(model: OperatorModel, u, f_values, shifts, first_step, stop):
 
 def _regularized_rows(model: OperatorModel, f_values, a, starts, opts: NewtonOptions):
     # The loop of solve_regularized_rows on raw arrays: the rows ``starts``
-    # (S, n), a C-ordered array it overwrites with the solutions, the data row
-    # ``f_values`` (n,) and a column ``a`` (S, 1) of shifts.  Returns
+    # (S, n), a C-ordered array it overwrites with the solutions, the data
+    # ``f_values``, one row (n,) for every shift or a C-ordered stack (S, n)
+    # of one row per shift, and a column ``a`` (S, 1) of shifts.  Returns
     # (solutions, F(solutions), residual_norms, iterations, converged).  A
     # row's F comes from the line search trial that made its iterate; only a
     # row that leaves at a failed search, with the iterate before it, is
@@ -246,7 +247,8 @@ def _regularized_rows(model: OperatorModel, f_values, a, starts, opts: NewtonOpt
     valid = (a > 0) & (a < math.inf)
     if not valid.all():
         raise ValueError(f"shift a must be positive and finite, got {a[~valid][0]}")
-    f_values = np.tile(f_values, (len(a), 1))
+    if f_values.ndim == 1:
+        f_values = np.tile(f_values, (len(a), 1))
     solutions, f_solutions = starts, np.empty_like(starts)
     residual_norms, iterations = np.empty(len(a)), np.zeros(len(a), dtype=int)
 

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from dsm import checks
+from dsm import checks, regsolve
 from dsm.checks import (
     Trajectory,
     _derivative_norm_bound,
@@ -175,6 +175,33 @@ def test_stacked_margins_match_per_row_reference(arctan_traj):
     report = check_perturbation_bounds(traj, traj_exact, u_star, delta)
     assert report.details == _perturbation_reference(traj, traj_exact, u_star, delta)
     assert check_large_a_limit(model, f_delta).details == _large_a_reference(model, f_delta)
+
+
+@pytest.mark.parametrize("delta", [math.inf, math.nan])
+def test_perturbation_bounds_reject_a_non_finite_delta(delta):
+    # the true delta passes and delta = 1e-12 fails, but delta = inf made
+    # every bound delta/a infinite and passed with worst margin 8.05e-4
+    grid = QuadratureGrid(40)
+    model = OperatorModel("arctan3", grid)
+    u_exact = exact_solution("step", grid)
+    f = model.apply(u_exact)
+    f_delta, _ = calibrate_noise(f, sine_noise(grid), 0.05)
+    sweep = np.logspace(1.0, -3.0, 8)
+    traj, traj_exact = build_trajectory(model, f_delta, sweep), build_trajectory(model, f, sweep)
+    assert check_perturbation_bounds(traj, traj_exact, u_exact, norm(f_delta - f)).passed
+    assert not check_perturbation_bounds(traj, traj_exact, u_exact, 1e-12).passed
+    with pytest.raises(ValueError, match="delta must be positive and finite"):
+        check_perturbation_bounds(traj, traj_exact, u_exact, delta)
+
+
+def test_non_finite_tolerances_are_rejected(arctan_traj):
+    # an infinite tolerance passed any input; a NaN one failed any
+    model, _, _, f_delta, traj, traj_exact = arctan_traj
+    for bad in (math.inf, -math.inf, math.nan):
+        with pytest.raises(ValueError, match="tolerance must be finite"):
+            check_monotonicity(traj, rtol=bad)
+        with pytest.raises(ValueError, match="tolerance must be finite"):
+            check_large_a_limit(model, f_delta, tolerance=bad)
 
 
 def test_large_a_limit_identity_closed_form():
@@ -404,6 +431,103 @@ def test_crossing_search_takes_few_solves(kind, monkeypatch):
     assert abs(norm(model.apply(v) - f_delta) - 1.01 * delta) <= 1e-8
 
 
+@given(
+    kind=st.sampled_from(MODEL_KINDS),
+    n=st.integers(min_value=2, max_value=60),
+    sweeps=st.lists(
+        st.tuples(
+            st.booleans(),
+            st.integers(min_value=1, max_value=30),
+            st.tuples(st.floats(-5.0, 3.0), st.floats(-5.0, 3.0)),
+        ),
+        min_size=1,
+        max_size=3,
+    ),
+)
+@settings(max_examples=60, deadline=None)
+@example(kind="cubic", n=60, sweeps=[(True, 20, (1.0, -4.0)), (False, 20, (1.0, -4.0)),
+                                     (True, 30, (-0.85, -1.75))])
+def test_path_rows_with_their_own_data_lie_near_their_cold_solves(kind, n, sweeps):
+    """Up to three sweeps of one model, each on noisy or exact data, run as
+    one path by decreasing a, each row with its own data row.  Every row
+    meets tol, so it lies within 2 tol/a of its one-row solve from 0 on its
+    own data, and its data residual is taken against that data."""
+    model, f_delta, _ = _step_data(kind, n)
+    f = model.apply(exact_solution("step", model.grid))
+    pairs = []
+    for noisy, size, ends in sweeps:
+        a_values = np.logspace(max(ends), min(ends), size)
+        assume(size == 1 or np.all(np.diff(a_values) < 0))
+        pairs.append((f_delta if noisy else f, a_values))
+    colds = [solve_regularized_rows(model, data, a_values) for data, a_values in pairs]
+    try:
+        trajs = checks._trajectories(model, pairs)
+    except ConvergenceError:
+        trajs = None
+    # the path raises at any row that does not converge
+    assert (trajs is not None) == all(cold[3].all() for cold in colds)
+    if trajs is not None:
+        for traj, (data, a_values), cold in zip(trajs, pairs, colds):
+            assert traj.f_delta is data and np.array_equal(traj.a_values, a_values)
+            gaps = a_values * norms(model.grid, traj.solutions - cold[0])
+            assert np.all(gaps <= 2.0 * traj.solver_tol)
+            residuals = norms(model.grid, model.apply_values(traj.solutions) - data.values)
+            np.testing.assert_allclose(traj.residual_norms, residuals, rtol=1e-12, atol=1e-15)
+
+
+def _counting_newton_loops(monkeypatch):
+    loops = []
+    newton_rows = regsolve._newton_rows
+
+    def counting(model, u, *args):
+        loops.append(len(u))
+        return newton_rows(model, u, *args)
+
+    monkeypatch.setattr(regsolve, "_newton_rows", counting)
+    return loops
+
+
+def test_lemma_suite_runs_few_newton_loops(monkeypatch):
+    # three sweeps per model as separate continuations, one-row crossing
+    # solves and one-row large-a stacks took 84 loops; one path per model,
+    # a stack of doubling times and one large-a stack take 46
+    loops = _counting_newton_loops(monkeypatch)
+    assert all(r.passed for r in run_lemma_suite())
+    assert len(loops) <= 50
+
+
+@pytest.mark.parametrize("kind", ["identity", "arctan3", "cubic"])
+def test_large_a_shifts_are_one_stack(kind, monkeypatch):
+    # three large shifts gain nothing from warm starts; they took three
+    # one-row loops
+    model, f_delta, _ = _step_data(kind, 100)
+    loops = _counting_newton_loops(monkeypatch)
+    assert check_large_a_limit(model, f_delta).passed
+    assert loops == [3]
+
+
+@pytest.mark.parametrize("kind", ["identity", "arctan3", "cubic"])
+def test_crossing_search_runs_few_newton_loops(kind, monkeypatch):
+    # one-row solves took 16, 16 and 13 loops; one stack of doubling times
+    # and the regula falsi steps take 8, 8 and 6
+    model, f_delta, delta = _step_data(kind, 100)
+    schedule = ContinuousSchedule(d=1.0, c=7.0, b=1.0)
+    loops = _counting_newton_loops(monkeypatch)
+    t1 = find_crossing_time(model, f_delta, delta, 1.01, schedule)
+    assert len(loops) <= 10
+    v = solve_regularized(model, f_delta, float(schedule.a(t1))).solution
+    assert abs(norm(model.apply(v) - f_delta) - 1.01 * delta) <= 1e-8
+
+
+@pytest.mark.parametrize("delta", [math.inf, math.nan])
+def test_find_crossing_time_rejects_a_non_finite_delta(delta):
+    # delta = inf raised "C*delta is not below ||F(0) - f_delta||"
+    model, f_delta, _ = _step_data("arctan3", 30)
+    schedule = ContinuousSchedule(d=1.0, c=7.0, b=1.0)
+    with pytest.raises(ValueError, match="delta must be positive and finite"):
+        find_crossing_time(model, f_delta, delta, 1.01, schedule)
+
+
 @pytest.mark.parametrize(
     "kwargs",
     [{"tol": 0.0}, {"tol": -1.0}, {"tol": math.nan}, {"tol": math.inf},
@@ -472,6 +596,19 @@ def test_exponential_integral_bound_validation():
         check_exponential_integral_bound(1.0, 1.0, 1.0, [-1.0])
     with pytest.raises(ValueError):
         check_exponential_integral_bound(1.0, 1.0, 1.0, [1.0], panels=11)
+
+
+@pytest.mark.parametrize(
+    "args, kwargs",
+    [((math.inf, 1.0, 3.0), {}), ((0.8, math.inf, 3.0), {}), ((0.8, 1.0, math.inf), {}),
+     ((0.8, 1.0, 3.0), {"panels": 10000.0}),
+     ((0.8, 1.0, 3.0), {"panels": "10000"})],
+)
+def test_exponential_integral_bound_rejects_non_finite_parameters(args, kwargs):
+    # c = inf passed with worst margin 0.0, p = inf failed with worst margin
+    # nan, and panels = 10000.0 raised TypeError from np.linspace
+    with pytest.raises(ValueError, match="p, b, c|panels"):
+        check_exponential_integral_bound(*args, [0.5, 2.0], **kwargs)
 
 
 @pytest.mark.parametrize(
@@ -552,6 +689,14 @@ def test_gronwall_precondition_failures():
         check_gronwall_majorant(schedule, lam, 1.0, 1.0, g0, dt=0.0)
     with pytest.raises(ValueError):
         check_gronwall_majorant(schedule, lam, 1.0, 1.0, g0, t_max=math.inf)
+
+
+def test_gronwall_rejects_a_nan_g0():
+    # g0 < 0 and lam*g0/a(0) >= 1 are both False for NaN: the check ran and
+    # reported passed=False with worst margin -inf
+    schedule, lam, _ = gronwall_recipe()
+    with pytest.raises(ValueError, match="g0"):
+        check_gronwall_majorant(schedule, lam, 1.0, 1.0, math.nan)
 
 
 def test_gronwall_rejects_dt_that_does_not_divide_t_max():

@@ -352,6 +352,22 @@ def test_rows_return_f_at_their_solutions(grid, kind):
         np.testing.assert_array_equal(got, want)
 
 
+@pytest.mark.parametrize("kind", MODEL_KINDS)
+def test_rows_take_one_data_row_each(grid, kind):
+    # a stack (S, n) of data rows gives each row, bit for bit, what it gets
+    # in a stack of its own data row alone
+    model = OperatorModel(kind, grid)
+    data = np.stack([grid.sample(lambda x, k=k: 1.0 + k * x).values for k in range(3)])
+    a = np.array([[1.0], [1e-2], [1e-3]])
+    starts = np.tile(grid.sample(lambda x: 0.1 * x).values, (3, 1))
+    options = NewtonOptions()
+    stacked = _regularized_rows(model, data, a, starts.copy(), options)
+    for k in range(3):
+        alone = _regularized_rows(model, data[k], a[k:k + 1], starts[k:k + 1].copy(), options)
+        for got, want in zip(stacked, alone):
+            np.testing.assert_array_equal(got[k:k + 1], want)
+
+
 class _SecondSolveSingular(OperatorModel):
     """Raises for the last row of the stack on its second shifted solve."""
 
