@@ -93,14 +93,15 @@ class ContinuousSchedule:
 
 @dataclass(frozen=True)
 class StoppingRule:
-    """Discrepancy threshold C * delta**gamma with C > 1 and gamma in (0, 1)."""
+    """Discrepancy threshold C * delta**gamma with finite C > 1 and gamma in (0, 1)."""
 
     C: float = 1.01
     gamma: float = 0.99
 
     def __post_init__(self):
-        if not self.C > 1.0:
-            raise ValueError(f"C must be > 1, got {self.C}")
+        # an infinite C gives a threshold every iterate meets: a vacuous stop
+        if not 1.0 < self.C < math.inf:
+            raise ValueError(f"C must be > 1 and finite, got {self.C}")
         if not 0.0 < self.gamma < 1.0:
             raise ValueError(f"gamma must be in (0, 1), got {self.gamma}")
 

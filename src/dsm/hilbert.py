@@ -36,9 +36,9 @@ class QuadratureGrid:
     __slots__ = ("n", "h", "nodes", "weights")
 
     def __init__(self, n: int):
+        if not (n >= 2 and float(n).is_integer()):
+            raise ValueError(f"grid needs an integer number of nodes >= 2, got n={n}")
         n = int(n)
-        if n < 2:
-            raise ValueError(f"grid needs at least 2 nodes, got n={n}")
         self.n = n
         self.h = 1.0 / (n - 1)
         # arange/(n-1) keeps each node correctly rounded (x_33 on a 100-point

@@ -8,8 +8,9 @@ the weighted L2 norm, finds it from any reasonable starting point.
 ``_newton_rows`` is that loop.  It advances a stack of rows ``(S, n)`` of
 raw node values with one call each of the model's kernels and of
 :func:`line_search` per step, and drops each row, with what it gets alone,
-at its caller's stop: :func:`solve_regularized_rows` (a fixed shift per
-row, stop at ``tol``) and the run drivers in :mod:`dsm.driver`.
+at its caller's stop: ``_regularized_rows`` (a fixed shift per row, stop at
+``tol``), behind :func:`solve_regularized` and the paths of
+:mod:`dsm.checks`, and the run drivers in :mod:`dsm.driver`.
 """
 
 from __future__ import annotations
@@ -31,7 +32,6 @@ __all__ = [
     "regularized_residual",
     "start_values",
     "line_search",
-    "solve_regularized_rows",
     "solve_regularized",
 ]
 
@@ -236,14 +236,17 @@ def _newton_rows(model: OperatorModel, u, f_values, shifts, first_step, stop):
 
 
 def _regularized_rows(model: OperatorModel, f_values, a, starts, opts: NewtonOptions):
-    # The loop of solve_regularized_rows on raw arrays: the rows ``starts``
-    # (S, n), a C-ordered array it overwrites with the solutions, the data
-    # ``f_values``, one row (n,) for every shift or a C-ordered stack (S, n)
-    # of one row per shift, and a column ``a`` (S, 1) of shifts.  Returns
-    # (solutions, F(solutions), residual_norms, iterations, converged).  A
-    # row's F comes from the line search trial that made its iterate; only a
-    # row that leaves at a failed search, with the iterate before it, is
-    # evaluated again.
+    # Solve F(v) + a*v = f by damped Newton for a stack of rows on raw arrays,
+    # all rows taking full steps in one stack: the rows ``starts`` (S, n), a
+    # C-ordered array it overwrites with the solutions, the data ``f_values``,
+    # one row (n,) for every shift or a C-ordered stack (S, n) of one row per
+    # shift, and a column ``a`` (S, 1) of shifts.  A row leaves when it meets
+    # ``tol``, at the iteration cap, and, with the iterate it had before, when
+    # no step length passes its Armijo test; it gets bit for bit what it gets
+    # alone.  Returns (solutions, F(solutions), residual_norms, iterations,
+    # converged).  A row's F comes from the line search trial that made its
+    # iterate; only a row that leaves at a failed search, with the iterate
+    # before it, is evaluated again.
     valid = (a > 0) & (a < math.inf)
     if not valid.all():
         raise ValueError(f"shift a must be positive and finite, got {a[~valid][0]}")
@@ -269,35 +272,6 @@ def _regularized_rows(model: OperatorModel, f_values, a, starts, opts: NewtonOpt
     return solutions, f_solutions, residual_norms, iterations, residual_norms <= opts.tol
 
 
-def solve_regularized_rows(
-    model: OperatorModel,
-    f_delta: GridFunction,
-    a_values,
-    options: NewtonOptions | None = None,
-    start: GridFunction | None = None,
-):
-    """Solve F(v) + a*v = f_delta for every shift a of ``a_values`` by damped
-    Newton, one row per shift, each from v = start (default 0).
-
-    All rows take full Newton steps in one stack.  A row leaves when it
-    meets ``tol``, at the iteration cap, and, with the iterate it had
-    before, when no step length passes its Armijo test.  Each row gets bit
-    for bit what it gets alone; a :class:`SingularShiftError` names its shift.
-    Returns ``(solutions, residual_norms, iterations, converged)``: the rows
-    ``(S, n)``, each row's weighted residual norm, its Newton iteration count
-    and whether that norm meets ``tol``.
-    """
-    a = np.array(a_values, dtype=float).reshape(-1, 1)
-    # C-ordered copies: numpy would lay out the new rows of a broadcast view,
-    # and sum their norms, in another order.  A row is written to the output
-    # only once it has left the stack, so the output can reuse the start rows.
-    starts = np.tile(start_values(model, f_delta, start), (len(a), 1))
-    solutions, _, residual_norms, iterations, converged = _regularized_rows(
-        model, f_delta.values, a, starts, options or NewtonOptions()
-    )
-    return solutions, residual_norms, iterations, converged
-
-
 def solve_regularized(
     model: OperatorModel,
     f_delta: GridFunction,
@@ -305,15 +279,17 @@ def solve_regularized(
     options: NewtonOptions | None = None,
     start: GridFunction | None = None,
 ) -> RegularizedSolveReport:
-    """Solve F(v) + a*v = f_delta by damped Newton from v = start (default 0):
-    the one-row case of :func:`solve_regularized_rows`.
+    """Solve F(v) + a*v = f_delta by damped Newton from v = start (default 0).
 
-    When no step length passes its Armijo test, or the iteration cap is hit,
-    the current iterate is returned with ``converged=False`` unless it
-    already meets ``tol``.
+    When no step length passes its Armijo test, the iterate before that
+    search is returned; at the iteration cap, the current one.  Either way
+    ``converged`` is False unless it already meets ``tol``.
     """
-    v, norm, iterations, converged = (
-        x[0] for x in solve_regularized_rows(model, f_delta, [a], options, start)
+    # a copy of the start as one C-ordered row, which the solve overwrites
+    row = np.array([start_values(model, f_delta, start)])
+    a = np.array([[a]], dtype=float)
+    v, _, norm, iterations, converged = (
+        x[0] for x in _regularized_rows(model, f_delta.values, a, row, options or NewtonOptions())
     )
     return RegularizedSolveReport(
         GridFunction(model.grid, v), float(norm), int(iterations), bool(converged)

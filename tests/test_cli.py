@@ -53,6 +53,12 @@ def test_infinite_schedule_parameter_exit_2(tmp_path, capsys, extra, line):
     assert "finite" in capsys.readouterr().err
 
 
+def test_infinite_stop_c_exit_2(capsys):
+    # C = inf printed n_iterations 0, rel_error 1, stopped true and exited 0
+    assert main(FAST_ARGS + ["--stop-c", "inf"]) == 2
+    assert "finite" in capsys.readouterr().err
+
+
 def test_unknown_config_key_exit_2(tmp_path, capsys):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("volume = 11\n")

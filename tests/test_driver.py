@@ -69,6 +69,9 @@ def test_stopping_rule():
     assert rule.threshold(0.01) == 1.01 * 0.01 ** 0.99
     with pytest.raises(ValueError):
         StoppingRule(C=1.0)
+    # C = inf gave a threshold that u0 = 0 already meets: a vacuous stop
+    with pytest.raises(ValueError, match="finite"):
+        StoppingRule(C=math.inf)
     with pytest.raises(ValueError):
         StoppingRule(gamma=0.0)
     with pytest.raises(ValueError):

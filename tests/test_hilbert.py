@@ -1,5 +1,7 @@
 """Grid, quadrature, and weighted-norm behavior."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -40,6 +42,18 @@ def test_interior_third_nodes_are_exact():
 def test_grid_rejects_tiny_n():
     with pytest.raises(ValueError):
         QuadratureGrid(1)
+
+
+@pytest.mark.parametrize("n", [30.5, 2.9, math.nan, math.inf])
+def test_grid_rejects_a_non_integer_size(n):
+    # int(n) made QuadratureGrid(30.5) a 30-point grid and QuadratureGrid(2.9)
+    # a 2-point one
+    with pytest.raises(ValueError, match="integer"):
+        QuadratureGrid(n)
+
+
+def test_grid_takes_any_integer_size():
+    assert QuadratureGrid(np.int64(30)) == QuadratureGrid(30.0) == QuadratureGrid(30)
 
 
 def test_grid_equality_is_by_size():

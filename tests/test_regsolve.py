@@ -17,7 +17,6 @@ from dsm.regsolve import (
     line_search,
     regularized_residual,
     solve_regularized,
-    solve_regularized_rows,
     solve_shifted_linear,
 )
 
@@ -244,6 +243,17 @@ def test_line_search_result_is_consistent(kind, a, data):
             np.testing.assert_array_equal(got_alone[0], want[k])
 
 
+def _stacked(model, f, shifts, options=NewtonOptions(), start=None):
+    # every shift's solve, from start (default 0), as one stack of the loop
+    # behind solve_regularized: (solutions, norms, iterations, converged)
+    first = np.zeros(model.grid.n) if start is None else start.values
+    solutions, _, norms, iterations, converged = _regularized_rows(
+        model, f.values, np.array(shifts, dtype=float).reshape(-1, 1),
+        np.tile(first, (len(shifts), 1)), options,
+    )
+    return solutions, norms, iterations, converged
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     kind=st.sampled_from(MODEL_KINDS),
@@ -260,9 +270,7 @@ def test_rows_match_one_row_solves(kind, n, shifts, warm, data):
     model = OperatorModel(kind, grid)
     f = GridFunction(grid, data.draw(arrays(np.float64, n, elements=st.floats(-3.0, 3.0))))
     start = f if warm else None
-    solutions, norms, iterations, converged = solve_regularized_rows(
-        model, f, shifts, start=start
-    )
+    solutions, norms, iterations, converged = _stacked(model, f, shifts, start=start)
     assert solutions.shape == (len(shifts), n)
     for k, a in enumerate(shifts):
         alone = solve_regularized(model, f, a, start=start)
@@ -279,9 +287,7 @@ def test_capped_row_alone_reports_not_converged(grid):
     f = grid.sample(lambda x: 1.0 + x)
     one_step = NewtonOptions(max_iter=1)
     shifts = [1e6, 1e-2, 1e5]
-    solutions, norms, iterations, converged = solve_regularized_rows(
-        model, f, shifts, one_step
-    )
+    solutions, norms, iterations, converged = _stacked(model, f, shifts, one_step)
     assert converged.tolist() == [True, False, True]
     assert iterations.tolist() == [1, 1, 1]
     for k, a in enumerate(shifts):
@@ -295,7 +301,7 @@ def test_rows_reject_a_bad_shift(grid):
     model = OperatorModel("identity", grid)
     for bad in (0.0, -1.0, math.inf, math.nan):
         with pytest.raises(ValueError):
-            solve_regularized_rows(model, grid.zero(), [1.0, bad])
+            _stacked(model, grid.zero(), [1.0, bad])
 
 
 @pytest.mark.parametrize(
@@ -334,7 +340,7 @@ def test_rows_return_f_at_their_solutions(grid, kind):
     # F(v) of each row comes from the search trial that made v, or, for a
     # row that leaves at a failed search with the iterate before it, from
     # one evaluation there; either way it is F(v) bit for bit, next to the
-    # solutions, norms and flags of solve_regularized_rows
+    # solutions, norms and flags of each row's one-row solve_regularized
     f = grid.sample(lambda x: 1.0 + x)
     shifts = [1e6, 1.0, 1e-2, 1e-4]
     a = np.array(shifts).reshape(-1, 1)
@@ -347,9 +353,12 @@ def test_rows_return_f_at_their_solutions(grid, kind):
     assert converged.tolist() == [True, False, False, False]
     assert iterations.tolist() == [1, 2, 2, 2]
     np.testing.assert_array_equal(f_solutions, model.apply_values(solutions))
-    expected = solve_regularized_rows(_UphillSecondStep(kind, grid), f, shifts)
-    for got, want in zip((solutions, norms, iterations, converged), expected):
-        np.testing.assert_array_equal(got, want)
+    for k, a in enumerate(shifts):
+        alone = solve_regularized(_UphillSecondStep(kind, grid), f, a)
+        np.testing.assert_array_equal(solutions[k], alone.solution.values)
+        assert (norms[k], iterations[k], converged[k]) == (
+            alone.residual_norm, alone.iterations, alone.converged
+        )
 
 
 @pytest.mark.parametrize("kind", MODEL_KINDS)
@@ -387,5 +396,5 @@ def test_rows_name_the_singular_shift():
     model = _SecondSolveSingular("cubic", grid)
     f = grid.sample(lambda x: 1.0 + x)
     with pytest.raises(SingularShiftError) as err:
-        solve_regularized_rows(model, f, [1e6, 1e-2, 1e-3])
+        _stacked(model, f, [1e6, 1e-2, 1e-3])
     assert (err.value.row, err.value.pivot_index) == (2, 5)
