@@ -11,7 +11,7 @@ end with a positive worst margin.
 
 import sys
 
-from dsm import format_reports, run_lemma_suite
+from dsm.checks import format_reports, run_lemma_suite
 
 reports = run_lemma_suite()
 print(format_reports(reports))

@@ -2,25 +2,11 @@
 
 The package solves F(u) = f from noisy data f_delta with a decaying
 regularization schedule and an a-posteriori discrepancy stop, and ships
-the operator models, drivers, experiment presets, and analytic checks
-used to exercise it.
+the operator models, drivers and experiment presets used to exercise it.
+The analytic checks of the lemmas behind that stop are imported from
+:mod:`dsm.checks`; importing ``dsm`` does not load them.
 """
 
-from .checks import (
-    CheckReport,
-    Trajectory,
-    build_trajectory,
-    check_exponential_integral_bound,
-    check_gronwall_majorant,
-    check_large_a_limit,
-    check_monotonicity,
-    check_perturbation_bounds,
-    check_weighted_integral_bound,
-    find_crossing_time,
-    format_reports,
-    gronwall_recipe,
-    run_lemma_suite,
-)
 from .driver import (
     ContinuousSchedule,
     DiscreteSchedule,
@@ -61,7 +47,6 @@ from .regsolve import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "CheckReport",
     "ContinuousSchedule",
     "ConvergenceError",
     "DiscreteSchedule",
@@ -79,22 +64,11 @@ __all__ = [
     "ResultRow",
     "RunRecord",
     "StoppingRule",
-    "Trajectory",
-    "build_trajectory",
     "calibrate_noise",
-    "check_exponential_integral_bound",
-    "check_gronwall_majorant",
-    "check_large_a_limit",
-    "check_monotonicity",
-    "check_perturbation_bounds",
-    "check_weighted_integral_bound",
     "emit_csv",
     "exact_solution",
-    "find_crossing_time",
-    "format_reports",
     "format_table",
     "gaussian_noise",
-    "gronwall_recipe",
     "inner",
     "make_noise",
     "matvec",
@@ -105,7 +79,6 @@ __all__ = [
     "run_euler",
     "run_experiment",
     "run_iteration",
-    "run_lemma_suite",
     "run_solution_dump",
     "sine_noise",
     "solve_regularized",

@@ -20,8 +20,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .checks import format_reports, reports_to_csv, run_lemma_suite
-from .harness import PRESETS, emit_csv, format_table, run_experiment, run_solution_dump
+from .harness import NOISE_KINDS, PRESETS, emit_csv, format_table, run_experiment, run_solution_dump
 from .regsolve import ConvergenceError, SingularShiftError
 
 __all__ = ["main"]
@@ -97,7 +96,7 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("--h", type=float, help="Euler step size")
     run.add_argument("--gamma", type=float, help="stopping exponent")
     run.add_argument("--stop-c", type=float, dest="stop_c", help="stopping constant C")
-    run.add_argument("--noise", choices=("gaussian", "sine"), help="noise kind")
+    run.add_argument("--noise", choices=NOISE_KINDS, help="noise kind")
     run.add_argument("--out", help="write result rows to this CSV file")
     run.set_defaults(func=_cmd_run)
 
@@ -159,8 +158,11 @@ def _cmd_dump(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    kinds = (args.model,) if args.model else ("identity", "arctan3", "cubic")
-    reports = run_lemma_suite(kinds)
+    # imported here, not at the top: the checks are only this subcommand's,
+    # and a run or a dump need not load them
+    from .checks import format_reports, reports_to_csv, run_lemma_suite
+
+    reports = run_lemma_suite((args.model,)) if args.model else run_lemma_suite()
     print(format_reports(reports))
     if args.out:
         reports_to_csv(reports, args.out)

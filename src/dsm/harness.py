@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import astuple, dataclass, replace
-from typing import Iterable, NamedTuple
+from typing import Iterable
 
 import numpy as np
 
@@ -37,7 +37,6 @@ __all__ = [
     "EXACT_KINDS",
     "NOISE_KINDS",
     "CSV_HEADER",
-    "Calibrated",
     "ExperimentConfig",
     "PRESETS",
     "ResultRow",
@@ -134,14 +133,10 @@ def make_noise(kind: str, grid: QuadratureGrid, seed: int) -> GridFunction:
     raise ValueError(f"unknown noise kind {kind!r}; expected one of {NOISE_KINDS}")
 
 
-class Calibrated(NamedTuple):
-    f_delta: GridFunction
-    delta: float
-
-
-def calibrate_noise(f: GridFunction, noise: GridFunction, delta_rel: float) -> Calibrated:
+def calibrate_noise(f: GridFunction, noise: GridFunction, delta_rel: float) -> tuple:
     """Scale ``noise`` so that ||f_delta - f|| = delta_rel * ||f|| exactly
-    (weighted norm), and return the perturbed data with that absolute delta."""
+    (weighted norm), and return the pair ``(f_delta, delta)``: the perturbed
+    data and that absolute delta."""
     if not 0.0 < delta_rel < 1.0:
         raise ValueError(f"delta_rel must lie in (0, 1), got {delta_rel}")
     noise_norm = norm(noise)
@@ -152,7 +147,7 @@ def calibrate_noise(f: GridFunction, noise: GridFunction, delta_rel: float) -> C
         raise ValueError("data must be nonzero")
     kappa = delta_rel * f_norm / noise_norm
     f_delta = GridFunction(f.grid, f.values + kappa * noise.values)
-    return Calibrated(f_delta=f_delta, delta=kappa * noise_norm)
+    return f_delta, kappa * noise_norm
 
 
 @dataclass(frozen=True)
@@ -199,18 +194,14 @@ class ExperimentConfig:
                 raise ValueError(f"delta_rel entries must lie in (0, 1), got {d}")
         if not self.seeds:
             raise ValueError("seeds must be nonempty")
-        if not (math.isfinite(self.c0) and self.c0 > 0):
-            raise ValueError(f"c0 must be positive and finite, got {self.c0}")
-        if not 0.0 < self.p <= 1.0:
-            raise ValueError(f"p must lie in (0, 1], got {self.p}")
-        if not (self.shift >= 1 and float(self.shift).is_integer()):
-            raise ValueError(f"shift must be an integer >= 1, got {self.shift}")
         if not (math.isfinite(self.h) and self.h > 0):
             raise ValueError(f"h must be positive and finite, got {self.h}")
         if not (self.max_iter >= 1 and float(self.max_iter).is_integer()):
             raise ValueError(f"max_iter must be an integer >= 1, got {self.max_iter}")
-        # stop_c / gamma bounds are enforced by StoppingRule at run time,
-        # but fail fast here too
+        # DiscreteSchedule checks c0, p and shift, and StoppingRule stop_c and
+        # gamma: build both, so a bad value fails before any cell runs, in
+        # Euler mode too (its ContinuousSchedule would take p = 2 or shift = 0.5)
+        DiscreteSchedule(self.c0, 1.0, self.p, self.shift)
         StoppingRule(self.stop_c, self.gamma)
 
     def override(self, **changes) -> "ExperimentConfig":
@@ -263,7 +254,8 @@ class ResultRow:
 
 @dataclass
 class RunCell:
-    """One cell's full state, for callers that need more than the row.
+    """One cell's row and run record, with what it ran from: the exact
+    solution, the noisy data ``f_delta``, the stopping rule and the model.
 
     ``delta_run`` is the noise level the driver ran with, ``row.delta_abs``.
     """
@@ -271,7 +263,6 @@ class RunCell:
     row: ResultRow
     record: RunRecord
     u_exact: GridFunction
-    f: GridFunction
     f_delta: GridFunction
     delta_run: float
     rule: StoppingRule
@@ -324,8 +315,8 @@ def run_cells(config: ExperimentConfig) -> Iterable[RunCell]:
             wall_time_s=record.wall_time,
         )
         yield RunCell(
-            row=row, record=record, u_exact=u_exact, f=f,
-            f_delta=f_delta, delta_run=delta_abs, rule=rule, model=model,
+            row=row, record=record, u_exact=u_exact, f_delta=f_delta,
+            delta_run=delta_abs, rule=rule, model=model,
         )
 
 

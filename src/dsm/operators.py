@@ -31,9 +31,10 @@ Both live on raw node arrays as the unchecked kernels
 which the Newton loop calls directly.  They take one row of node values or
 a stack of rows of shape ``(S, n)``, one row per run of a batch, and treat
 every row on its own: a row of a stack gives bit for bit what it gives
-alone.  The public :meth:`~OperatorModel.apply`,
-:meth:`~OperatorModel.apply_kernel` and :meth:`~OperatorModel.solve_shifted`
-wrap them with a grid check and a :class:`~dsm.hilbert.GridFunction` result.
+alone.  The public :meth:`~OperatorModel.apply` and
+:meth:`~OperatorModel.apply_kernel`, and
+:func:`dsm.regsolve.solve_shifted_linear` for the shifted solve, wrap them
+with a grid check and a :class:`~dsm.hilbert.GridFunction` result.
 
 The tridiagonal solver is LAPACK ``dgtsv`` from scipy's compiled wrapper
 ``scipy/linalg/_flapack``, loaded on its own without importing
@@ -168,12 +169,14 @@ _NONLINEARITY = {
 class OperatorModel:
     """One of the operator models above, bound to a grid.
 
-    :meth:`apply` and :meth:`solve_shifted` cost O(n) and allocate no n x n
-    array; :meth:`apply_values` and :meth:`solve_shifted_values` are the same
-    kernels on raw node arrays, one row or a stack of rows, without the
-    checks.  The dense kernel matrix
-    K_ij = w_j * exp(-|x_i - x_j|) and :meth:`jacobian` are O(n^2)
-    diagnostics that only tests use; no solver or check calls them.
+    :meth:`apply_values` and :meth:`solve_shifted_values` cost O(n) on raw
+    node arrays, one row or a stack of rows, unchecked, and allocate no n x n
+    array; :meth:`apply` is F with a grid check and a
+    :class:`~dsm.hilbert.GridFunction` result, and
+    :func:`dsm.regsolve.solve_shifted_linear` is the checked shifted solve.
+    The dense kernel matrix K_ij = w_j * exp(-|x_i - x_j|) and
+    :meth:`jacobian` are O(n^2) diagnostics that only tests use; no solver
+    or check calls them.
     ``kernel`` is built on first access and cached.
     """
 
@@ -199,9 +202,11 @@ class OperatorModel:
     def __repr__(self):
         return f"OperatorModel({self.kind!r}, n={self.grid.n})"
 
-    def _check(self, u: GridFunction):
-        if u.grid != self.grid:
-            raise GridMismatchError(f"function on {u.grid!r}, model on {self.grid!r}")
+    def _check(self, *functions):
+        # every function given (None skips) must live on the model's grid
+        for u in functions:
+            if u is not None and u.grid != self.grid:
+                raise GridMismatchError(f"function on {u.grid!r}, model on {self.grid!r}")
 
     @cached_property
     def kernel(self) -> np.ndarray:
@@ -263,14 +268,6 @@ class OperatorModel:
         if self._gprime is not None:
             jac[np.diag_indices(n)] += self._gprime(u.values)
         return jac
-
-    def solve_shifted(self, u: GridFunction, a: float, rhs: GridFunction) -> GridFunction:
-        """Solve (F'(u) + a*I) s = rhs; see :meth:`solve_shifted_values`."""
-        self._check(u)
-        self._check(rhs)
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            step = self.solve_shifted_values(u.values, a, rhs.values)
-        return GridFunction(self.grid, step)
 
     def solve_shifted_values(self, values: np.ndarray, a, rhs: np.ndarray) -> np.ndarray:
         """Solve (F'(u) + a*I) s = rhs in O(n) on raw node values, unchecked.

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hilbert import GridFunction, GridMismatchError, norms
+from .hilbert import GridFunction, norms
 from .operators import OperatorModel, SingularShiftError
 
 __all__ = [
@@ -66,12 +66,16 @@ class RegularizedSolveReport:
 def solve_shifted_linear(
     model: OperatorModel, u: GridFunction, a: float, rhs: GridFunction
 ) -> GridFunction:
-    """Solve (F'(u) + a*I) w = rhs for a shift a > 0: the checked form of
-    :meth:`OperatorModel.solve_shifted_values`; raises :class:`SingularShiftError`
+    """Solve (F'(u) + a*I) w = rhs in O(n) for a shift a > 0: the checked form
+    of :meth:`OperatorModel.solve_shifted_values`, with a grid check and a
+    :class:`~dsm.hilbert.GridFunction` result; raises :class:`SingularShiftError`
     at a zero or non-finite pivot or step."""
     if not 0 < a < math.inf:
         raise ValueError(f"shift a must be positive and finite, got {a}")
-    return model.solve_shifted(u, a, rhs)
+    model._check(u, rhs)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        step = model.solve_shifted_values(u.values, a, rhs.values)
+    return GridFunction(model.grid, step)
 
 
 def regularized_residual(grid, fv, v, a, f_values):
@@ -91,9 +95,7 @@ def regularized_residual(grid, fv, v, a, f_values):
 def start_values(model: OperatorModel, f_delta: GridFunction, start: GridFunction | None):
     """Raw values of a Newton start point (default 0), after checking that
     the data and the start point live on the model's grid."""
-    for u in (f_delta, start):
-        if u is not None and u.grid != model.grid:
-            raise GridMismatchError(f"function on {u.grid!r}, model on {model.grid!r}")
+    model._check(f_delta, start)
     return np.zeros(model.grid.n) if start is None else start.values
 
 

@@ -744,23 +744,31 @@ def test_default_suite_passes():
     assert reports[-1].samples == 10_001
 
 
-def _loads_numpy_random(code):
+def _loads(module, code):
+    # whether a fresh interpreter that runs ``code`` has imported ``module``
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1")
-    code += "\nimport sys\nprint('numpy.random' in sys.modules)\n"
+    code += f"\nimport sys\nprint({module!r} in sys.modules)\n"
     result = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
     )
     assert result.returncode == 0, result.stderr
-    return result.stdout.strip() == "True"
+    return result.stdout.splitlines()[-1] == "True"
 
 
 def test_lemma_suite_imports_no_numpy_random():
     # every draw comes from dsm's own stream; numpy.random costs about 6 MB
     # of resident memory and 10 ms of start-up to import
-    if _loads_numpy_random("import numpy"):
+    if _loads("numpy.random", "import numpy"):
         pytest.skip("this numpy loads numpy.random on import")
-    assert not _loads_numpy_random("import dsm\ndsm.run_lemma_suite()")
+    assert not _loads("numpy.random", "import dsm.checks\ndsm.checks.run_lemma_suite()")
+
+
+def test_run_path_never_loads_the_checks():
+    # the checks are verify-lemmas' alone; a run and its imports skip them
+    assert not _loads("dsm.checks", "import dsm.harness")
+    run = ["run", "--preset", "exp2-const", "--delta-rel", "0.03", "--seeds", "1"]
+    assert not _loads("dsm.checks", f"import dsm.cli\nassert dsm.cli.main({run!r}) == 0")
 
 
 def test_suite_and_report_serialization(tmp_path):

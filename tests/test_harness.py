@@ -187,8 +187,10 @@ def test_config_validation():
 )
 def test_config_rejects_schedule_parameters_when_built(mode, change):
     # before any cell runs; in Euler mode nothing later would reject p = 2 or
-    # shift = 0.5 or 1.5, since ContinuousSchedule(d=c0*delta**p, c=shift, b=1) takes them
-    with pytest.raises(ValueError):
+    # shift = 0.5 or 1.5, since ContinuousSchedule(d=c0*delta**p, c=shift, b=1)
+    # takes them.  The message names the key, as the CLI prints it.
+    (key,) = change
+    with pytest.raises(ValueError, match=f"^{key} must"):
         PRESETS["exp2-const"].override(mode=mode, **change)
 
 

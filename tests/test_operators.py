@@ -260,7 +260,7 @@ def test_raw_kernels_match_checked_wrappers(kind, n, a, bad, data):
     np.testing.assert_array_equal(model.apply_values(u.values), model.apply(u).values)
     np.testing.assert_array_equal(
         model.solve_shifted_values(u.values, a, rhs.values),
-        model.solve_shifted(u, a, rhs).values,
+        solve_shifted_linear(model, u, a, rhs).values,
     )
 
     values = u.values.copy()
