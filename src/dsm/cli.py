@@ -21,6 +21,7 @@ import argparse
 import sys
 
 from .harness import NOISE_KINDS, PRESETS, emit_csv, format_table, run_experiment, run_solution_dump
+from .operators import MODEL_KINDS
 from .regsolve import ConvergenceError, SingularShiftError
 
 __all__ = ["main"]
@@ -110,8 +111,8 @@ def _build_parser() -> argparse.ArgumentParser:
     dump.set_defaults(func=_cmd_dump)
 
     verify = sub.add_parser("verify-lemmas", help="run the analytic checks")
-    verify.add_argument("--model", choices=("arctan3", "cubic", "identity"),
-                        help="restrict checks to one model (default: all three)")
+    verify.add_argument("--model", choices=MODEL_KINDS,
+                        help="restrict checks to one model (default: identity, arctan3, cubic)")
     verify.add_argument("--out", help="write check reports to this CSV file")
     verify.set_defaults(func=_cmd_verify)
     return parser

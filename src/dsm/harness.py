@@ -107,17 +107,14 @@ def gaussian_noise(grid: QuadratureGrid, seed: int) -> GridFunction:
     log never sees zero.  The stream depends only on (seed, node index),
     never on numpy's generator internals; the log and cosine run per node
     in ``math``, whose results do not depend on numpy's vectorized kernels.
-    ``seed`` is any integer in [0, 2**64); anything else raises
-    ``ValueError``.
+    The square root and the products run in numpy, where IEEE 754 rounds
+    them exactly as ``math`` and Python's floats do.  ``seed`` is any
+    integer in [0, 2**64); anything else raises ``ValueError``.
     """
     u = _uniforms(seed, np.arange(2 * grid.n, dtype=np.uint64))
-    u1 = (u[0::2] + 2.0 ** -53).tolist()
-    u2 = u[1::2].tolist()
-    values = [
-        math.sqrt(-2.0 * math.log(x1)) * math.cos(2.0 * math.pi * x2)
-        for x1, x2 in zip(u1, u2)
-    ]
-    return GridFunction(grid, values)
+    log_u1 = np.fromiter(map(math.log, (u[0::2] + 2.0 ** -53).tolist()), float, grid.n)
+    cos_u2 = np.fromiter(map(math.cos, (2.0 * math.pi * u[1::2]).tolist()), float, grid.n)
+    return GridFunction(grid, np.sqrt(-2.0 * log_u1) * cos_u2)
 
 
 def sine_noise(grid: QuadratureGrid) -> GridFunction:

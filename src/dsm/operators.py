@@ -21,10 +21,12 @@ rho = exp(-h), form a Kac-Murdock-Szego matrix, whose inverse is
 tridiagonal: (1 - rho^2) E^{-1} = T with diagonal (1, 1 + rho^2, ...,
 1 + rho^2, 1) and off-diagonals -rho.  Applying F and solving the shifted
 Newton system (F'(u) + a I) s = r therefore cost O(n) each; no n x n
-matrix is formed on that path.  The step is one tridiagonal solve.
+matrix is formed on that path.  The step is one factorization of a
+symmetric positive definite tridiagonal matrix and one solve with it.
 Multiplying by the tridiagonal inverse amplifies rounding by about 1/h^2, so
 on grids of more than 1000 points, where that could exceed the step's
-relative residual bound of 1e-10, one step of iterative refinement follows.
+relative residual bound of 1e-10, one step of iterative refinement follows
+with the same factor.
 
 Both live on raw node arrays as the unchecked kernels
 :meth:`OperatorModel.apply_values` and :meth:`OperatorModel.solve_shifted_values`,
@@ -36,9 +38,9 @@ alone.  The public :meth:`~OperatorModel.apply` and
 :func:`dsm.regsolve.solve_shifted_linear` for the shifted solve, wrap them
 with a grid check and a :class:`~dsm.hilbert.GridFunction` result.
 
-The tridiagonal solver is LAPACK ``dgtsv`` from scipy's compiled wrapper
-``scipy/linalg/_flapack``, loaded on its own without importing
-``scipy.linalg``; scipy is used for nothing else.
+The factorization and solve are LAPACK ``dpttrf`` and ``dpttrs`` from
+scipy's compiled wrapper ``scipy/linalg/_flapack``, loaded on its own
+without importing ``scipy.linalg``; scipy is used for nothing else.
 """
 
 from __future__ import annotations
@@ -59,12 +61,12 @@ MODEL_KINDS = ("arctan3", "cubic", "linear", "identity")
 
 
 def _load_flapack():
-    # Taking dgtsv from scipy.linalg.lapack runs scipy.linalg's __init__,
+    # Taking the routines from scipy.linalg.lapack runs scipy.linalg's __init__,
     # which with scipy 1.17 reaches scipy._lib.array_api_compat and through it
     # numpy.testing, numpy.f2py and unittest: python -X importtime puts it at
     # 330 ms on a 2-core x86-64 host, 210 ms of it in that array-API layer.
     # The compiled wrapper alone loads in 3-6 ms and holds the same
-    # routine.  Linux and macOS wheels find scipy's bundled LAPACK through the
+    # routines.  Linux and macOS wheels find scipy's bundled LAPACK through the
     # wrapper's rpath; Windows wheels add that directory in scipy's own
     # __init__, which this skips too.
     scipy = importlib.util.find_spec("scipy")
@@ -86,7 +88,8 @@ def _load_flapack():
     return module
 
 
-dgtsv = _load_flapack().dgtsv
+_flapack = _load_flapack()
+dpttrf, dpttrs = _flapack.dpttrf, _flapack.dpttrs
 
 # The largest grid on which the shifted solve is one tridiagonal solve with no
 # refinement step.  Multiplying the Newton system by T = (1 - rho^2) E^{-1} to
@@ -106,8 +109,8 @@ _UNREFINED_MAX_N = 1000
 
 
 class SingularShiftError(RuntimeError):
-    """The shifted Newton system F'(u) + a*I meets a zero or non-finite
-    pivot, or its solution is not finite.
+    """The shifted Newton system F'(u) + a*I has a non-finite entry, a
+    non-positive pivot, or a solution that is not finite.
 
     ``row`` is the row of a stacked solve (0 for a single one) and
     ``pivot_index`` the node within that row.
@@ -126,17 +129,10 @@ def _all_finite(x):
     return np.count_nonzero(np.isfinite(x)) == x.size
 
 
-def _raise_singular(n, *masks, fallback=0):
-    # at the first flagged (row, node) of the first mask that flags any, and
-    # at the flat index ``fallback`` if none does: a failed solve always raises
-    flat = fallback
-    for mask in masks:
-        hits = np.flatnonzero(mask)
-        if hits.size:
-            flat = int(hits[0])
-            break
-    row, node = divmod(flat, n)
-    raise SingularShiftError(node, row)
+def _singular(n, flat):
+    # the error at flat index ``flat`` of a stack of rows of length n
+    row, node = divmod(int(flat), n)
+    return SingularShiftError(node, row)
 
 
 # cubes by multiplication: x ** 3 on an array goes through np.power, several
@@ -278,24 +274,28 @@ class OperatorModel:
         numpy's floating-point warnings to the caller.
 
         F'(u) + a*I = E W + D with W = diag(w) and D = diag(g'(u) + a).
-        Multiplying by T = (1 - rho^2) E^{-1} gives the tridiagonal system
-        ((1 - rho^2) W + T D) s = T rhs, which LAPACK ``dgtsv`` solves by
-        Gaussian elimination with partial pivoting.  The rows go to it as one
-        block-diagonal system of S*n unknowns with zero couplings across row
-        boundaries: partial pivoting never swaps across a zero subdiagonal
-        below a finite nonzero pivot, so every row's solution is the one it
-        has alone.  Multiplying by T amplifies rounding by about eps/h^2:
-        the 2-norm relative residual of this one solve is at most about
-        0.15 eps/h^2, 3.4e-11 at n = 1000.  On grids of up to 1000 points
-        that is the step; on finer ones, where it could pass the 1e-10
-        bound, one step of iterative refinement against the O(n) operator
-        follows and brings the residual back to rounding level.  The row
+        Multiplying by T = (1 - rho^2) E^{-1} and writing y = D s gives the
+        tridiagonal system (T + (1 - rho^2) W D^{-1}) y = T rhs.  T is
+        symmetric positive definite, and so is the whole matrix when D > 0,
+        as it is for every monotone model and a > 0: LAPACK ``dpttrf``
+        factors it as L D' L^T with no pivoting, ``dpttrs`` solves for y,
+        and s = y / D.  The rows go to it as one block-diagonal system of
+        S*n unknowns with zero couplings across row boundaries; a zero
+        coupling splits L D' L^T into independent blocks, so every row's
+        solution is bit for bit the one it has alone.  Multiplying by T
+        amplifies rounding by about eps/h^2: the 2-norm relative residual of
+        this one solve is at most about 0.15 eps/h^2, 3.4e-11 at n = 1000.
+        On grids of up to 1000 points that is the step; on finer ones, where
+        it could pass the 1e-10 bound, one step of iterative refinement
+        against the O(n) operator follows, a second ``dpttrs`` with the same
+        factor, and brings the residual back to rounding level.  The row
         length n alone picks the branch, so a row of a stack still gives
         what it gives alone.  The identity model's step is rhs / (1 + a).
 
-        Raises :class:`SingularShiftError` at a non-finite entry of the
-        system, a zero or non-finite pivot, or a non-finite solution; it
-        names the first such row and the node within it.
+        Raises :class:`SingularShiftError` at, in this order, a non-finite
+        D or rhs or a D so small that (1 - rho^2) w / D overflows, a
+        non-positive pivot, or a non-finite solution; it names the first
+        such row and the node within it.
         """
         rows, b = self._rows(values), self._rows(rhs)
         if rows.ndim == 1 and getattr(a, "ndim", 0):
@@ -303,7 +303,7 @@ class OperatorModel:
         if self.kind == "identity":
             step = b / (1.0 + a)
             if not _all_finite(step):
-                _raise_singular(self.grid.n, ~np.isfinite(step))
+                raise _singular(self.grid.n, np.flatnonzero(~np.isfinite(step))[0])
         elif self._gprime is None:
             step = self._solve_tridiagonal(np.broadcast_to(a, rows.shape), b)
         else:
@@ -313,7 +313,7 @@ class OperatorModel:
         return step.reshape(values.shape)
 
     def _t_times(self, rows):
-        # T = (1 - rho^2) E^{-1} applied to each row, flattened for dgtsv
+        # T = (1 - rho^2) E^{-1} applied to each row, flattened for dpttrs
         out = self._t_diag * rows
         out[..., 1:] -= self._rho * rows[..., :-1]
         out[..., :-1] -= self._rho * rows[..., 1:]
@@ -321,39 +321,33 @@ class OperatorModel:
 
     def _solve_tridiagonal(self, shift, rhs):
         n = self.grid.n
-        diag = self._t_diag * shift
-        diag += self._cw
-        diag = diag.ravel()
-        off = shift * -self._rho
+        diag = self._cw / shift
+        diag += self._t_diag
+        if not (_all_finite(shift) and _all_finite(diag) and _all_finite(rhs)):
+            # checked first: an infinite D, or one so small that W D^{-1}
+            # overflows, would give the finite but wrong step y / D = 0 there
+            bad = ~np.isfinite(shift) | ~np.isfinite(diag) | ~np.isfinite(rhs)
+            raise _singular(n, np.flatnonzero(bad)[0])
+        coupling = np.full(diag.size - 1, -self._rho)
         # no coupling between the last node of a row and the first of the next
-        upper = off.ravel()[1:].copy()
-        upper[n - 1::n] = 0.0
-        off[..., -1] = 0.0
-        lower = off.ravel()[:-1]
-        # dgtsv works on the system in place, unless refinement needs it again
-        flags = (int(n <= _UNREFINED_MAX_N),) * 3
-        _, pivots, _, step, info = dgtsv(lower, diag, upper, self._t_times(rhs), *flags, 1)
-        step = step.reshape(shift.shape)
-        if info == 0 and _all_finite(pivots):
-            if n > _UNREFINED_MAX_N:
-                correction = rhs - self._kernel_values(step)
-                correction -= shift * step
-                refined = dgtsv(lower, diag, upper, self._t_times(correction), 1, 1, 1, 1)[3]
-                step += refined.reshape(shift.shape)
-            if _all_finite(step):
-                return step
-        # a non-finite row can spill into its neighbours' pivots and
-        # solutions, so blame a non-finite system (its diagonal built again,
-        # as dgtsv may have overwritten it) first, then the pivots; failing
-        # those, dgtsv's info > 0 is its 1-based report of an exactly zero
-        # pivot (info < 0, a rejected argument, names node 0 of row 0)
-        _raise_singular(
-            n,
-            ~np.isfinite(self._t_diag * shift + self._cw).ravel() | ~np.isfinite(rhs.ravel()),
-            (pivots == 0.0) | ~np.isfinite(pivots),
-            ~np.isfinite(step),
-            fallback=max(info - 1, 0),
-        )
+        coupling[n - 1::n] = 0.0
+        d, e, info = dpttrf(diag.ravel(), coupling, 1, 1)
+        if info:
+            # info > 0 is the 1-based index of the first non-positive pivot,
+            # counted across the stack; info < 0, a rejected argument, names
+            # node 0 of row 0
+            raise _singular(n, max(info - 1, 0))
+        step = dpttrs(d, e, self._t_times(rhs), 1)[0].reshape(shift.shape)
+        step /= shift
+        if n > _UNREFINED_MAX_N:
+            correction = rhs - self._kernel_values(step)
+            correction -= shift * step
+            refined = dpttrs(d, e, self._t_times(correction), 1)[0].reshape(shift.shape)
+            refined /= shift
+            step += refined
+        if not _all_finite(step):
+            raise _singular(n, np.flatnonzero(~np.isfinite(step))[0])
+        return step
 
 
 def matvec(matrix: np.ndarray, w: GridFunction) -> GridFunction:

@@ -69,7 +69,8 @@ def solve_shifted_linear(
     """Solve (F'(u) + a*I) w = rhs in O(n) for a shift a > 0: the checked form
     of :meth:`OperatorModel.solve_shifted_values`, with a grid check and a
     :class:`~dsm.hilbert.GridFunction` result; raises :class:`SingularShiftError`
-    at a zero or non-finite pivot or step."""
+    at a non-finite entry of the system, a non-positive pivot, or a
+    non-finite step."""
     if not 0 < a < math.inf:
         raise ValueError(f"shift a must be positive and finite, got {a}")
     model._check(u, rhs)

@@ -150,6 +150,14 @@ def test_verify_lemmas_identity(tmp_path, capsys):
     assert all(",true," in line for line in lines[1:])
 
 
+def test_verify_lemmas_takes_every_model_kind(capsys):
+    # --model offers every kind an OperatorModel has, linear among them
+    assert main(["verify-lemmas", "--model", "linear"]) == 0
+    out = capsys.readouterr().out
+    assert "linear:monotonicity" in out
+    assert "identity:" not in out
+
+
 def test_no_subcommand_is_usage_error():
     with pytest.raises(SystemExit) as exc:
         main([])

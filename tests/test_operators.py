@@ -1,5 +1,5 @@
 """Operator models: kernel discretization, monotonicity, Jacobians, the O(n)
-apply and shifted solve, and the direct load of LAPACK dgtsv."""
+apply and shifted solve, and the direct load of LAPACK dpttrf/dpttrs."""
 
 import importlib.machinery
 import importlib.metadata
@@ -339,14 +339,21 @@ def test_shifted_solve_at_the_refinement_limit(kind, n, monkeypatch):
     """On the largest grid without refinement the one tridiagonal solve, and
     on the smallest grid with it the refined step, solve the shifted system
     to a relative residual of 1e-10."""
-    # one dgtsv call per step up to the limit, two (solve, refine) above it
-    dgtsv, calls = dsm.operators.dgtsv, []
+    # one factorization per step, and one solve with it up to the limit, two
+    # (solve, refine) above it
+    calls = []
 
-    def counted_dgtsv(*args, **kwargs):
-        calls.append(1)
-        return dgtsv(*args, **kwargs)
+    def counted(name):
+        routine = getattr(dsm.operators, name)
 
-    monkeypatch.setattr(dsm.operators, "dgtsv", counted_dgtsv)
+        def call(*args, **kwargs):
+            calls.append(name)
+            return routine(*args, **kwargs)
+
+        monkeypatch.setattr(dsm.operators, name, call)
+
+    counted("dpttrf")
+    counted("dpttrs")
     grid = QuadratureGrid(n)
     model = OperatorModel(kind, grid)
     rng = np.random.default_rng(37)
@@ -356,7 +363,8 @@ def test_shifted_solve_at_the_refinement_limit(kind, n, monkeypatch):
         for a in (1e-8, 1e-4, 1e-2, 1.0):
             calls.clear()
             step = solve_shifted_linear(model, u, a, rhs)
-            assert len(calls) == (1 if n <= _UNREFINED_MAX_N else 2)
+            solves = 1 if n <= _UNREFINED_MAX_N else 2
+            assert calls == ["dpttrf"] + ["dpttrs"] * solves
             residual = rhs.values - _shifted_operator(model, u, a, step)
             assert np.linalg.norm(residual) <= 1e-10 * np.linalg.norm(rhs.values)
 
@@ -364,16 +372,16 @@ def test_shifted_solve_at_the_refinement_limit(kind, n, monkeypatch):
 @pytest.mark.parametrize("n", [40, _UNREFINED_MAX_N + 1])
 @pytest.mark.parametrize("info", [-4, 1, 3, 45])
 def test_failed_tridiagonal_solve_always_raises(n, info, monkeypatch):
-    # dgtsv reporting a failure on an otherwise finite system still raises:
-    # info > 0 names the exactly zero pivot (1-based, counted across the
+    # dpttrf reporting a failure on an otherwise finite system still raises:
+    # info > 0 names the non-positive pivot (1-based, counted across the
     # stack), and info < 0, an argument it rejects, names node 0 of row 0
-    dgtsv = dsm.operators.dgtsv
+    dpttrf = dsm.operators.dpttrf
 
-    def failing_dgtsv(*args, **kwargs):
-        *out, _ = dgtsv(*args, **kwargs)
+    def failing_dpttrf(*args, **kwargs):
+        *out, _ = dpttrf(*args, **kwargs)
         return (*out, info)
 
-    monkeypatch.setattr(dsm.operators, "dgtsv", failing_dgtsv)
+    monkeypatch.setattr(dsm.operators, "dpttrf", failing_dpttrf)
     model = OperatorModel("cubic", QuadratureGrid(n))
     values = np.zeros((2, n))
     rhs = np.ones((2, n))
@@ -417,37 +425,65 @@ def test_shifted_solve_smallest_shift_on_refined_branch(kind, n):
     assert np.linalg.norm(residual) <= 1e-10 * np.linalg.norm(rhs.values)
 
 
+@pytest.mark.parametrize("n", [100, _UNREFINED_MAX_N + 1])
+@pytest.mark.parametrize("a", [1e-310, 5e-324])
+@pytest.mark.parametrize("kind", ["linear", "cubic"])
+def test_tiny_shift_solves_or_names_its_node(kind, a, n):
+    # with g'(0) = 0 the shift is all of D, and (1 - rho^2) w / D nears or
+    # passes the largest double: the middle row of the stack either meets
+    # the residual bound or raises at a node of its own, never a wrong step
+    grid = QuadratureGrid(n)
+    model = OperatorModel(kind, grid)
+    rhs = np.random.default_rng(43).standard_normal((3, n))
+    shifts = np.array([[1e-2], [a], [1.0]])
+    try:
+        with np.errstate(over="ignore"):
+            step = model.solve_shifted_values(np.zeros((3, n)), shifts, rhs)
+    except SingularShiftError as err:
+        assert err.row == 1 and 0 <= err.pivot_index < n
+        return
+    for k in range(3):
+        s = GridFunction(grid, step[k])
+        residual = rhs[k] - (model.apply_kernel(s).values + shifts[k, 0] * step[k])
+        assert np.linalg.norm(residual) <= 1e-10 * np.linalg.norm(rhs[k])
+
+
 @pytest.mark.parametrize("overwrite", [0, 1])
 @pytest.mark.parametrize("n", [100, _UNREFINED_MAX_N + 1])
 @pytest.mark.parametrize("rows", [1, 55])
 def test_loaded_dgtsv_matches_scipy_linalg(rows, n, overwrite):
-    """The dgtsv loaded straight from scipy's _flapack gives the bits that
-    scipy.linalg.lapack.dgtsv gives, on block systems shaped like a stacked
-    shifted solve, and reports an exactly zero pivot the same way."""
-    from scipy.linalg.lapack import dgtsv as reference
+    """The dpttrf and dpttrs loaded straight from scipy's _flapack give the
+    bits that scipy.linalg.lapack's give, on block systems shaped like a
+    stacked shifted solve, and report a non-positive pivot the same way."""
+    from scipy.linalg.lapack import dpttrf, dpttrs
 
     size = rows * n
     rng = np.random.default_rng(size + overwrite)
-    lower, upper = rng.standard_normal(size - 1), rng.standard_normal(size - 1)
+    # diagonally dominant, so positive definite: every pivot exceeds 1
+    diag = 3.0 + rng.random(size)
+    coupling = rng.standard_normal(size - 1).clip(-1.0, 1.0)
     # zero couplings between the last node of a row and the first of the next
-    lower[n - 1::n] = 0.0
-    upper[n - 1::n] = 0.0
-    diag, rhs = rng.standard_normal(size), rng.standard_normal(size)
-    # the last row's first column is all zeros: info names its 1-based pivot
+    coupling[n - 1::n] = 0.0
+    rhs = rng.standard_normal(size)
+    # the last row's first pivot is negative: info names it, 1-based
     first = (rows - 1) * n
-    singular_lower, singular_diag = lower.copy(), diag.copy()
-    singular_lower[first] = singular_diag[first] = 0.0
-    flags = dict.fromkeys(("overwrite_dl", "overwrite_d", "overwrite_du", "overwrite_b"), overwrite)
+    singular = diag.copy()
+    singular[first] = -1.0
     infos = []
-    for system in ((lower, diag, upper, rhs), (singular_lower, singular_diag, upper, rhs)):
-        got = dsm.operators.dgtsv(*(x.copy() for x in system), **flags)
-        want = reference(*(x.copy() for x in system), **flags)
-        assert len(got) == len(want) == 5
-        for got_out, want_out in zip(got[:4], want[:4]):
+    for d in (diag, singular):
+        got = dsm.operators.dpttrf(d.copy(), coupling.copy(), overwrite, overwrite)
+        want = dpttrf(d.copy(), coupling.copy(), overwrite, overwrite)
+        assert len(got) == len(want) == 3
+        for got_out, want_out in zip(got[:2], want[:2]):
             assert got_out.tobytes() == want_out.tobytes()
-        assert got[4] == want[4]
-        infos.append(got[4])
+        assert got[2] == want[2]
+        infos.append(got[2])
     assert infos == [0, first + 1]
+    d, e, _ = dpttrf(diag, coupling)
+    got = dsm.operators.dpttrs(d, e, rhs.copy(), overwrite)
+    want = dpttrs(d, e, rhs.copy(), overwrite)
+    assert got[0].tobytes() == want[0].tobytes()
+    assert got[1] == want[1] == 0
 
 
 def test_missing_flapack_names_the_scipy_version(tmp_path, monkeypatch):
@@ -461,7 +497,8 @@ def test_missing_flapack_names_the_scipy_version(tmp_path, monkeypatch):
 
 def test_running_a_cell_imports_no_scipy_linalg():
     # scipy.linalg's package import pulls in numpy.testing and numpy.f2py
-    # and costs about 0.3 s of every start-up; a run needs only dgtsv
+    # and costs about 0.3 s of every start-up; a run needs only dpttrf and
+    # dpttrs
     code = (
         "import sys\n"
         "import dsm\n"

@@ -304,17 +304,17 @@ def test_rows_reject_a_bad_shift(grid):
             _stacked(model, grid.zero(), [1.0, bad])
 
 
-@pytest.mark.parametrize(
-    "kind, iterations", [("arctan3", 15), ("cubic", 10), ("linear", 8), ("identity", 3)]
-)
-def test_failed_armijo_search_stops_with_the_iterate_before_it(grid, kind, iterations):
+@pytest.mark.parametrize("kind", MODEL_KINDS)
+def test_failed_armijo_search_stops_with_the_iterate_before_it(grid, kind):
     # tol = 1e-300 is out of reach: rounding ends the solve, when no step
-    # length passes the Armijo test, before the cap of 100 iterations
+    # length passes the Armijo test, before the cap of 100 iterations; at
+    # which iteration depends on the rounding of the shifted solve
     model = OperatorModel(kind, grid)
     f = grid.sample(lambda x: 1.0 + x)
     report = solve_regularized(model, f, 1e-2, NewtonOptions(tol=1e-300, max_iter=100))
     assert not report.converged
-    assert report.iterations == iterations
+    iterations = report.iterations
+    assert 1 < iterations < 100
     # the row leaves with the iterate it had before the failed search
     capped = solve_regularized(
         model, f, 1e-2, NewtonOptions(tol=1e-300, max_iter=iterations - 1)
