@@ -37,7 +37,6 @@ from .hilbert import GridFunction, GridMismatchError, QuadratureGrid, inner, nor
 from .operators import MODEL_KINDS, OperatorModel, matvec
 from .regsolve import (
     ConvergenceError,
-    NewtonOptions,
     RegularizedSolveReport,
     SingularShiftError,
     solve_regularized,
@@ -56,7 +55,6 @@ __all__ = [
     "GridMismatchError",
     "MODEL_KINDS",
     "NOISE_KINDS",
-    "NewtonOptions",
     "OperatorModel",
     "PRESETS",
     "QuadratureGrid",

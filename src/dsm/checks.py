@@ -50,17 +50,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import regsolve
 from .driver import ContinuousSchedule
 from .harness import _uniforms, calibrate_noise, exact_solution, sine_noise
 from .hilbert import GridFunction, GridMismatchError, QuadratureGrid, norm, norms
 from .operators import OperatorModel, SingularShiftError
-from .regsolve import (
-    ConvergenceError,
-    NewtonOptions,
-    _regularized_rows,
-    solve_regularized,
-    start_values,
-)
+from .regsolve import ConvergenceError, _regularized_rows, solve_regularized, start_values
 
 __all__ = [
     "CheckReport",
@@ -84,6 +79,7 @@ _TINY = 1e-300
 # step for monotonicity, absolute elsewhere.
 _MONOTONICITY_RTOL = 1e-9
 _LARGE_A_TOL = 1e-8
+_LARGE_A_SHIFTS = (1e2, 1e3, 1e4)
 _PROBE_SEED = 7  # the large-a probes' seed in the package's SplitMix64 stream
 _PROBES = 10
 _POWER_STEPS = 50
@@ -126,7 +122,8 @@ class Trajectory:
     ``solutions`` is the ``(S, n)`` array of node values whose row k is the
     solution V_k at ``a_values[k]``; ``residual_norms[k] = ||F(V_k) - f_delta||``
     and ``solution_norms[k] = ||V_k||``; ``eq_residuals[k]`` is the solver's
-    residual for the regularized equation itself, bounded by ``solver_tol``.
+    residual for the regularized equation itself, within the regularized
+    solve's tolerance of 1e-12.
     """
 
     model: OperatorModel
@@ -136,7 +133,6 @@ class Trajectory:
     residual_norms: np.ndarray
     solution_norms: np.ndarray
     eq_residuals: np.ndarray
-    solver_tol: float
 
 
 def _raise_unconverged(where, residual_norm):
@@ -168,14 +164,13 @@ _PATH_STACK_ROOT = 4.5
 _DOUBLING_STACK_ROWS = 9
 
 
-def _trajectories(model, sweeps, options=None):
+def _trajectories(model, sweeps):
     # Solve F(V) + a V = f for every pair (f, a_values) of ``sweeps`` and
     # every a of it, all rows of all sweeps as one path by decreasing a, each
     # row on its own data and started from the last solution on that data in
     # the stacks before (0 in the first); the first a, sweep by sweep, whose
     # solve did not converge raises ConvergenceError.  Returns one Trajectory
     # per sweep, its residuals ||F(V) - f|| with F(V) from the solve.
-    opts = options or NewtonOptions()
     for f, _ in sweeps:
         start = start_values(model, f, None)  # 0, once f is on the model's grid
     sizes = [len(a) for _, a in sweeps]
@@ -198,7 +193,7 @@ def _trajectories(model, sweeps, options=None):
         try:
             v, fv, eq_res[chunk], _, converged[chunk] = _regularized_rows(
                 model, f_rows, a_values[chunk, None],
-                np.array([last.get(key, start) for key in keys]), opts,
+                np.array([last.get(key, start) for key in keys]),
             )
         except SingularShiftError as err:
             raise SingularShiftError(err.pivot_index, chunk[err.row]) from err
@@ -210,42 +205,29 @@ def _trajectories(model, sweeps, options=None):
         _raise_unconverged(f"a={a_values[k]:g}", eq_res[k])
     bounds = np.cumsum(sizes)[:-1]
     columns = (np.split(x, bounds) for x in (solutions, res_norms, sol_norms, eq_res))
-    return [
-        Trajectory(model, f, a, *rows, solver_tol=opts.tol)
-        for (f, a), *rows in zip(sweeps, *columns)
-    ]
+    return [Trajectory(model, f, a, *rows) for (f, a), *rows in zip(sweeps, *columns)]
 
 
-def _validate_shifts(a_values):
+def _validate_a_grid(a_values):
     a_values = np.asarray(a_values, dtype=float)
     if a_values.ndim != 1 or a_values.size == 0:
         raise ValueError("a_values must be a nonempty 1-d sequence")
     if not np.all((a_values > 0) & (a_values < math.inf)):
         raise ValueError("a_values must be strictly positive and finite")
-    return a_values
-
-
-def _validate_a_grid(a_values):
-    a_values = _validate_shifts(a_values)
     if not np.all(np.diff(a_values) < 0):
         raise ValueError("a_values must be strictly decreasing")
     return a_values
 
 
-def build_trajectory(
-    model: OperatorModel,
-    f_delta: GridFunction,
-    a_values,
-    options: NewtonOptions | None = None,
-) -> Trajectory:
+def build_trajectory(model: OperatorModel, f_delta: GridFunction, a_values) -> Trajectory:
     """Solve F(V) + a V = f_delta for every a of the strictly decreasing
     ``a_values``, following the path of solutions: consecutive stacks of
     damped-Newton solves on raw arrays, the first started from 0 and every
     row of each next one from the last solution of the one before.  Each
-    row meets the solver's ``tol``, so it lies within 2*tol/a of its own
-    solve from 0 (strong monotonicity of F + a I); the first a that does
-    not raises ``ConvergenceError``."""
-    return _trajectories(model, [(f_delta, _validate_a_grid(a_values))], options)[0]
+    row meets the solver's tolerance tol = 1e-12, so it lies within 2*tol/a
+    of its own solve from 0 (strong monotonicity of F + a I); the first a
+    that does not raises ``ConvergenceError``."""
+    return _trajectories(model, [(f_delta, _validate_a_grid(a_values))])[0]
 
 
 def check_monotonicity(traj: Trajectory) -> CheckReport:
@@ -275,7 +257,7 @@ def check_perturbation_bounds(
         ||V_d - V|| <= delta/a,   ||V|| <= ||exact||,
         ||V_d||     <= ||exact|| + delta/a,
 
-    to a tolerance of ten times the looser solver tolerance plus 1e-9.
+    to a tolerance of ten times the regularized solve's tolerance plus 1e-9.
     """
     if not np.array_equal(traj_noisy.a_values, traj_exact.a_values):
         raise ValueError("trajectories must share the same a-grid")
@@ -284,7 +266,7 @@ def check_perturbation_bounds(
         raise GridMismatchError("trajectories and the exact solution must share one grid")
     if not 0 < delta < math.inf:
         raise ValueError(f"delta must be positive and finite, got {delta}")
-    tol = 10.0 * max(traj_noisy.solver_tol, traj_exact.solver_tol) + 1e-9
+    tol = 10.0 * regsolve._TOL + 1e-9
     y_norm = norm(exact)
     bound = delta / traj_noisy.a_values
     margins = np.column_stack((
@@ -329,15 +311,12 @@ def _derivative_norm_bound(model):
     return float(np.linalg.norm(s_times(x), axis=1).max(initial=0.0))
 
 
-def check_large_a_limit(
-    model: OperatorModel,
-    f_delta: GridFunction,
-    a_values=(1e2, 1e3, 1e4),
-) -> CheckReport:
-    """For large a the regularized solution obeys ||V|| <= ||f_delta - F(0)||/a,
-    and the residual stays within M1*||V|| of ||f_delta - F(0)||, where M1
-    bounds the derivative norm near zero (sampled over random points in the
-    weighted unit ball); both to a tolerance of 1e-8.
+def check_large_a_limit(model: OperatorModel, f_delta: GridFunction) -> CheckReport:
+    """For the large shifts a = 1e2, 1e3, 1e4 the regularized solution obeys
+    ||V|| <= ||f_delta - F(0)||/a, and the residual stays within M1*||V|| of
+    ||f_delta - F(0)||, where M1 bounds the derivative norm near zero
+    (sampled over random points in the weighted unit ball); both to a
+    tolerance of 1e-8.
 
     M1 is the largest weighted operator norm of F' over 10 points, each by
     50 steps of power iteration.  The iteration runs on all points at once
@@ -347,10 +326,10 @@ def check_large_a_limit(
     The probes come from the package's SplitMix64 stream at seed 7.  Each
     probe is u = (r/||g||) g, with g uniform on the cube [-1, 1)^n and r
     uniform on [0, 1); its power iteration starts from a second draw uniform
-    on [-1, 1)^n.  The shifts need not be ordered: they are solved as one
-    sweep by decreasing a, as in :func:`build_trajectory`.
+    on [-1, 1)^n.  The shifts are solved as one sweep by decreasing a, as in
+    :func:`build_trajectory`.
     """
-    a_values = _validate_shifts(a_values)
+    a_values = np.array(_LARGE_A_SHIFTS)
     base = _data_residual_norms(model, f_delta, np.zeros(model.grid.n))
     m1 = _derivative_norm_bound(model)
     traj = _trajectories(model, [(f_delta, a_values)])[0]
@@ -365,7 +344,6 @@ def find_crossing_time(
     delta: float,
     C: float,
     schedule: ContinuousSchedule,
-    options: NewtonOptions | None = None,
 ) -> float:
     """The time t1 where the regularized residual
     phi(t) = ||F(V(a(t))) - f_delta|| equals C*delta.
@@ -390,14 +368,13 @@ def find_crossing_time(
     start = start_values(model, f_delta, None)
     if _data_residual_norms(model, f_delta, start) <= target:
         raise ValueError("C*delta is not below ||F(0) - f_delta||; no crossing")
-    opts = options or NewtonOptions()
 
     def excess(times, start):
         # the solutions at ``times``, one stack from ``start``, and a reader of
         # phi(t) - C*delta at row k that raises if that row did not converge
         a = schedule.a(times).reshape(-1, 1)
         v, fv, res, _, converged = _regularized_rows(
-            model, f_delta.values, a, np.tile(start, (len(times), 1)), opts
+            model, f_delta.values, a, np.tile(start, (len(times), 1))
         )
         values = norms(model.grid, fv - f_delta.values) - target
 
@@ -657,15 +634,15 @@ def gronwall_recipe(c0: float = 1.0, c1: float = 1.0, b: float = 1.0, c: float =
     return schedule, lam, g0
 
 
-def run_lemma_suite(kinds=("identity", "arctan3", "cubic"), n_points: int = 100) -> list:
-    """Run every check against each model kind, with 1% sine noise on the
-    step solution's data and a sweep of 20 shifts a from 10 down to 1e-4,
-    plus the model-independent scalar checks, and return the reports (names
-    prefixed by model kind)."""
+def run_lemma_suite(kinds=("identity", "arctan3", "cubic")) -> list:
+    """Run every check against each model kind on a 100-point grid, with 1%
+    sine noise on the step solution's data and a sweep of 20 shifts a from 10
+    down to 1e-4, plus the model-independent scalar checks, and return the
+    reports (names prefixed by model kind)."""
     sweep = np.logspace(1.0, -4.0, 20)
     reports = []
     for kind in kinds:
-        grid = QuadratureGrid(n_points)
+        grid = QuadratureGrid(100)
         model = OperatorModel(kind, grid)
         u_exact = exact_solution("step", grid)
         f = model.apply(u_exact)

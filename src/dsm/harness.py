@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import astuple, dataclass, replace
+from dataclasses import astuple, dataclass, fields, replace
 from typing import Iterable
 
 import numpy as np
@@ -226,15 +226,10 @@ PRESETS = {
     ),
 }
 
-CSV_HEADER = (
-    "delta_rel,delta_abs,n_iterations,rel_error,c0,n_points,seed,"
-    "model,exact,stopped,wall_time_s"
-)
-
 
 @dataclass
 class ResultRow:
-    """One cell's result; the fields are the CSV columns, in CSV_HEADER order."""
+    """One cell's result; the fields are the CSV columns, in order."""
 
     delta_rel: float
     delta_abs: float
@@ -247,6 +242,9 @@ class ResultRow:
     exact: str
     stopped: bool
     wall_time_s: float
+
+
+CSV_HEADER = ",".join(field.name for field in fields(ResultRow))
 
 
 @dataclass

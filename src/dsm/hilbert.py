@@ -60,13 +60,6 @@ class QuadratureGrid:
     def __repr__(self):
         return f"QuadratureGrid(n={self.n})"
 
-    def sample(self, fn) -> "GridFunction":
-        """Evaluate a callable at the nodes and wrap the result."""
-        return GridFunction(self, fn(self.nodes))
-
-    def zero(self) -> "GridFunction":
-        return GridFunction(self, np.zeros(self.n))
-
 
 class GridFunction:
     """A real-valued function sampled on a :class:`QuadratureGrid`.

@@ -49,7 +49,6 @@ import importlib.machinery
 import importlib.util
 import math
 import os
-from functools import cached_property
 
 import numpy as np
 
@@ -106,6 +105,16 @@ dpttrf, dpttrs = _flapack.dpttrf, _flapack.dpttrs
 # relative residual below 1, and the line search's Armijo test certifies
 # every step.
 _UNREFINED_MAX_N = 1000
+
+# The largest diagonal entry of (T + (1 - rho^2) W D^{-1}) at which a row is
+# solved for y = D s unscaled.  By Gershgorin the norm of y is at least that
+# of T rhs over the largest entry plus 2, so below 2^64 y stays out of the
+# subnormal range for any right-hand side above about 1e-288.  Above it, D is
+# tiny (below 2.3e-20 on the coarsest grid, less on finer ones), y = D s
+# shrinks with it, and a subnormal y keeps only some of its digits: a shift
+# of 1e-310 and a right-hand side of scale 1e-12 gave relative residuals of
+# 1e-4 to 1e-3 at n = 100 and 1001, against the bound of 1e-10.
+_RESCALE_DIAG = 2.0 ** 64
 
 
 class SingularShiftError(RuntimeError):
@@ -170,10 +179,8 @@ class OperatorModel:
     array; :meth:`apply` is F with a grid check and a
     :class:`~dsm.hilbert.GridFunction` result, and
     :func:`dsm.regsolve.solve_shifted_linear` is the checked shifted solve.
-    The dense kernel matrix K_ij = w_j * exp(-|x_i - x_j|) and
-    :meth:`jacobian` are O(n^2) diagnostics that only tests use; no solver
-    or check calls them.
-    ``kernel`` is built on first access and cached.
+    The dense :meth:`jacobian` is an O(n^2) diagnostic that only tests use;
+    no solver or check calls it.
     """
 
     def __init__(self, kind: str, grid: QuadratureGrid):
@@ -203,14 +210,6 @@ class OperatorModel:
         for u in functions:
             if u is not None and u.grid != self.grid:
                 raise GridMismatchError(f"function on {u.grid!r}, model on {self.grid!r}")
-
-    @cached_property
-    def kernel(self) -> np.ndarray:
-        """Dense K_ij = w_j * exp(-|x_i - x_j|), for O(n^2) diagnostics only."""
-        x = self.grid.nodes
-        kernel = np.exp(-np.abs(x[:, None] - x[None, :])) * self.grid.weights[None, :]
-        kernel.flags.writeable = False
-        return kernel
 
     def _rows(self, values):
         # A stack of S > 1 rows as shape (S, n), and a single row, stacked or
@@ -255,12 +254,14 @@ class OperatorModel:
         return GridFunction(self.grid, self.apply_values(u.values))
 
     def jacobian(self, u: GridFunction) -> np.ndarray:
-        """Dense derivative matrix F'(u) = K + diag(g'(u)), an O(n^2) diagnostic."""
+        """Dense derivative matrix F'(u) = K + diag(g'(u)), with the kernel
+        matrix K_ij = w_j * exp(-|x_i - x_j|); an O(n^2) diagnostic."""
         self._check(u)
         n = self.grid.n
         if self.kind == "identity":
             return np.eye(n)
-        jac = self.kernel.copy()
+        x = self.grid.nodes
+        jac = np.exp(-np.abs(x[:, None] - x[None, :])) * self.grid.weights[None, :]
         if self._gprime is not None:
             jac[np.diag_indices(n)] += self._gprime(u.values)
         return jac
@@ -290,7 +291,11 @@ class OperatorModel:
         against the O(n) operator follows, a second ``dpttrs`` with the same
         factor, and brings the residual back to rounding level.  The row
         length n alone picks the branch, so a row of a stack still gives
-        what it gives alone.  The identity model's step is rhs / (1 + a).
+        what it gives alone.  A row whose diagonal passes 2^64 (a D below
+        2.3e-20 or less) has its T rhs scaled by a power of 2 first, so that
+        a tiny D does not push y into the subnormal range, where it would
+        lose digits; the scaling is exact and chosen from that row alone.
+        The identity model's step is rhs / (1 + a).
 
         Raises :class:`SingularShiftError` at, in this order, a non-finite
         D or rhs or a D so small that (1 - rho^2) w / D overflows, a
@@ -319,6 +324,27 @@ class OperatorModel:
         out[..., :-1] -= self._rho * rows[..., 1:]
         return out.ravel()
 
+    def _solve_factored(self, d, e, shift, rhs, top):
+        # s = y / D for (T + (1 - rho^2) W D^{-1}) y = T rhs, factored as (d, e).
+        # ``top`` holds each row's largest diagonal entry, or is None when no
+        # row's passes _RESCALE_DIAG.
+        b = self._t_times(rhs)
+        if top is None:
+            step = dpttrs(d, e, b, 1)[0].reshape(shift.shape)
+            step /= shift
+            return step
+        # A row past _RESCALE_DIAG solves for 2^k y, with T rhs scaled so that
+        # its largest entry is about sqrt(top): that keeps 2^k y, about
+        # 2^k T rhs / top where D is tiny, far from both ends of the double
+        # range.  Scaling by a power of 2 is exact, so a row whose y was not
+        # subnormal gets the same bits as unscaled.
+        b = b.reshape(shift.shape)
+        k = np.frexp(top)[1] // 2 - np.frexp(np.abs(b).max(axis=-1, keepdims=True))[1]
+        k = np.where(top > _RESCALE_DIAG, np.maximum(k, 0), 0)
+        step = dpttrs(d, e, np.ldexp(b, k).ravel(), 1)[0].reshape(shift.shape)
+        step /= shift
+        return np.ldexp(step, -k)
+
     def _solve_tridiagonal(self, shift, rhs):
         n = self.grid.n
         diag = self._cw / shift
@@ -337,14 +363,14 @@ class OperatorModel:
             # counted across the stack; info < 0, a rejected argument, names
             # node 0 of row 0
             raise _singular(n, max(info - 1, 0))
-        step = dpttrs(d, e, self._t_times(rhs), 1)[0].reshape(shift.shape)
-        step /= shift
+        top = None
+        if diag.max() > _RESCALE_DIAG:
+            top = diag.max(axis=-1, keepdims=True)
+        step = self._solve_factored(d, e, shift, rhs, top)
         if n > _UNREFINED_MAX_N:
             correction = rhs - self._kernel_values(step)
             correction -= shift * step
-            refined = dpttrs(d, e, self._t_times(correction), 1)[0].reshape(shift.shape)
-            refined /= shift
-            step += refined
+            step += self._solve_factored(d, e, shift, correction, top)
         if not _all_finite(step):
             raise _singular(n, np.flatnonzero(~np.isfinite(step))[0])
         return step

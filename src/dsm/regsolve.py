@@ -9,8 +9,9 @@ the weighted L2 norm, finds it from any reasonable starting point.
 raw node values with one call each of the model's kernels and of
 :func:`line_search` per step, and drops each row, with what it gets alone,
 at its caller's stop: ``_regularized_rows`` (a fixed shift per row, stop at
-``tol``), behind :func:`solve_regularized` and the paths of
-:mod:`dsm.checks`, and the run drivers in :mod:`dsm.driver`.
+the residual tolerance ``_TOL`` or after ``_MAX_ITER`` iterations), behind
+:func:`solve_regularized` and the paths of :mod:`dsm.checks`, and the run
+drivers in :mod:`dsm.driver`.
 """
 
 from __future__ import annotations
@@ -24,7 +25,6 @@ from .hilbert import GridFunction, norms
 from .operators import OperatorModel, SingularShiftError
 
 __all__ = [
-    "NewtonOptions",
     "RegularizedSolveReport",
     "SingularShiftError",
     "ConvergenceError",
@@ -37,22 +37,13 @@ __all__ = [
 
 
 class ConvergenceError(RuntimeError):
-    """A regularized solve failed to reach the requested tolerance."""
+    """A regularized solve failed to reach its tolerance."""
 
 
-@dataclass(frozen=True)
-class NewtonOptions:
-    """Solver knobs: absolute residual tolerance in the weighted norm and
-    Newton iteration cap."""
-
-    tol: float = 1e-12
-    max_iter: int = 100
-
-    def __post_init__(self):
-        if not self.tol > 0:
-            raise ValueError(f"tol must be positive, got {self.tol}")
-        if not (self.max_iter >= 1 and float(self.max_iter).is_integer()):
-            raise ValueError(f"max_iter must be an integer >= 1, got {self.max_iter}")
+# The regularized solve's absolute residual tolerance, in the weighted norm,
+# and its Newton iteration cap.
+_TOL = 1e-12
+_MAX_ITER = 100
 
 
 @dataclass
@@ -238,15 +229,15 @@ def _newton_rows(model: OperatorModel, u, f_values, shifts, first_step, stop):
                 g, g_norm = regularized_residual(grid, fu, u, a, f_values)
 
 
-def _regularized_rows(model: OperatorModel, f_values, a, starts, opts: NewtonOptions):
+def _regularized_rows(model: OperatorModel, f_values, a, starts):
     # Solve F(v) + a*v = f by damped Newton for a stack of rows on raw arrays,
     # all rows taking full steps in one stack: the rows ``starts`` (S, n), a
     # C-ordered array it overwrites with the solutions, the data ``f_values``,
     # one row (n,) for every shift or a C-ordered stack (S, n) of one row per
     # shift, and a column ``a`` (S, 1) of shifts.  A row leaves when it meets
-    # ``tol``, at the iteration cap, and, with the iterate it had before, when
-    # no step length passes its Armijo test; it gets bit for bit what it gets
-    # alone.  Returns (solutions, F(solutions), residual_norms, iterations,
+    # ``_TOL``, at ``_MAX_ITER`` iterations, and, with the iterate it had
+    # before, when no step length passes its Armijo test; it gets bit for bit
+    # what it gets alone.  Returns (solutions, F(solutions), residual_norms, iterations,
     # converged).  A row's F comes from the line search trial that made its
     # iterate; only a row that leaves at a failed search, with the iterate
     # before it, is evaluated again.
@@ -259,7 +250,7 @@ def _regularized_rows(model: OperatorModel, f_values, a, starts, opts: NewtonOpt
     residual_norms, iterations = np.empty(len(a)), np.zeros(len(a), dtype=int)
 
     def stop(k, rows, v, fv, f_values, g_norm, accepted, lam, v_prev, norm_prev):
-        leave = ~accepted | ~(g_norm > opts.tol) | (k == opts.max_iter)
+        leave = ~accepted | ~(g_norm > _TOL) | (k == _MAX_ITER)
         if np.count_nonzero(leave):
             done, kept = rows[leave], accepted[leave]
             solutions[done] = np.where(kept[:, None], v[leave], v_prev[leave])
@@ -272,27 +263,24 @@ def _regularized_rows(model: OperatorModel, f_values, a, starts, opts: NewtonOpt
         return leave
 
     _newton_rows(model, solutions, f_values, a, None, stop)
-    return solutions, f_solutions, residual_norms, iterations, residual_norms <= opts.tol
+    return solutions, f_solutions, residual_norms, iterations, residual_norms <= _TOL
 
 
 def solve_regularized(
-    model: OperatorModel,
-    f_delta: GridFunction,
-    a: float,
-    options: NewtonOptions | None = None,
-    start: GridFunction | None = None,
+    model: OperatorModel, f_delta: GridFunction, a: float
 ) -> RegularizedSolveReport:
-    """Solve F(v) + a*v = f_delta by damped Newton from v = start (default 0).
+    """Solve F(v) + a*v = f_delta by damped Newton from v = 0, to the absolute
+    residual tolerance 1e-12 in the weighted norm within 100 iterations.
 
     When no step length passes its Armijo test, the iterate before that
     search is returned; at the iteration cap, the current one.  Either way
-    ``converged`` is False unless it already meets ``tol``.
+    ``converged`` is False unless it already meets the tolerance.
     """
-    # a copy of the start as one C-ordered row, which the solve overwrites
-    row = np.array([start_values(model, f_delta, start)])
+    # the start 0 as one C-ordered row, which the solve overwrites
+    row = start_values(model, f_delta, None)[None, :]
     a = np.array([[a]], dtype=float)
     v, _, norm, iterations, converged = (
-        x[0] for x in _regularized_rows(model, f_delta.values, a, row, options or NewtonOptions())
+        x[0] for x in _regularized_rows(model, f_delta.values, a, row)
     )
     return RegularizedSolveReport(
         GridFunction(model.grid, v), float(norm), int(iterations), bool(converged)

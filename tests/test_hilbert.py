@@ -85,8 +85,8 @@ def test_shape_mismatch_rejected():
 
 
 def test_mixed_grid_arithmetic_rejected():
-    u = QuadratureGrid(4).zero()
-    v = QuadratureGrid(5).zero()
+    u = GridFunction(QuadratureGrid(4), np.zeros(4))
+    v = GridFunction(QuadratureGrid(5), np.zeros(5))
     with pytest.raises(GridMismatchError):
         u + v
     with pytest.raises(GridMismatchError):
@@ -116,14 +116,14 @@ def test_quadrature_quadratic_error_scales_as_h_squared():
 def test_sine_norm_against_closed_form():
     # int_0^1 sin(3 pi x)^2 dx = 1/2
     grid = QuadratureGrid(200)
-    s = grid.sample(lambda x: np.sin(3.0 * np.pi * x))
+    s = GridFunction(grid, np.sin(3.0 * np.pi * grid.nodes))
     assert inner(s, s) == pytest.approx(0.5, abs=1e-3)
 
 
 def test_rel_error_zero_reference_raises():
-    grid = QuadratureGrid(4)
+    zero = GridFunction(QuadratureGrid(4), np.zeros(4))
     with pytest.raises(ValueError):
-        rel_error(grid.zero(), grid.zero())
+        rel_error(zero, zero)
 
 
 def test_rel_error_basic():

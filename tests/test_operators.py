@@ -50,13 +50,13 @@ def test_unknown_kind_rejected():
 def test_apply_rejects_wrong_grid():
     model = OperatorModel("cubic", QuadratureGrid(10))
     with pytest.raises(GridMismatchError):
-        model.apply(QuadratureGrid(11).zero())
+        model.apply(GridFunction(QuadratureGrid(11), np.zeros(11)))
 
 
 def test_identity_is_identity():
     grid = QuadratureGrid(17)
     model = OperatorModel("identity", grid)
-    u = grid.sample(np.cos)
+    u = GridFunction(grid, np.cos(grid.nodes))
     np.testing.assert_array_equal(model.apply(u).values, u.values)
     np.testing.assert_array_equal(model.jacobian(u), np.eye(17))
 
@@ -64,18 +64,20 @@ def test_identity_is_identity():
 def test_linear_drops_nonlinearity():
     grid = QuadratureGrid(23)
     lin = OperatorModel("linear", grid)
-    u = grid.sample(lambda x: x - 0.3)
+    u = GridFunction(grid, grid.nodes - 0.3)
     np.testing.assert_array_equal(lin.apply(u).values, lin.apply_kernel(u).values)
 
 
 def test_arctan3_and_cubic_reduce_to_linear_at_zero():
     grid = QuadratureGrid(12)
-    zero = grid.zero()
+    zero = GridFunction(grid, np.zeros(grid.n))
     for kind in ("arctan3", "cubic"):
         model = OperatorModel(kind, grid)
         np.testing.assert_allclose(model.apply(zero).values, 0.0, atol=1e-15)
-        # g'(0) = 0 for both nonlinearities, so F'(0) is the kernel matrix
-        np.testing.assert_array_equal(model.jacobian(zero), model.kernel)
+        # g'(0) = 0 for both nonlinearities, so F'(0) is the kernel matrix,
+        # the linear model's Jacobian
+        kernel = OperatorModel("linear", grid).jacobian(zero)
+        np.testing.assert_array_equal(model.jacobian(zero), kernel)
 
 
 def test_kernel_matrix_symmetric_in_weighted_inner_product():
@@ -146,7 +148,7 @@ def test_jacobian_matches_finite_differences(kind):
 def test_matvec_shape_check():
     grid = QuadratureGrid(6)
     with pytest.raises(ValueError):
-        matvec(np.eye(5), grid.zero())
+        matvec(np.eye(5), GridFunction(grid, np.zeros(grid.n)))
 
 
 def test_injectivity_probe():
@@ -227,8 +229,9 @@ def test_matrix_free_apply_and_shifted_solve(kind, n, a, data):
     if kind == "identity":
         np.testing.assert_array_equal(model.apply(u).values, u.values)
     else:
-        dense = model.kernel @ u.values + _G[kind](u.values)
-        scale = np.abs(model.kernel) @ np.abs(u.values) + np.abs(_G[kind](u.values))
+        kernel = OperatorModel("linear", grid).jacobian(GridFunction(grid, np.zeros(n)))
+        dense = kernel @ u.values + _G[kind](u.values)
+        scale = np.abs(kernel) @ np.abs(u.values) + np.abs(_G[kind](u.values))
         gap = np.abs(model.apply(u).values - dense)
         assert np.all(gap <= 1e-13 * scale + 1e-300)
 
@@ -392,9 +395,11 @@ def test_failed_tridiagonal_solve_always_raises(n, info, monkeypatch):
 
 
 @pytest.mark.parametrize("kind", ["arctan3", "cubic", "linear"])
-def test_shifted_solve_at_large_n(kind):
-    # a dense kernel at n = 1e5 would take 80 GB; the step needs none, and on
-    # a grid this fine its refinement step keeps the residual at rounding level
+def test_shifted_solve_at_large_n(kind, monkeypatch):
+    # a dense kernel at n = 1e5 would take 80 GB; the step needs none (the
+    # dense Jacobian is the only place one is formed), and on a grid this
+    # fine its refinement step keeps the residual at rounding level
+    monkeypatch.setattr(OperatorModel, "jacobian", _no_dense_matrix)
     n = 100_000
     grid = QuadratureGrid(n)
     model = OperatorModel(kind, grid)
@@ -405,7 +410,10 @@ def test_shifted_solve_at_large_n(kind):
         step = solve_shifted_linear(model, u, a, rhs)
         residual = rhs.values - _shifted_operator(model, u, a, step)
         assert np.linalg.norm(residual) <= 1e-10 * np.linalg.norm(rhs.values)
-    assert "kernel" not in model.__dict__
+
+
+def _no_dense_matrix(model, u):
+    raise AssertionError("formed a dense n x n matrix")
 
 
 @pytest.mark.parametrize("n", [10_000, 100_000])
@@ -426,26 +434,45 @@ def test_shifted_solve_smallest_shift_on_refined_branch(kind, n):
 
 
 @pytest.mark.parametrize("n", [100, _UNREFINED_MAX_N + 1])
-@pytest.mark.parametrize("a", [1e-310, 5e-324])
+@pytest.mark.parametrize("a", [1e-300, 1e-310, 5e-324])
 @pytest.mark.parametrize("kind", ["linear", "cubic"])
 def test_tiny_shift_solves_or_names_its_node(kind, a, n):
     # with g'(0) = 0 the shift is all of D, and (1 - rho^2) w / D nears or
     # passes the largest double: the middle row of the stack either meets
-    # the residual bound or raises at a node of its own, never a wrong step
+    # the residual bound or raises at a node of its own, never a wrong step.
+    # With a small right-hand side y = D s is subnormal unless the solve
+    # rescales it.  Unscaled, the middle row's relative residual was 1.5e-6
+    # to 1.2e-3 at a = 1e-300, scale 1e-20 and a = 1e-310, scale 1e-12, and
+    # 1 or more at a = 1e-310, scale 1e-20; rescaled it is at most 4.7e-12
     grid = QuadratureGrid(n)
     model = OperatorModel(kind, grid)
-    rhs = np.random.default_rng(43).standard_normal((3, n))
     shifts = np.array([[1e-2], [a], [1.0]])
-    try:
-        with np.errstate(over="ignore"):
-            step = model.solve_shifted_values(np.zeros((3, n)), shifts, rhs)
-    except SingularShiftError as err:
-        assert err.row == 1 and 0 <= err.pivot_index < n
-        return
-    for k in range(3):
-        s = GridFunction(grid, step[k])
-        residual = rhs[k] - (model.apply_kernel(s).values + shifts[k, 0] * step[k])
-        assert np.linalg.norm(residual) <= 1e-10 * np.linalg.norm(rhs[k])
+    for scale in (1.0, 1e-12, 1e-20):
+        rhs = scale * np.random.default_rng(43).standard_normal((3, n))
+        try:
+            with np.errstate(over="ignore"):
+                step = model.solve_shifted_values(np.zeros((3, n)), shifts, rhs)
+        except SingularShiftError as err:
+            assert err.row == 1 and 0 <= err.pivot_index < n
+            continue
+        for k in range(3):
+            s = GridFunction(grid, step[k])
+            residual = rhs[k] - (model.apply_kernel(s).values + shifts[k, 0] * step[k])
+            assert np.linalg.norm(residual) <= 1e-10 * np.linalg.norm(rhs[k]), (scale, k)
+
+
+@pytest.mark.parametrize("n", [100, _UNREFINED_MAX_N + 1])
+def test_rescaled_rows_keep_their_bits_where_y_stays_normal(n, monkeypatch):
+    # scaling by a power of 2 is exact: at a = 1e-300 and a right-hand side
+    # of scale 1, y = D s stays normal, so the rescaled middle row gets the
+    # bits of the unscaled solve
+    model = OperatorModel("linear", QuadratureGrid(n))
+    rhs = np.random.default_rng(5).standard_normal((3, n))
+    shifts = np.array([[1e-2], [1e-300], [1.0]])
+    rescaled = model.solve_shifted_values(np.zeros((3, n)), shifts, rhs)
+    monkeypatch.setattr(dsm.operators, "_RESCALE_DIAG", np.inf)
+    unscaled = model.solve_shifted_values(np.zeros((3, n)), shifts, rhs)
+    np.testing.assert_array_equal(rescaled, unscaled)
 
 
 @pytest.mark.parametrize("overwrite", [0, 1])

@@ -8,10 +8,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from dsm import regsolve
+from dsm.driver import DiscreteSchedule, run_iteration
 from dsm.hilbert import GridFunction, GridMismatchError, QuadratureGrid, norm
 from dsm.operators import MODEL_KINDS, OperatorModel
 from dsm.regsolve import (
-    NewtonOptions,
     _regularized_rows,
     SingularShiftError,
     line_search,
@@ -30,15 +31,16 @@ def test_identity_model_divides_by_one_plus_shift(grid):
     # F' = I for the identity model, so the step is rhs / (1 + a) exactly
     model = OperatorModel("identity", grid)
     rhs = GridFunction(grid, np.linspace(-1.0, 1.0, grid.n))
+    zero = GridFunction(grid, np.zeros(grid.n))
     for a in (1e-8, 0.3, 2.0, 1e3):
-        out = solve_shifted_linear(model, grid.zero(), a, rhs)
+        out = solve_shifted_linear(model, zero, a, rhs)
         np.testing.assert_array_equal(out.values, rhs.values / (1.0 + a))
 
 
 def test_identity_jacobian_halves(grid):
     model = OperatorModel("identity", grid)
     rhs = GridFunction(grid, np.ones(grid.n))
-    out = solve_shifted_linear(model, grid.sample(np.sin), 1.0, rhs)
+    out = solve_shifted_linear(model, GridFunction(grid, np.sin(grid.nodes)), 1.0, rhs)
     np.testing.assert_array_equal(out.values, 0.5)
 
 
@@ -60,40 +62,34 @@ def test_singular_shift_reports_pivot(grid):
     model = OperatorModel("cubic", grid)
     values = np.zeros(grid.n)
     values[7] = 1e200
+    rhs = GridFunction(grid, np.cos(grid.nodes))
     with pytest.raises(SingularShiftError) as err:
-        solve_shifted_linear(model, GridFunction(grid, values), 1.0, grid.sample(np.cos))
+        solve_shifted_linear(model, GridFunction(grid, values), 1.0, rhs)
     assert err.value.pivot_index == 7
 
 
 def test_nonpositive_shift_rejected(grid):
     model = OperatorModel("linear", grid)
+    zero = GridFunction(grid, np.zeros(grid.n))
     for a in (0.0, -1.0, float("nan"), math.inf):
         with pytest.raises(ValueError):
-            solve_shifted_linear(model, grid.zero(), a, grid.zero())
+            solve_shifted_linear(model, zero, a, zero)
 
 
 def test_length_mismatch_rejected(grid):
-    other = QuadratureGrid(grid.n + 1).zero()
+    zero = GridFunction(grid, np.zeros(grid.n))
+    other = GridFunction(QuadratureGrid(grid.n + 1), np.zeros(grid.n + 1))
     for kind in MODEL_KINDS:
         model = OperatorModel(kind, grid)
         with pytest.raises(GridMismatchError):
-            solve_shifted_linear(model, other, 1.0, grid.zero())
+            solve_shifted_linear(model, other, 1.0, zero)
         with pytest.raises(GridMismatchError):
-            solve_shifted_linear(model, grid.zero(), 1.0, other)
-
-
-def test_newton_options_validation():
-    with pytest.raises(ValueError):
-        NewtonOptions(tol=0.0)
-    with pytest.raises(ValueError):
-        NewtonOptions(max_iter=0)
-    with pytest.raises(ValueError):
-        NewtonOptions(max_iter=2.5)
+            solve_shifted_linear(model, zero, 1.0, other)
 
 
 def test_identity_model_solved_in_one_step(grid):
     model = OperatorModel("identity", grid)
-    f = grid.sample(lambda x: np.sin(2.0 * x) + 1.5)
+    f = GridFunction(grid, np.sin(2.0 * grid.nodes) + 1.5)
     a = 0.25
     report = solve_regularized(model, f, a)
     assert report.converged
@@ -106,7 +102,7 @@ def test_identity_model_solved_in_one_step(grid):
 def test_substitution_residual_at_tolerance(grid, kind, a):
     """The returned solution satisfies F(v) + a v = f to the solver tolerance."""
     model = OperatorModel(kind, grid)
-    u_true = grid.sample(lambda x: 1.0 - x)
+    u_true = GridFunction(grid, 1.0 - grid.nodes)
     f = model.apply(u_true)
     report = solve_regularized(model, f, a)
     assert report.converged
@@ -119,71 +115,73 @@ def test_substitution_residual_at_tolerance(grid, kind, a):
 def test_large_shift_norm_bound(grid, a):
     # monotone F gives ||v|| <= ||f - F(0)||/a exactly in the weighted norm
     model = OperatorModel("arctan3", grid)
-    f = grid.sample(lambda x: np.exp(-x))
+    f = GridFunction(grid, np.exp(-grid.nodes))
     report = solve_regularized(model, f, a)
-    bound = norm(f - model.apply(grid.zero())) / a
+    bound = norm(f - model.apply(GridFunction(grid, np.zeros(grid.n)))) / a
     assert norm(report.solution) <= bound + 1e-11
 
 
 def test_unique_solution_independent_of_start(grid):
     model = OperatorModel("cubic", grid)
-    f = grid.sample(lambda x: 1.0 + 0.5 * np.sin(3.0 * x))
+    f = GridFunction(grid, 1.0 + 0.5 * np.sin(3.0 * grid.nodes))
     a = 0.05
     from_zero = solve_regularized(model, f, a)
-    from_f = solve_regularized(model, f, a, start=f)
-    assert from_zero.converged and from_f.converged
-    assert norm(from_zero.solution - from_f.solution) <= 1e-8
+    from_f, _, _, converged = _stacked(model, f, [a], start=f.values)
+    assert from_zero.converged and converged[0]
+    assert norm(from_zero.solution - GridFunction(grid, from_f[0])) <= 1e-8
 
 
 def test_solution_norm_grows_as_shift_decreases(grid):
     model = OperatorModel("arctan3", grid)
-    f = grid.sample(lambda x: 1.0 + x * (1.0 - x))
+    f = GridFunction(grid, 1.0 + grid.nodes * (1.0 - grid.nodes))
     norms = []
     start = None
     for a in np.logspace(1.0, -4.0, 12):
-        report = solve_regularized(model, f, float(a), start=start)
-        assert report.converged
-        start = report.solution
-        norms.append(norm(report.solution))
+        solutions, _, _, converged = _stacked(model, f, [a], start=start)
+        assert converged[0]
+        start = solutions[0]
+        norms.append(norm(GridFunction(grid, start)))
     diffs = np.diff(norms)
     assert np.all(diffs > 0.0)
 
 
-def test_iteration_cap_reports_not_converged(grid):
+def test_iteration_cap_reports_not_converged(grid, monkeypatch):
+    monkeypatch.setattr(regsolve, "_MAX_ITER", 1)
     model = OperatorModel("cubic", grid)
-    f = grid.sample(lambda x: 1.0 + x)
-    report = solve_regularized(model, f, 1e-3, NewtonOptions(max_iter=1))
+    f = GridFunction(grid, 1.0 + grid.nodes)
+    report = solve_regularized(model, f, 1e-3)
     assert not report.converged
     assert report.residual_norm > 1e-12
 
 
 def test_unevaluable_start_rejected(grid):
-    # cubing 1e110 overflows float64; the solver must refuse the start point
+    # cubing 1e110 overflows float64; the Newton loop must refuse the start point
     model = OperatorModel("cubic", grid)
-    f = grid.sample(lambda x: 1.0 + x)
+    f = GridFunction(grid, 1.0 + grid.nodes)
     huge = GridFunction(grid, np.full(grid.n, 1e110))
-    with pytest.raises(ValueError):
-        solve_regularized(model, f, 1.0, start=huge)
+    with pytest.raises(ValueError, match="cannot evaluate the model at the start point"):
+        run_iteration(model, f, 0.01, DiscreteSchedule(1.0, 0.01, 0.9, 1), u0=huge)
 
 
 def test_nonpositive_a_rejected(grid):
     model = OperatorModel("identity", grid)
     for a in (0.0, math.inf):
         with pytest.raises(ValueError):
-            solve_regularized(model, grid.zero(), a)
+            solve_regularized(model, GridFunction(grid, np.zeros(grid.n)), a)
 
 
 def test_grid_mismatch_rejected():
     model = OperatorModel("identity", QuadratureGrid(10))
     with pytest.raises(ValueError):
-        solve_regularized(model, QuadratureGrid(11).zero(), 1.0)
+        solve_regularized(model, GridFunction(QuadratureGrid(11), np.zeros(11)), 1.0)
 
 
 def test_start_on_other_grid_rejected(grid):
     model = OperatorModel("cubic", grid)
-    f = grid.sample(lambda x: 1.0 + x)
+    f = GridFunction(grid, 1.0 + grid.nodes)
+    other = GridFunction(QuadratureGrid(grid.n + 1), np.zeros(grid.n + 1))
     with pytest.raises(GridMismatchError):
-        solve_regularized(model, f, 1.0, start=QuadratureGrid(grid.n + 1).zero())
+        run_iteration(model, f, 0.01, DiscreteSchedule(1.0, 0.01, 0.9, 1), u0=other)
 
 
 _N = 12
@@ -243,13 +241,14 @@ def test_line_search_result_is_consistent(kind, a, data):
             np.testing.assert_array_equal(got_alone[0], want[k])
 
 
-def _stacked(model, f, shifts, options=NewtonOptions(), start=None):
-    # every shift's solve, from start (default 0), as one stack of the loop
-    # behind solve_regularized: (solutions, norms, iterations, converged)
-    first = np.zeros(model.grid.n) if start is None else start.values
+def _stacked(model, f, shifts, start=None):
+    # every shift's solve, from the node values start (default 0), as one
+    # stack of the loop behind solve_regularized: (solutions, norms,
+    # iterations, converged)
+    first = np.zeros(model.grid.n) if start is None else start
     solutions, _, norms, iterations, converged = _regularized_rows(
         model, f.values, np.array(shifts, dtype=float).reshape(-1, 1),
-        np.tile(first, (len(shifts), 1)), options,
+        np.tile(first, (len(shifts), 1)),
     )
     return solutions, norms, iterations, converged
 
@@ -263,35 +262,40 @@ def _stacked(model, f, shifts, options=NewtonOptions(), start=None):
     data=st.data(),
 )
 def test_rows_match_one_row_solves(kind, n, shifts, warm, data):
-    """Every row of a stacked solve is bit for bit its one-row
-    solve_regularized: solution, residual norm, iterations and convergence,
-    whichever rows leave the stack before it."""
+    """Every row of a stacked solve, from 0 or warm-started at the data, is
+    bit for bit its one-row solve: solution, residual norm, iterations and
+    convergence, whichever rows leave the stack before it.  From 0 that is
+    solve_regularized."""
     grid = QuadratureGrid(n)
     model = OperatorModel(kind, grid)
     f = GridFunction(grid, data.draw(arrays(np.float64, n, elements=st.floats(-3.0, 3.0))))
-    start = f if warm else None
-    solutions, norms, iterations, converged = _stacked(model, f, shifts, start=start)
-    assert solutions.shape == (len(shifts), n)
+    start = f.values if warm else None
+    stacked = _stacked(model, f, shifts, start=start)
+    assert stacked[0].shape == (len(shifts), n)
     for k, a in enumerate(shifts):
-        alone = solve_regularized(model, f, a, start=start)
-        np.testing.assert_array_equal(solutions[k], alone.solution.values)
-        assert norms[k] == alone.residual_norm
-        assert iterations[k] == alone.iterations
-        assert converged[k] == alone.converged
+        alone = _stacked(model, f, [a], start=start)
+        for got, want in zip(stacked, alone):
+            np.testing.assert_array_equal(got[k], want[0])
+        if not warm:
+            report = solve_regularized(model, f, a)
+            assert (report.residual_norm, report.iterations, report.converged) == (
+                stacked[1][k], stacked[2][k], stacked[3][k]
+            )
+            np.testing.assert_array_equal(stacked[0][k], report.solution.values)
 
 
-def test_capped_row_alone_reports_not_converged(grid):
+def test_capped_row_alone_reports_not_converged(grid, monkeypatch):
     # one Newton step solves the cubic equation to 1e-12 at a large shift
     # (the cubic term of v ~ f/a is below 1e-13), not at a = 1e-2
+    monkeypatch.setattr(regsolve, "_MAX_ITER", 1)
     model = OperatorModel("cubic", grid)
-    f = grid.sample(lambda x: 1.0 + x)
-    one_step = NewtonOptions(max_iter=1)
+    f = GridFunction(grid, 1.0 + grid.nodes)
     shifts = [1e6, 1e-2, 1e5]
-    solutions, norms, iterations, converged = _stacked(model, f, shifts, one_step)
+    solutions, norms, iterations, converged = _stacked(model, f, shifts)
     assert converged.tolist() == [True, False, True]
     assert iterations.tolist() == [1, 1, 1]
     for k, a in enumerate(shifts):
-        alone = solve_regularized(model, f, a, one_step)
+        alone = solve_regularized(model, f, a)
         np.testing.assert_array_equal(solutions[k], alone.solution.values)
         assert norms[k] == alone.residual_norm
         assert converged[k] == alone.converged
@@ -301,24 +305,24 @@ def test_rows_reject_a_bad_shift(grid):
     model = OperatorModel("identity", grid)
     for bad in (0.0, -1.0, math.inf, math.nan):
         with pytest.raises(ValueError):
-            _stacked(model, grid.zero(), [1.0, bad])
+            _stacked(model, GridFunction(grid, np.zeros(grid.n)), [1.0, bad])
 
 
 @pytest.mark.parametrize("kind", MODEL_KINDS)
-def test_failed_armijo_search_stops_with_the_iterate_before_it(grid, kind):
+def test_failed_armijo_search_stops_with_the_iterate_before_it(grid, kind, monkeypatch):
     # tol = 1e-300 is out of reach: rounding ends the solve, when no step
     # length passes the Armijo test, before the cap of 100 iterations; at
     # which iteration depends on the rounding of the shifted solve
+    monkeypatch.setattr(regsolve, "_TOL", 1e-300)
     model = OperatorModel(kind, grid)
-    f = grid.sample(lambda x: 1.0 + x)
-    report = solve_regularized(model, f, 1e-2, NewtonOptions(tol=1e-300, max_iter=100))
+    f = GridFunction(grid, 1.0 + grid.nodes)
+    report = solve_regularized(model, f, 1e-2)
     assert not report.converged
     iterations = report.iterations
-    assert 1 < iterations < 100
+    assert 1 < iterations < regsolve._MAX_ITER == 100
     # the row leaves with the iterate it had before the failed search
-    capped = solve_regularized(
-        model, f, 1e-2, NewtonOptions(tol=1e-300, max_iter=iterations - 1)
-    )
+    monkeypatch.setattr(regsolve, "_MAX_ITER", iterations - 1)
+    capped = solve_regularized(model, f, 1e-2)
     np.testing.assert_array_equal(report.solution.values, capped.solution.values)
     assert report.residual_norm == capped.residual_norm
 
@@ -341,12 +345,12 @@ def test_rows_return_f_at_their_solutions(grid, kind):
     # row that leaves at a failed search with the iterate before it, from
     # one evaluation there; either way it is F(v) bit for bit, next to the
     # solutions, norms and flags of each row's one-row solve_regularized
-    f = grid.sample(lambda x: 1.0 + x)
+    f = GridFunction(grid, 1.0 + grid.nodes)
     shifts = [1e6, 1.0, 1e-2, 1e-4]
     a = np.array(shifts).reshape(-1, 1)
     model = _UphillSecondStep(kind, grid)
     solutions, f_solutions, norms, iterations, converged = _regularized_rows(
-        model, f.values, a, np.zeros((len(shifts), grid.n)), NewtonOptions()
+        model, f.values, a, np.zeros((len(shifts), grid.n))
     )
     # the shift 1e6 row meets tol in one step; the others leave at the
     # failed second search
@@ -366,13 +370,12 @@ def test_rows_take_one_data_row_each(grid, kind):
     # a stack (S, n) of data rows gives each row, bit for bit, what it gets
     # in a stack of its own data row alone
     model = OperatorModel(kind, grid)
-    data = np.stack([grid.sample(lambda x, k=k: 1.0 + k * x).values for k in range(3)])
+    data = np.stack([1.0 + k * grid.nodes for k in range(3)])
     a = np.array([[1.0], [1e-2], [1e-3]])
-    starts = np.tile(grid.sample(lambda x: 0.1 * x).values, (3, 1))
-    options = NewtonOptions()
-    stacked = _regularized_rows(model, data, a, starts.copy(), options)
+    starts = np.tile(0.1 * grid.nodes, (3, 1))
+    stacked = _regularized_rows(model, data, a, starts.copy())
     for k in range(3):
-        alone = _regularized_rows(model, data[k], a[k:k + 1], starts[k:k + 1].copy(), options)
+        alone = _regularized_rows(model, data[k], a[k:k + 1], starts[k:k + 1].copy())
         for got, want in zip(stacked, alone):
             np.testing.assert_array_equal(got[k:k + 1], want)
 
@@ -394,7 +397,7 @@ def test_rows_name_the_singular_shift():
     # the second solve stacks shifts 1 and 2, and its row 1 is shift 2
     grid = QuadratureGrid(30)
     model = _SecondSolveSingular("cubic", grid)
-    f = grid.sample(lambda x: 1.0 + x)
+    f = GridFunction(grid, 1.0 + grid.nodes)
     with pytest.raises(SingularShiftError) as err:
         _stacked(model, f, [1e6, 1e-2, 1e-3])
     assert (err.value.row, err.value.pivot_index) == (2, 5)
