@@ -77,7 +77,9 @@ class GridFunction:
             raise GridMismatchError(
                 f"expected {grid.n} values, got shape {values.shape}"
             )
-        if not np.all(np.isfinite(values)):
+        # counted rather than np.all(...): the reduction wrapper costs more
+        # than the check on the short rows wrapped here
+        if np.count_nonzero(np.isfinite(values)) != values.size:
             raise ValueError("grid function values must be finite")
         values.flags.writeable = False
         self.grid = grid

@@ -29,11 +29,14 @@ relative residual bound of 1e-10, one step of iterative refinement follows
 with the same factor.
 
 Both live on raw node arrays as the unchecked kernels
-:meth:`OperatorModel.apply_values` and :meth:`OperatorModel.solve_shifted_values`,
-which the Newton loop calls directly.  They take one row of node values or
-a stack of rows of shape ``(S, n)``, one row per run of a batch, and treat
-every row on its own: a row of a stack gives bit for bit what it gives
-alone.  The public :meth:`~OperatorModel.apply` and
+:meth:`OperatorModel.apply_values` and :meth:`OperatorModel.solve_shifted_values`.
+They take one row of node values or a stack of rows of shape ``(S, n)``,
+one row per run of a batch, and treat every row on its own: a row of a
+stack gives bit for bit what it gives alone.  The Newton loop calls them
+in split forms: F as L u + g(u), keeping the linear part L u = E W u (u
+for the identity model), and the solve together with L s = rhs - D s
+from the Newton equation, so that its line search evaluates F at a trial
+point with no running sum.  The public :meth:`~OperatorModel.apply` and
 :meth:`~OperatorModel.apply_kernel`, and
 :func:`dsm.regsolve.solve_shifted_linear` for the shifted solve, wrap them
 with a grid check and a :class:`~dsm.hilbert.GridFunction` result.
@@ -201,6 +204,9 @@ class OperatorModel:
         self._t_diag = np.full(grid.n, 1.0 + self._rho ** 2)
         self._t_diag[[0, -1]] = 1.0
         self._cw = -math.expm1(-2.0 * grid.h) * grid.weights
+        # T's off-diagonal over a flattened stack of rows, zero between the last
+        # node of a row and the first of the next; see _coupling
+        self._couplings = np.full(grid.n - 1, -self._rho)
 
     def __repr__(self):
         return f"OperatorModel({self.kind!r}, n={self.grid.n})"
@@ -234,14 +240,27 @@ class OperatorModel:
         """F on raw node values, one row or a stack of rows ``(S, n)``,
         unchecked: a non-finite input or an overflowing g gives non-finite
         entries instead of an error."""
+        return self._split_values(values)[0]
+
+    def _split_values(self, values):
+        # F(u) and its linear part L u, L = E W (I for the identity model), on
+        # raw node values: the Newton loop's exact evaluation.  Where g = 0 the
+        # two are one array.
         rows = self._rows(values)
         if self.kind == "identity":
-            out = np.array(rows, dtype=float)
+            linear = np.array(rows, dtype=float)
         else:
-            out = self._kernel_values(rows)
-            if self._g is not None:
-                out += self._g(rows)
-        return out.reshape(values.shape)
+            linear = self._kernel_values(rows)
+        return self._with_g(rows, linear).reshape(values.shape), linear.reshape(values.shape)
+
+    def _with_g(self, rows, linear):
+        # F = L u + g(u) from ``linear`` = L u: no running sum.  The line
+        # search evaluates its trials this way, with L u carried.
+        if self._g is None:
+            return linear
+        out = self._g(rows)
+        out += linear
+        return out
 
     def apply_kernel(self, u: GridFunction) -> GridFunction:
         """The integral term B(u) alone."""
@@ -289,9 +308,15 @@ class OperatorModel:
         On grids of up to 1000 points that is the step; on finer ones, where
         it could pass the 1e-10 bound, one step of iterative refinement
         against the O(n) operator follows, a second ``dpttrs`` with the same
-        factor, and brings the residual back to rounding level.  The row
-        length n alone picks the branch, so a row of a stack still gives
-        what it gives alone.  A row whose diagonal passes 2^64 (a D below
+        factor, and brings the residual back to rounding level: about 2e-13
+        at n = 10^5 for a smooth right-hand side.  Near the first-kind limit
+        it has a floor: for a random right-hand side and a <= 1e-12 on the
+        linear model the refined residual is 5e-11 to 1.5e-10 at n = 10^4
+        and 2e-9 to 3e-9 at n = 10^5, against 5e-11 at a = 1e-8.  The floor
+        is the solve's, not the residual's: the residual summed in extended
+        precision gives the same values, and a second refinement step does
+        not lower it at n = 10^5.  The row length n alone picks the branch,
+        so a row of a stack still gives what it gives alone.  A row whose diagonal passes 2^64 (a D below
         2.3e-20 or less) has its T rhs scaled by a power of 2 first, so that
         a tiny D does not push y into the subnormal range, where it would
         lose digits; the scaling is exact and chosen from that row alone.
@@ -302,33 +327,56 @@ class OperatorModel:
         non-positive pivot, or a non-finite solution; it names the first
         such row and the node within it.
         """
+        return self._newton_step(values, a, rhs)[0]
+
+    def _newton_step(self, values, a, rhs):
+        # (s, L s): the step of solve_shifted_values and its image under F's
+        # linear part, read off the Newton equation (L + D) s = rhs as
+        # L s = rhs - D s, one pass over the D the solve formed; the identity
+        # model's L s is s.  It is L s to the solve's own accuracy, and the
+        # Newton loop's line search takes its trials' F from it.
         rows, b = self._rows(values), self._rows(rhs)
         if rows.ndim == 1 and getattr(a, "ndim", 0):
             a = a.reshape(())
         if self.kind == "identity":
-            step = b / (1.0 + a)
+            step = (b / (1.0 + a)).reshape(values.shape)
             if not _all_finite(step):
                 raise _singular(self.grid.n, np.flatnonzero(~np.isfinite(step))[0])
-        elif self._gprime is None:
-            step = self._solve_tridiagonal(np.broadcast_to(a, rows.shape), b)
+            return step, step.copy()
+        if self._gprime is None:
+            shift = np.broadcast_to(a, rows.shape)
         else:
             shift = self._gprime(rows)
             shift += a
-            step = self._solve_tridiagonal(shift, b)
-        return step.reshape(values.shape)
+        step = self._solve_tridiagonal(shift, b).reshape(values.shape)
+        return step, rhs - shift * step
 
-    def _t_times(self, rows):
-        # T = (1 - rho^2) E^{-1} applied to each row, flattened for dpttrs
-        out = self._t_diag * rows
-        out[..., 1:] -= self._rho * rows[..., :-1]
-        out[..., :-1] -= self._rho * rows[..., 1:]
-        return out.ravel()
+    def _coupling(self, size):
+        # T's off-diagonal for a flattened stack of ``size`` nodes: -rho within
+        # a row and 0 across row boundaries.  The array for the largest stack
+        # so far is kept, and its prefix serves every smaller stack.
+        if self._couplings.size < size - 1:
+            n = self.grid.n
+            self._couplings = np.full(size - 1, -self._rho)
+            self._couplings[n - 1::n] = 0.0
+        return self._couplings[:size - 1]
 
-    def _solve_factored(self, d, e, shift, rhs, top):
+    def _t_times(self, rows, coupling):
+        # T = (1 - rho^2) E^{-1} applied to each row, on the flattened stack for
+        # dpttrs.  A zero coupling adds a signed zero across a row boundary, so
+        # every entry has its bits from the row alone but for a -0, which can
+        # turn +0 there; the rows must be finite (0 * inf is nan).
+        flat = rows.ravel()
+        out = (self._t_diag * rows).ravel()
+        out[1:] += coupling * flat[:-1]
+        out[:-1] += coupling * flat[1:]
+        return out
+
+    def _solve_factored(self, d, e, coupling, shift, rhs, top):
         # s = y / D for (T + (1 - rho^2) W D^{-1}) y = T rhs, factored as (d, e).
         # ``top`` holds each row's largest diagonal entry, or is None when no
         # row's passes _RESCALE_DIAG.
-        b = self._t_times(rhs)
+        b = self._t_times(rhs, coupling)
         if top is None:
             step = dpttrs(d, e, b, 1)[0].reshape(shift.shape)
             step /= shift
@@ -354,10 +402,9 @@ class OperatorModel:
             # overflows, would give the finite but wrong step y / D = 0 there
             bad = ~np.isfinite(shift) | ~np.isfinite(diag) | ~np.isfinite(rhs)
             raise _singular(n, np.flatnonzero(bad)[0])
-        coupling = np.full(diag.size - 1, -self._rho)
-        # no coupling between the last node of a row and the first of the next
-        coupling[n - 1::n] = 0.0
-        d, e, info = dpttrf(diag.ravel(), coupling, 1, 1)
+        coupling = self._coupling(diag.size)
+        # dpttrf overwrites e with L's off-diagonal: it gets a copy
+        d, e, info = dpttrf(diag.ravel(), coupling.copy(), 1, 1)
         if info:
             # info > 0 is the 1-based index of the first non-positive pivot,
             # counted across the stack; info < 0, a rejected argument, names
@@ -366,11 +413,12 @@ class OperatorModel:
         top = None
         if diag.max() > _RESCALE_DIAG:
             top = diag.max(axis=-1, keepdims=True)
-        step = self._solve_factored(d, e, shift, rhs, top)
-        if n > _UNREFINED_MAX_N:
+        step = self._solve_factored(d, e, coupling, shift, rhs, top)
+        # a non-finite step is not refined: T would carry it into the next row
+        if n > _UNREFINED_MAX_N and _all_finite(step):
             correction = rhs - self._kernel_values(step)
             correction -= shift * step
-            step += self._solve_factored(d, e, shift, correction, top)
+            step += self._solve_factored(d, e, coupling, shift, correction, top)
         if not _all_finite(step):
             raise _singular(n, np.flatnonzero(~np.isfinite(step))[0])
         return step

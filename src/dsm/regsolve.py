@@ -6,12 +6,19 @@ Newton with a backtracking line search on the regularized residual, in
 the weighted L2 norm, finds it from any reasonable starting point.
 
 ``_newton_rows`` is that loop.  It advances a stack of rows ``(S, n)`` of
-raw node values with one call each of the model's kernels and of
-:func:`line_search` per step, and drops each row, with what it gets alone,
-at its caller's stop: ``_regularized_rows`` (a fixed shift per row, stop at
-the residual tolerance ``_TOL`` or after ``_MAX_ITER`` iterations), behind
+raw node values with one shifted solve and one call of :func:`line_search`
+per step, and drops each row, with what it gets alone, at its caller's
+stop: ``_regularized_rows`` (a fixed shift per row, stop at the residual
+tolerance ``_TOL`` or after ``_MAX_ITER`` iterations), behind
 :func:`solve_regularized` and the paths of :mod:`dsm.checks`, and the run
 drivers in :mod:`dsm.driver`.
+
+Which residuals are exact: F(u) = L u + g(u) runs through the kernel's
+running sums at the start and wherever a row is about to leave.  Between
+those, each iterate's F, G and ||G|| are carried: the line search takes a
+trial's F as L v - lam*L s + g(v - lam*s), with L s = G - D s read off the
+Newton equation, so they differ from the exact values by the rounding of
+the shifted solves.  A caller's stop decides on exact values only.
 """
 
 from __future__ import annotations
@@ -95,52 +102,61 @@ _HALVINGS = 40
 _DECREASE_SLACK = 1e-4
 
 
-def line_search(model: OperatorModel, v, fv, step, a, f_values, g_norm, lam0=None):
+def line_search(model: OperatorModel, v, fv, lv, step, lstep, a, f_values, g_norm, lam0=None):
     """Backtracking line search on the regularized residual along v - 2^-k*step,
     row by row.
 
-    ``v``, ``fv`` = F(v), ``step`` and ``f_values`` are stacks of rows
-    ``(S, n)``, ``a`` a column ``(S, 1)`` of per-row shifts and
-    ``g_norm`` the weighted norm of each row's G(v) = F(v) - f_delta + a*v.
-    ``lam0`` (default all ones) holds each row's first step length: ``step``
-    comes already scaled by it, so trial k of a row, v - 2^-k*step, is at
-    lam = lam0*2^-k along the Newton direction.  Each row tries k = 0, 1, ...
-    (``_HALVINGS`` halvings) and accepts its first candidate with
+    ``v``, ``fv`` = F(v), ``lv`` = L v, ``step``, ``lstep`` = L step and
+    ``f_values`` are stacks of rows ``(S, n)``, with L the linear part of
+    F(u) = L u + g(u) (the kernel E W, or I for the identity model); ``a`` is
+    a column ``(S, 1)`` of per-row shifts and ``g_norm`` the weighted norm of
+    each row's G(v) = F(v) - f_delta + a*v.  ``lam0`` (default all ones)
+    holds each row's first step length: ``step`` and ``lstep`` come already
+    scaled by it, so trial k of a row, v - 2^-k*step, is at lam = lam0*2^-k
+    along the Newton direction.  A trial's F is not evaluated through the
+    kernel: it is L v - 2^-k*L step + g(v - 2^-k*step), so F is carried,
+    exact up to the rounding of the carried L v and of L step.  Each row tries
+    k = 0, 1, ... (``_HALVINGS`` halvings) and accepts its first candidate with
     ||G|| <= (1 - 1e-4*lam) * g_norm (Armijo).  For a Newton direction the
     slope of ||G(v - lam*s)|| at lam = 0 is -g_norm, so a small enough lam
     always passes unless rounding intervenes.  The first trial evaluates
     every row at once; each halving evaluates only the rows that have not
     yet passed.
 
-    Returns ``(iterate, F(iterate), G(iterate), ||G(iterate)||, accepted,
-    lam)``, one entry per row.  A row where no candidate passes takes the
-    candidate with the smallest finite residual norm, and that candidate's
-    lam, or stays at v, with the F it came in with and its lam0, if no
-    candidate has one.  Trial points may overflow: call it under
-    ``np.errstate(over="ignore", invalid="ignore")``, as the Newton loop does.
+    Returns ``(iterate, F(iterate), L iterate, G(iterate), ||G(iterate)||,
+    accepted, lam)``, one entry per row, F and L carried from the trial that
+    made the iterate.  A row where no candidate passes takes the candidate
+    with the smallest finite residual norm, and that candidate's lam, with F
+    and L evaluated there exactly, or stays at v, with the F and L it came in
+    with and its lam0, if no candidate has one.  Trial points may overflow:
+    call it under ``np.errstate(over="ignore", invalid="ignore")``, as the
+    Newton loop does.
     """
     grid = model.grid
     lam0 = np.ones(len(v)) if lam0 is None else lam0
     new = v - step
-    f_new = model.apply_values(new)
+    lv_new = lv - lstep
+    f_new = model._with_g(new, lv_new)
     g_new, norm = regularized_residual(grid, f_new, new, a, f_values)
     accepted = norm <= (1.0 - _DECREASE_SLACK * lam0) * g_norm
     if np.count_nonzero(accepted) == len(accepted):
-        return new, f_new, g_new, norm, accepted, lam0
+        return new, f_new, lv_new, g_new, norm, accepted, lam0
     # The rows still searching, stacked, with the residual norm of each of
     # their trials (trial k at 2^-k*step); a row that passes leaves the stack.
     lam_out = lam0.copy()
     pending = np.flatnonzero(~accepted)
-    vp, sp, ap, fp, gp, lp = v, step, a, f_values, g_norm, lam0
+    stack = (v, lv, step, lstep, a, f_values, g_norm, lam0)
     if len(pending) < len(v):
-        vp, sp, ap, fp, gp, lp = (x[pending] for x in (v, step, a, f_values, g_norm, lam0))
+        stack = tuple(x[pending] for x in stack)
+    vp, lvp, sp, lsp, ap, fp, gp, lp = stack
     trial_norms = np.empty((len(pending), _HALVINGS + 1))
     trial_norms[:, 0] = norm[pending]
     scale = 1.0
     for k in range(1, _HALVINGS + 1):
         scale *= 0.5
         candidate = vp - scale * sp
-        fc = model.apply_values(candidate)
+        lc = lvp - scale * lsp
+        fc = model._with_g(candidate, lc)
         gc, cand_norm = regularized_residual(grid, fc, candidate, ap, fp)
         trial_norms[:, k] = cand_norm
         lam = lp * scale
@@ -148,33 +164,35 @@ def line_search(model: OperatorModel, v, fv, step, a, f_values, g_norm, lam0=Non
         n_passed = np.count_nonzero(passed)
         if n_passed == len(v):
             # every row searched to this step length and passed here
-            return candidate, fc, gc, cand_norm, passed, lam
+            return candidate, fc, lc, gc, cand_norm, passed, lam
         if n_passed:
             rows = pending[passed]
-            new[rows], f_new[rows], g_new[rows] = candidate[passed], fc[passed], gc[passed]
-            norm[rows], lam_out[rows] = cand_norm[passed], lam[passed]
+            new[rows], f_new[rows], lv_new[rows] = candidate[passed], fc[passed], lc[passed]
+            g_new[rows], norm[rows], lam_out[rows] = gc[passed], cand_norm[passed], lam[passed]
             accepted[rows] = True
             keep = ~passed
             if not np.count_nonzero(keep):
-                return new, f_new, g_new, norm, accepted, lam_out
-            pending, vp, sp, ap, fp, gp, lp, trial_norms = (
-                x[keep] for x in (pending, vp, sp, ap, fp, gp, lp, trial_norms)
+                return new, f_new, lv_new, g_new, norm, accepted, lam_out
+            pending, vp, lvp, sp, lsp, ap, fp, gp, lp, trial_norms = (
+                x[keep] for x in (pending, vp, lvp, sp, lsp, ap, fp, gp, lp, trial_norms)
             )
     # No step length passed: take the trial with the smallest finite norm
-    # (the first of equals) again, or stay at v where no trial is finite.
+    # (the first of equals) again, evaluated exactly, or stay at v where no
+    # trial is finite.
     trial_norms[~(trial_norms < math.inf)] = math.inf
     k_best = np.argmin(trial_norms, axis=1)
     best_norm = trial_norms[np.arange(len(pending)), k_best]
     found = best_norm < math.inf
     stay = pending[~found]
-    new[stay], f_new[stay], norm[stay] = v[stay], fv[stay], g_norm[stay]
+    new[stay], f_new[stay], lv_new[stay], norm[stay] = v[stay], fv[stay], lv[stay], g_norm[stay]
     rows = pending[found]
     scale = np.ldexp(1.0, -k_best[found])
     new[rows] = vp[found] - scale[:, None] * sp[found]
-    f_new[rows] = model.apply_values(new[rows])
-    norm[rows], lam_out[rows] = best_norm[found], lp[found] * scale
-    g_new[pending] = regularized_residual(grid, f_new[pending], new[pending], ap, fp)[0]
-    return new, f_new, g_new, norm, accepted, lam_out
+    f_new[rows], lv_new[rows] = model._split_values(new[rows])
+    lam_out[rows] = lp[found] * scale
+    g_new[pending], exact_norm = regularized_residual(grid, f_new[pending], new[pending], ap, fp)
+    norm[rows] = exact_norm[found]
+    return new, f_new, lv_new, g_new, norm, accepted, lam_out
 
 
 def _newton_rows(model: OperatorModel, u, f_values, shifts, first_step, stop):
@@ -182,47 +200,70 @@ def _newton_rows(model: OperatorModel, u, f_values, shifts, first_step, stop):
     (F'(u) + a*I) s = F(u) + a*u - f with f its row of ``f_values``, until
     ``stop`` has let every row leave.  ``shifts`` is a column ``(S, 1)`` of
     fixed shifts, or ``shifts(k, rows)`` gives step k's.  ``first_step(lam,
-    s)`` scales each Newton step s in place by its row's first step length,
-    from its last one lam, and returns the search's lam0; None takes full
-    steps.  ``stop(k, rows, u, F(u), f_values, ||G(u)||, accepted, lam,
-    u_prev, ||G(u_prev)||)`` sees iterate k (0 at the start), the search
-    that made it and the iterate before, and returns which rows leave.
+    s, L s)`` scales each Newton step s and its image L s in place by its
+    row's first step length, from its last one lam, and returns the search's
+    lam0; None takes full steps.  ``stop(k, rows, u, F(u), f_values,
+    ||G(u)||, accepted, lam, u_prev, exact)`` sees iterate k (0 at the
+    start), the search that made it and the iterate before, and returns
+    which rows leave.
+
+    F is evaluated through the kernel's running sums once, at the start.
+    After that each iterate's F, G and ||G|| are carried: they come from the
+    line search trial that made the iterate (see :func:`line_search`), with
+    L s = G - D s from the Newton equation, D = g'(u) + a.  That L s is off
+    by the shifted solve's residual, which each step adds to the carried F
+    times its step length, so the carried values drift from the exact ones:
+    by up to 1.7e-9 of the discrepancy over exp1's 55 steps on 1000 points.
+    So a row leaves only on an exactly evaluated F (residual replacement, as
+    in Krylov solvers: van der Vorst & Ye, SIAM J. Sci. Comput. 22, 2000).
+    ``stop`` calls ``exact(leaving)`` on the rows whose carried value meets
+    its test, or that leave anyway; that evaluates their F and L u exactly,
+    replaces F(u), G(u) and ||G(u)|| in place, and the stop decides on the
+    exact values.  A row whose exact value does not pass continues from it.
+    Iterate 0's values are exact already.
     """
     grid = model.grid
     rows = np.arange(len(u))
     lam, accepted = np.ones(len(u)), np.ones(len(u), dtype=bool)
+
+    def exact(which):
+        if k and np.count_nonzero(which):
+            i = np.flatnonzero(which)
+            fu[i], lu[i] = model._split_values(u[i])
+            g[i], g_norm[i] = regularized_residual(grid, fu[i], u[i], a[i], f_values[i])
+
     # trial points may overflow; the line search rejects them by their norm
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        # F is evaluated here once, checked; afterwards every iterate's F
-        # comes back from the line search trial that produced it
-        fu = model.apply_values(u)
+        fu, lu = model._split_values(u)
         if not np.isfinite(fu).all():
             raise ValueError("cannot evaluate the model at the start point")
         a = shifts(0, rows) if callable(shifts) else shifts
         g, g_norm = regularized_residual(grid, fu, u, a, f_values)
-        u_prev, norm_prev, k = u, g_norm, 0
+        u_prev, k = u, 0
         while True:
-            leave = stop(k, rows, u, fu, f_values, g_norm, accepted, lam, u_prev, norm_prev)
+            leave = stop(k, rows, u, fu, f_values, g_norm, accepted, lam, u_prev, exact)
             n_leave = np.count_nonzero(leave)
             if n_leave == len(rows):
                 return
             if n_leave:
                 keep = ~leave
-                rows, u, fu, f_values, a, g, g_norm, lam = (
-                    x[keep] for x in (rows, u, fu, f_values, a, g, g_norm, lam)
+                rows, u, fu, lu, f_values, a, g, g_norm, lam = (
+                    x[keep] for x in (rows, u, fu, lu, f_values, a, g, g_norm, lam)
                 )
             try:
-                step = model.solve_shifted_values(u, a, g)
+                step, lstep = model._newton_step(u, a, g)
             except SingularShiftError as err:
                 raise SingularShiftError(err.pivot_index, rows[err.row]) from err
             # G goes before the line search makes its successor: the search
             # holds about a dozen (S, n) arrays at its peak
             del g
-            lam0 = None if first_step is None else first_step(lam, step)
-            u_prev, norm_prev = u, g_norm
-            u, fu, g, g_norm, accepted, lam = line_search(
-                model, u, fu, step, a, f_values, g_norm, lam0
+            lam0 = None if first_step is None else first_step(lam, step, lstep)
+            u_prev = u
+            u, fu, lu, g, g_norm, accepted, lam = line_search(
+                model, u, fu, lu, step, lstep, a, f_values, g_norm, lam0
             )
+            # as G above: the step and its image go before the next solve
+            del step, lstep
             k += 1
             if callable(shifts):
                 a = shifts(k, rows)
@@ -238,9 +279,11 @@ def _regularized_rows(model: OperatorModel, f_values, a, starts):
     # ``_TOL``, at ``_MAX_ITER`` iterations, and, with the iterate it had
     # before, when no step length passes its Armijo test; it gets bit for bit
     # what it gets alone.  Returns (solutions, F(solutions), residual_norms, iterations,
-    # converged).  A row's F comes from the line search trial that made its
-    # iterate; only a row that leaves at a failed search, with the iterate
-    # before it, is evaluated again.
+    # converged).  Every row leaves on an exactly evaluated F: a row whose
+    # carried residual norm meets _TOL, or that reaches the cap, has F and its
+    # norm evaluated again (see _newton_rows) and converges only if the exact
+    # norm meets _TOL; a row that leaves at a failed search is evaluated at
+    # the iterate before it.
     valid = (a > 0) & (a < math.inf)
     if not valid.all():
         raise ValueError(f"shift a must be positive and finite, got {a[~valid][0]}")
@@ -249,16 +292,19 @@ def _regularized_rows(model: OperatorModel, f_values, a, starts):
     solutions, f_solutions = starts, np.empty_like(starts)
     residual_norms, iterations = np.empty(len(a)), np.zeros(len(a), dtype=int)
 
-    def stop(k, rows, v, fv, f_values, g_norm, accepted, lam, v_prev, norm_prev):
+    def stop(k, rows, v, fv, _, g_norm, accepted, lam, v_prev, exact):
+        exact(accepted & (~(g_norm > _TOL) | (k == _MAX_ITER)))
         leave = ~accepted | ~(g_norm > _TOL) | (k == _MAX_ITER)
         if np.count_nonzero(leave):
             done, kept = rows[leave], accepted[leave]
             solutions[done] = np.where(kept[:, None], v[leave], v_prev[leave])
-            f_solutions[done] = fv[leave]
+            f_solutions[done], residual_norms[done] = fv[leave], g_norm[leave]
             if not kept.all():
                 failed = done[~kept]
                 f_solutions[failed] = model.apply_values(solutions[failed])
-            residual_norms[done] = np.where(kept, g_norm[leave], norm_prev[leave])
+                residual_norms[failed] = regularized_residual(
+                    model.grid, f_solutions[failed], solutions[failed], a[failed], f_values[failed]
+                )[1]
             iterations[done] = k
         return leave
 

@@ -16,8 +16,8 @@ from dsm.driver import (
     run_euler,
     run_iteration,
 )
-from dsm.harness import calibrate_noise, exact_solution, sine_noise
-from dsm.hilbert import GridFunction, GridMismatchError, QuadratureGrid, norm
+from dsm.harness import PRESETS, calibrate_noise, exact_solution, run_cells, sine_noise
+from dsm.hilbert import GridFunction, GridMismatchError, QuadratureGrid, norm, norms
 from dsm.operators import MODEL_KINDS, OperatorModel, SingularShiftError
 from dsm.regsolve import solve_regularized
 
@@ -222,26 +222,124 @@ def test_start_on_other_grid_rejected(identity_setup):
 
 
 class _CountingModel(OperatorModel):
-    calls = 0
+    """Counts calls: ``sums`` of the kernel's running sums, ``exact`` of exact
+    F evaluations (the running sums, or the identity's copy, plus g), and,
+    by difference, ``trials`` of line-search trials, whose F comes from a
+    carried L u."""
 
-    def apply_values(self, values):
-        self.calls += 1
-        return super().apply_values(values)
+    sums = exact = evaluations = 0
+
+    def _kernel_values(self, rows):
+        self.sums += 1
+        return super()._kernel_values(rows)
+
+    def _split_values(self, values):
+        self.exact += 1
+        return super()._split_values(values)
+
+    def _with_g(self, rows, linear):
+        self.evaluations += 1
+        return super()._with_g(rows, linear)
+
+    @property
+    def trials(self):
+        return self.evaluations - self.exact
+
+    def reset(self):
+        self.sums = self.exact = self.evaluations = 0
 
 
-def test_accepted_trial_supplies_next_residual(identity_setup):
-    """F is evaluated once at the start and then only by the line search:
-    on F = I every full step is accepted, so a run costs n_stop + 1
-    evaluations of the raw F kernel (the checked start included) and records
-    step length 1 at every step."""
-    grid, _, f_delta = identity_setup
-    model = _CountingModel("identity", grid)
-    delta = 0.05
-    record = run_iteration(model, f_delta, delta, DiscreteSchedule(2.0, delta, 0.9, 1))
-    assert record.stopped_by_discrepancy and record.n_stop > 1
-    assert model.calls == record.n_stop + 1
-    np.testing.assert_array_equal(record.step_lengths, np.ones(record.n_stop))
-    assert not record.fallback.any()
+def test_accepted_trial_supplies_next_residual():
+    """The kernel's running sums run once at the batch start and once per
+    stopping step: every other iterate's F is carried from the line search
+    trial that made it.  On exp1's cell at delta_rel = 1% with c0 = 30,
+    68.1 (the preset's) and 150 every full step is accepted, so each step is
+    one trial for the whole stack, and each row stops on an exact F at its
+    own step."""
+    grid = QuadratureGrid(100)
+    model = _CountingModel("arctan3", grid)
+    f = model.apply(exact_solution("step", grid))
+    f_delta, delta = calibrate_noise(f, sine_noise(grid), 0.01)
+    schedules = [DiscreteSchedule(c0, delta, 0.99, 1) for c0 in (30.0, 68.1, 150.0)]
+    model.reset()
+    records = run_batch(model, [f_delta] * 3, [delta] * 3, schedules)
+    stops = [record.n_stop for record in records]
+    assert all(record.stopped_by_discrepancy for record in records)
+    assert len(set(stops)) == 3 and min(stops) > 1
+    assert model.sums == model.exact == 1 + 3
+    assert model.trials == max(stops)
+    for record in records:
+        np.testing.assert_array_equal(record.step_lengths, np.ones(record.n_stop))
+        assert not record.fallback.any()
+
+
+def _preset_and_stiff_configs():
+    # the four presets, exp1 on eleven seeds, and the small-c0 starts that
+    # backtrack, the Euler driver at h = 0.5 among them
+    exp1, exp2 = PRESETS["exp1"], PRESETS["exp2"]
+    seeds = tuple(range(1, 12))
+    return (
+        [exp1.override(seeds=seeds), exp2, PRESETS["exp1-const"], PRESETS["exp2-const"]]
+        + [exp1.override(c0=c0, seeds=seeds) for c0 in (0.05, 0.01)]
+        + [exp2.override(c0=c0) for c0 in (0.05, 0.01)]
+        + [exp1.override(c0=0.01, mode="euler", h=0.5, seeds=seeds)]
+    )
+
+
+def test_every_stop_rests_on_an_exact_discrepancy():
+    """A run stops only on an exactly evaluated F: in every cell of the
+    presets and of the stiff starts the last residual is norms(F(final) -
+    f_delta) bit for bit and below the threshold, and every earlier one,
+    carried or replaced, is at or above it."""
+    cells = 0
+    for config in _preset_and_stiff_configs():
+        for cell in run_cells(config):
+            record, grid = cell.record, cell.model.grid
+            exact = norms(grid, cell.model.apply(record.final).values - cell.f_delta.values)
+            threshold = cell.rule.threshold(cell.delta_run)
+            assert record.stopped_by_discrepancy
+            assert record.residuals[-1] == exact < threshold
+            assert np.all(record.residuals[:-1] >= threshold)
+            cells += 1
+    assert cells == 72 + 175
+
+
+class _FalseFirstStop(_CountingModel):
+    """Hands the first Newton step back with its L s off by F(u_1) - f_delta,
+    u_1 = u_0 - s: the carried F at u_1 then reads as the data itself, a
+    discrepancy of about 0, which the exact F at u_1 does not have."""
+
+    def __init__(self, kind, grid, f_values):
+        super().__init__(kind, grid)
+        self.plain = OperatorModel(kind, grid)
+        self.f_values = f_values
+        self.steps = 0
+
+    def _newton_step(self, values, a, rhs):
+        step, lstep = super()._newton_step(values, a, rhs)
+        self.steps += 1
+        if self.steps == 1:
+            lstep = lstep + (self.plain.apply_values(values - step) - self.f_values)
+        return step, lstep
+
+
+def test_replacement_rejects_a_false_carried_stop():
+    # exp1's cell: the run's carried discrepancy at step 1 meets the stop,
+    # the exact one replaces it, and the run goes on from the exact F to the
+    # stop it has without the fault, with a valid certificate
+    model, f_delta, delta = _exp1_setup()
+    schedule = DiscreteSchedule(68.1, delta, 0.99, 1)
+    plain = run_iteration(model, f_delta, delta, schedule)
+    faulty = _FalseFirstStop("arctan3", model.grid, f_delta.values)
+    record = run_iteration(faulty, f_delta, delta, schedule)
+    threshold = StoppingRule().threshold(delta)
+    assert record.stopped_by_discrepancy and record.n_stop == plain.n_stop == 55
+    assert np.all(record.residuals[:-1] >= threshold) and record.residuals[-1] < threshold
+    exact = norms(model.grid, model.apply(record.final).values - f_delta.values)
+    assert record.residuals[-1] == exact
+    # the running sums ran at the start, at the false stop and at the real one
+    assert faulty.sums == 3
+    np.testing.assert_allclose(record.residuals, plain.residuals, rtol=1e-9)
 
 
 # c0 * (n - 1)**(p/2) for c0 = 3, p = 0.9 on the 60-point grid below: the
@@ -322,7 +420,7 @@ def _saturating_runaway():
     delta = norm(pert)
     # c0 = 7 * 99**0.495, the exp1 preset's
     sched = DiscreteSchedule(c0=68.1, delta=delta, p=0.99, shift=1)
-    model.calls = 0
+    model.reset()
     return model, run_iteration(model, f_delta, delta, sched, max_iter=200)
 
 
@@ -334,16 +432,17 @@ def test_backtracking_recovers_saturating_runaway():
     # the run is long enough to reach the small a_n where raw steps run
     # away, and the line search rejects at least one full step on the way
     assert record.n_stop >= 40
-    assert model.calls > record.n_stop + 1
+    assert model.trials > record.n_stop
     assert np.max(np.abs(record.final.values)) < 5.0
 
 
 def test_search_starts_at_twice_the_last_step_length():
     """Each step's search starts at lam0 = min(1, 2*lam_prev) and halves from
-    there, so a step that takes lam costs 1 + log2(lam0/lam) evaluations of F;
-    a fallback step tries all 41 step lengths and evaluates its pick once
-    more, unless it stays at v.  The run is one row, so a call of the kernel
-    is one row evaluation."""
+    there, so a step that takes lam costs 1 + log2(lam0/lam) trials; a
+    fallback step tries all 41 step lengths and evaluates its pick exactly,
+    unless it stays at v.  Besides those picks F is evaluated exactly at the
+    start and at the stop.  The run is one row, so a call is one row
+    evaluation."""
     model, record = _saturating_runaway()
     lam = record.step_lengths
     assert len(lam) == len(record.fallback) == record.n_stop
@@ -352,15 +451,17 @@ def test_search_starts_at_twice_the_last_step_length():
     lam0 = np.minimum(1.0, 2.0 * np.concatenate([[1.0], lam[:-1]]))
     # a row that stays at v keeps its F, so its residual repeats exactly
     stays = record.residuals[1:] == record.residuals[:-1]
-    expected = 1
+    trials, picks = 0, 0
     for first, took, fell_back, stay in zip(lam0, lam, record.fallback, stays):
         if fell_back:
-            expected += 41 if stay else 42
+            trials += 41
+            picks += not stay
         else:
             halvings = np.log2(first / took)
             assert halvings == int(halvings) >= 0
-            expected += 1 + int(halvings)
-    assert model.calls == expected
+            trials += 1 + int(halvings)
+    assert model.trials == trials
+    assert model.exact == model.sums == 2 + picks
 
 
 def _count_wraps(monkeypatch, fn):
@@ -479,10 +580,10 @@ def test_batch_rows_match_runs_alone(kind, n, mode, levels, c0):
 class _SingularModel(OperatorModel):
     """Raises for the second row of every stack it is asked to solve."""
 
-    def solve_shifted_values(self, values, a, rhs):
+    def _newton_step(self, values, a, rhs):
         if len(values) > 1:
             raise SingularShiftError(5, row=1)
-        return super().solve_shifted_values(values, a, rhs)
+        return super()._newton_step(values, a, rhs)
 
 
 def test_batch_names_the_singular_row(identity_setup):

@@ -195,12 +195,13 @@ _N = 12
 )
 def test_line_search_result_is_consistent(kind, a, data):
     """Whatever the direction and first step length lam0, the search returns
-    for every row a finite iterate, the model's own F there, its regularized
-    residual and norm, and a step length lam0*2^-k it took, with an Armijo
-    decrease at that lam whenever it reports acceptance; each row of a stack
-    gets what it gets alone.  The direction comes scaled by lam0, as the
-    drivers pass it.  Scale 1e200 makes every candidate overflow F or the
-    residual."""
+    for every row a finite iterate, its F and L, its regularized residual and
+    norm, and a step length lam0*2^-k it took, with an Armijo decrease at that
+    lam whenever it reports acceptance; each row of a stack gets what it gets
+    alone.  An accepted trial's L is L v - 2^-k L s and its F that plus g, bit
+    for bit, and within rounding of the exact F; a fallback pick is evaluated
+    exactly.  The direction comes scaled by lam0, as the drivers pass it.
+    Scale 1e200 makes every candidate overflow F or the residual."""
     rows = data.draw(st.integers(1, 3))
     v = data.draw(arrays(np.float64, (rows, _N), elements=st.floats(-5.0, 5.0)))
     f_values = data.draw(arrays(np.float64, (rows, _N), elements=st.floats(-5.0, 5.0)))
@@ -211,34 +212,79 @@ def test_line_search_result_is_consistent(kind, a, data):
     direction = direction * scale * lam0[:, None]
     grid = QuadratureGrid(_N)
     model = OperatorModel(kind, grid)
-    fv = model.apply_values(v)
+    fv, lv = model._split_values(v)
     a = np.full((rows, 1), a)
     _, g_norm = regularized_residual(grid, fv, v, a, f_values)
     # the raw kernels leave overflow warnings to the caller, as in the Newton loops
     quiet = dict(over="ignore", invalid="ignore")
     with np.errstate(**quiet):
-        got = line_search(model, v, fv, direction, a, f_values, g_norm, lam0)
-    new, f_new, g_new, new_norm, accepted, lam = got
+        ldirection = model._split_values(direction)[1]
+        got = line_search(model, v, fv, lv, direction, ldirection, a, f_values, g_norm, lam0)
+    new, f_new, l_new, g_new, new_norm, accepted, lam = got
     for k in range(rows):
         assert np.all(np.isfinite(new[k]))
-        np.testing.assert_array_equal(f_new[k], model.apply(GridFunction(grid, new[k])).values)
-        g, norm_k = regularized_residual(grid, f_new[k], new[k], a[k], f_values[k])
-        np.testing.assert_array_equal(g_new[k], g)
-        assert new_norm[k] == norm_k
         assert lam[k] in [lam0[k] * 0.5 ** j for j in range(41)]
         # a row stays at v, with its lam0, only where no candidate was finite
         stayed = not accepted[k] and lam[k] == lam0[k] and np.array_equal(new[k], v[k])
         assert stayed or np.array_equal(new[k], v[k] - (lam[k] / lam0[k]) * direction[k])
+        exact_f, exact_l = model._split_values(new[k])
+        if stayed:
+            np.testing.assert_array_equal(f_new[k], fv[k])
+            np.testing.assert_array_equal(l_new[k], lv[k])
+        elif accepted[k]:
+            carried = lv[k] - (lam[k] / lam0[k]) * ldirection[k]
+            np.testing.assert_array_equal(l_new[k], carried)
+            np.testing.assert_array_equal(f_new[k], model._with_g(new[k], carried))
+            bound = 1e-14 * (1.0 + np.abs(lv[k]).max() + np.abs(carried - lv[k]).max())
+            assert np.abs(f_new[k] - exact_f).max() <= bound
+        else:
+            np.testing.assert_array_equal(f_new[k], exact_f)
+            np.testing.assert_array_equal(l_new[k], exact_l)
+        g, norm_k = regularized_residual(grid, f_new[k], new[k], a[k], f_values[k])
+        np.testing.assert_array_equal(g_new[k], g)
+        assert new_norm[k] == norm_k
         if accepted[k]:
             assert new_norm[k] <= (1.0 - 1e-4 * lam[k]) * g_norm[k]
         one = slice(k, k + 1)
         with np.errstate(**quiet):
             alone = line_search(
-                model, v[one], fv[one], direction[one], a[one], f_values[one], g_norm[one],
-                lam0[one],
+                model, v[one], fv[one], lv[one], direction[one], ldirection[one], a[one],
+                f_values[one], g_norm[one], lam0[one],
             )
         for got_alone, want in zip(alone, got):
             np.testing.assert_array_equal(got_alone[0], want[k])
+
+
+class _CountingKernel(OperatorModel):
+    kernel_calls = 0
+
+    def _kernel_values(self, rows):
+        self.kernel_calls += 1
+        return super()._kernel_values(rows)
+
+
+@pytest.mark.parametrize("kind", ["arctan3", "cubic", "linear"])
+def test_line_search_trials_run_no_running_sums(kind):
+    # three rows along their Newton directions (on the cubic model two of
+    # them halve, two and three times); no trial runs the kernel's running
+    # sums.  Rows sent uphill fall back, and their picks are evaluated
+    # exactly, in one call.
+    grid = QuadratureGrid(30)
+    model = _CountingKernel(kind, grid)
+    v = np.stack([0.3 * np.cos(k * grid.nodes) for k in (1, 2, 3)])
+    f_values = np.tile(1.0 + grid.nodes, (3, 1))
+    a = np.array([[1e-2], [1e-3], [1.0]])
+    fv, lv = model._split_values(v)
+    g, g_norm = regularized_residual(grid, fv, v, a, f_values)
+    step, lstep = model._newton_step(v, a, g)
+    model.kernel_calls = 0
+    got = line_search(model, v, fv, lv, step, lstep, a, f_values, g_norm)
+    assert model.kernel_calls == 0 and got[5].all()
+    if kind == "cubic":
+        assert got[6].tolist() == [0.25, 0.125, 1.0]
+    with np.errstate(over="ignore", invalid="ignore"):
+        uphill = line_search(model, v, fv, lv, -step, -lstep, a, f_values, g_norm)
+    assert model.kernel_calls == 1 and not uphill[5].any()
 
 
 def _stacked(model, f, shifts, start=None):
@@ -328,15 +374,15 @@ def test_failed_armijo_search_stops_with_the_iterate_before_it(grid, kind, monke
 
 
 class _UphillSecondStep(OperatorModel):
-    """Turns the second shifted solve's step around, so no step length of
-    that search passes its Armijo test."""
+    """Turns the Newton loop's second step around, with its image L s, so
+    no step length of that search passes its Armijo test."""
 
     solves = 0
 
-    def solve_shifted_values(self, values, a, rhs):
+    def _newton_step(self, values, a, rhs):
         self.solves += 1
-        step = super().solve_shifted_values(values, a, rhs)
-        return -step if self.solves == 2 else step
+        step, lstep = super()._newton_step(values, a, rhs)
+        return (-step, -lstep) if self.solves == 2 else (step, lstep)
 
 
 @pytest.mark.parametrize("kind", ["arctan3", "cubic"])
@@ -365,6 +411,46 @@ def test_rows_return_f_at_their_solutions(grid, kind):
         )
 
 
+class _FalseFirstConvergence(OperatorModel):
+    """Hands the first Newton step back with its L s off by G(v_1), v_1 =
+    v_0 - s: the carried residual at v_1 then reads about 0, below the
+    tolerance, which the exact one is not."""
+
+    def __init__(self, kind, grid, f_values, a):
+        super().__init__(kind, grid)
+        self.plain = OperatorModel(kind, grid)
+        self.f_values, self.a = f_values, a
+        self.steps = 0
+
+    def _newton_step(self, values, a, rhs):
+        step, lstep = super()._newton_step(values, a, rhs)
+        self.steps += 1
+        if self.steps == 1:
+            v1 = values - step
+            lstep = lstep + regularized_residual(
+                self.grid, self.plain.apply_values(v1), v1, self.a, self.f_values
+            )[0]
+        return step, lstep
+
+
+@pytest.mark.parametrize("kind", ["arctan3", "cubic"])
+def test_rows_converge_only_on_an_exact_residual(grid, kind):
+    # a row whose carried residual meets tol after one step is evaluated
+    # exactly there, runs on from the exact F, and converges: its norm and F
+    # are the exact ones at its solution.  (The fault also lets the first
+    # search accept the full step, so the row takes its own path there.)
+    f = GridFunction(grid, 1.0 + grid.nodes)
+    a = np.array([[1e-2]])
+    model = _FalseFirstConvergence(kind, grid, f.values, a)
+    solutions, f_solutions, norms_, iterations, converged = _regularized_rows(
+        model, f.values, a, np.zeros((1, grid.n))
+    )
+    assert converged[0] and iterations[0] > 1
+    np.testing.assert_array_equal(f_solutions, model.apply_values(solutions))
+    exact = regularized_residual(grid, f_solutions, solutions, a, f.values)[1]
+    assert norms_[0] == exact[0] <= regsolve._TOL
+
+
 @pytest.mark.parametrize("kind", MODEL_KINDS)
 def test_rows_take_one_data_row_each(grid, kind):
     # a stack (S, n) of data rows gives each row, bit for bit, what it gets
@@ -385,11 +471,11 @@ class _SecondSolveSingular(OperatorModel):
 
     solves = 0
 
-    def solve_shifted_values(self, values, a, rhs):
+    def _newton_step(self, values, a, rhs):
         self.solves += 1
         if self.solves == 2:
             raise SingularShiftError(5, row=len(values) - 1)
-        return super().solve_shifted_values(values, a, rhs)
+        return super()._newton_step(values, a, rhs)
 
 
 def test_rows_name_the_singular_shift():
