@@ -293,8 +293,9 @@ def _regularized_rows(model: OperatorModel, f_values, a, starts):
     residual_norms, iterations = np.empty(len(a)), np.zeros(len(a), dtype=int)
 
     def stop(k, rows, v, fv, _, g_norm, accepted, lam, v_prev, exact):
-        exact(accepted & (~(g_norm > _TOL) | (k == _MAX_ITER)))
-        leave = ~accepted | ~(g_norm > _TOL) | (k == _MAX_ITER)
+        at_cap = k == _MAX_ITER
+        exact(accepted & (~(g_norm > _TOL) | at_cap))
+        leave = ~accepted | ~(g_norm > _TOL) | at_cap
         if np.count_nonzero(leave):
             done, kept = rows[leave], accepted[leave]
             solutions[done] = np.where(kept[:, None], v[leave], v_prev[leave])
