@@ -18,7 +18,9 @@ one-row case.  A run's line search starts at min(1, 2*lam), twice the
 step length it last took (1 at first; Nocedal & Wright, *Numerical
 Optimization*, 2006, section 3.5), so the full step, scaled by h, is taken
 wherever the raw iteration is stable.  Where no step length passes, a run
-takes the search's best candidate (see :func:`dsm.regsolve.line_search`).
+takes the search's best candidate (see :func:`dsm.regsolve.line_search`)
+and evaluates F there exactly.  Every schedule enters the loop in one form,
+a(t) = d / (c + t)**b at t = n*h.
 """
 
 from __future__ import annotations
@@ -48,12 +50,20 @@ __all__ = [
 
 @dataclass(frozen=True)
 class DiscreteSchedule:
-    """a_n = c0 * delta**p / (n + shift) for integer n >= 0."""
+    """a_n = c0 * delta**p / (n + shift) for integer n >= 0.
+
+    That is the continuous form a(t) = d / (c + t)**b sampled at t = n, with
+    the read-only d = c0 * delta**p, c = shift (as a float) and b = 1: the
+    form :func:`run_batch` steps every schedule by.
+    """
 
     c0: float
     delta: float
     p: float
     shift: int
+    d = property(lambda self: self.c0 * self.delta ** self.p)
+    c = property(lambda self: float(self.shift))
+    b = 1.0
 
     def __post_init__(self):
         if not 0 < self.c0 < math.inf:
@@ -66,7 +76,7 @@ class DiscreteSchedule:
             raise ValueError(f"shift must be an integer >= 1, got {self.shift}")
 
     def a(self, n: int) -> float:
-        return self.c0 * self.delta ** self.p / (n + self.shift)
+        return self.d / (n + self.c)
 
 
 @dataclass(frozen=True)
@@ -119,9 +129,12 @@ class RunRecord:
     """Trace of one driver run.
 
     ``residuals[k]`` and ``a_values[k]`` belong to iterate k; both have
-    length ``n_stop + 1``.  The last residual is the discrepancy of an
-    exactly evaluated F(final), as is ``residuals[0]`` and any residual whose
-    carried value met the threshold and was replaced; the others are carried
+    length ``n_stop + 1``.  ``a_values[k]`` is the shift the loop used at
+    iterate k, a(t) at t = k*h: in its regularized residual and in the step
+    from it.  The last residual is the discrepancy of an exactly evaluated
+    F(final), as are ``residuals[0]``, the residual after every fallback step
+    and any residual whose carried value met the threshold and was
+    replaced; the others are carried
     from the Newton equation (see :func:`dsm.regsolve.line_search`) and
     differ from the exact ones by the rounding of the shifted solves: by at
     most 3.4e-10 relative on the benchmark's presets and stiff cells and
@@ -145,23 +158,32 @@ class RunRecord:
     wall_time: float = field(default=0.0)
 
 
-def _drive(model, f_values, schedules, thresholds, u, h, max_steps):
-    # The runs' side of the Newton loop.  table[:, i] holds stack row i's
-    # a_n, residuals, step lengths and fallbacks (1.0 or 0.0) by step, and
-    # loses rows with the stack; it has room for 64 steps, then doubles.
+def _drive(model, f_values, columns, thresholds, u, h, max_steps):
+    # The runs' side of the Newton loop.  columns holds the (S, 1) columns d,
+    # c and b of each stack row's schedule a(t) = d/(c + t)**b, and table[:, i]
+    # stack row i's a_n, residuals, step lengths and fallbacks (1.0 or 0.0) by
+    # step; both lose rows with the stack.  table has room for 64 steps, then
+    # doubles.  Its a-row holds the shift each step took, written as it is
+    # computed, so a record keeps exactly those shifts and no stop has to
+    # compute them again.
     start = time.perf_counter()
     records = [None] * len(u)
     table = np.empty((4, len(u), 0))
+    # the powers other than 1 (b = 1 takes none), each with its exponent as a
+    # scalar, as ContinuousSchedule.a takes it: numpy takes x ** 0.5 as
+    # sqrt(x), which differs from pow(x, 0.5) in the last bit
+    powers = set(columns[2].ravel().tolist()) - {1.0}
 
-    def shifts(n, rows):
+    def shifts(n):
         nonlocal table
         if n == table.shape[2]:
-            # a_n at t = n*h; h = 1 for a discrete schedule, whose a at the
-            # float n is its a at the integer n
-            t = np.arange(n, min(max(2 * n, 64), max_steps + 1)) * h
-            table = np.concatenate([table, np.empty((4, len(rows), len(t)))], axis=2)
-            table[0, :, n:] = [schedules[k].a(t) for k in rows]
-        return table[0, :, n : n + 1]
+            room = np.empty((4, table.shape[1], min(max(n, 64), max_steps + 1 - n)))
+            table = np.concatenate([table, room], axis=2)
+        d, c, b = columns
+        base = c + n * h
+        for power in powers:
+            base[b == power] **= power
+        return np.divide(d, base, out=table[0, :, n : n + 1])
 
     def first_step(lam, step, lstep):
         # lam0 rides on the step's one scaling by h, not a second pass over
@@ -173,13 +195,14 @@ def _drive(model, f_values, schedules, thresholds, u, h, max_steps):
         return lam0
 
     def stop(n, rows, u, fu, f_values, g_norm, accepted, lam, _, exact):
-        nonlocal table, thresholds
+        nonlocal table, columns, thresholds
         if n:
             table[2, :, n - 1], table[3, :, n - 1] = lam, ~accepted
         res = norms(model.grid, fu - f_values)
-        # a row whose carried discrepancy meets its threshold, or that is at
-        # the cap, is evaluated exactly, and stops on the exact value
-        candidates = (res < thresholds) | (n == max_steps)
+        # a row whose carried discrepancy meets its threshold, that is at the
+        # cap, or whose search fell back, is evaluated exactly; a row stops on
+        # its exact value
+        candidates = (res < thresholds) | (n == max_steps) | ~accepted
         if np.count_nonzero(candidates):
             exact(candidates)
             res[candidates] = norms(model.grid, fu[candidates] - f_values[candidates])
@@ -194,7 +217,9 @@ def _drive(model, f_values, schedules, thresholds, u, h, max_steps):
                     GridFunction(model.grid, u[i]), n, residuals, a_values,
                     bool(stopped[i]), lengths[:n], fallback[:n] == 1.0, wall,
                 )
-            table, thresholds = table[:, ~leave], thresholds[~leave]
+            keep = ~leave
+            table, thresholds = table[:, keep], thresholds[keep]
+            columns = [column[keep] for column in columns]
         return leave
 
     _newton_rows(model, u, f_values, shifts, first_step, stop)
@@ -215,10 +240,11 @@ def run_batch(
 
     Row k starts at ``u0`` (default 0) and solves for the data
     ``f_deltas[k]`` with noise level ``deltas[k]`` and schedule
-    ``schedules[k]``: a :class:`DiscreteSchedule` drives the iteration
-    (h = 1), a :class:`ContinuousSchedule` is sampled at t = n*h for the
-    explicit Euler step h.  Each row stops at its own discrepancy threshold
-    or after ``max_steps`` steps.
+    ``schedules[k]``, a :class:`ContinuousSchedule` for the explicit Euler
+    step h or a :class:`DiscreteSchedule`, which steps with h = 1.  Both
+    enter the loop in one form: the rows' d, c and b become ``(S, 1)``
+    columns once, and step n takes a(t) = d/(c + t)**b at t = n*h.  Each row
+    stops at its own discrepancy threshold or after ``max_steps`` steps.
 
     Each step calls each Newton kernel once for all the rows still running,
     and a row's record is bit for bit the one it gets when run alone.
@@ -239,9 +265,11 @@ def run_batch(
             raise ValueError(f"a DiscreteSchedule steps with h = 1, got h = {h}")
     rule = rule or StoppingRule()
     thresholds = np.array([rule.threshold(delta) for delta in deltas])
+    # the schedules' d, c and b as three contiguous (S, 1) columns
+    columns = list(np.array([[s.d, s.c, s.b] for s in schedules]).T[:, :, None].copy())
     u = np.array([start_values(model, f_delta, u0) for f_delta in f_deltas])
     f_values = np.array([f_delta.values for f_delta in f_deltas])
-    return _drive(model, f_values, list(schedules), thresholds, u, h, max_steps)
+    return _drive(model, f_values, columns, thresholds, u, h, max_steps)
 
 
 def run_iteration(

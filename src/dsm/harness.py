@@ -196,8 +196,8 @@ class ExperimentConfig:
         if not (self.max_iter >= 1 and float(self.max_iter).is_integer()):
             raise ValueError(f"max_iter must be an integer >= 1, got {self.max_iter}")
         # DiscreteSchedule checks c0, p and shift, and StoppingRule stop_c and
-        # gamma: build both, so a bad value fails before any cell runs, in
-        # Euler mode too (its ContinuousSchedule would take p = 2 or shift = 0.5)
+        # gamma: build both, so a bad value fails before any cell runs (the
+        # ContinuousSchedule that run_cells builds would take p = 2 or shift = 0.5)
         DiscreteSchedule(self.c0, 1.0, self.p, self.shift)
         StoppingRule(self.stop_c, self.gamma)
 
@@ -284,12 +284,9 @@ def run_cells(config: ExperimentConfig) -> Iterable[RunCell]:
             f_delta, delta_abs = calibrate_noise(f, noises[seed], delta_rel)
             cells.append((delta_rel, seed, delta_abs))
             f_deltas.append(f_delta)
-            if config.mode == "iterate":
-                schedules.append(DiscreteSchedule(config.c0, delta_abs, config.p, config.shift))
-            else:
-                schedules.append(ContinuousSchedule(
-                    d=config.c0 * delta_abs ** config.p, c=float(config.shift), b=1.0,
-                ))
+            # the paper's a_n = c0 * delta**p / (n + shift) is this a(t) at t = n
+            d = config.c0 * delta_abs ** config.p
+            schedules.append(ContinuousSchedule(d=d, c=float(config.shift), b=1.0))
     h = 1.0 if config.mode == "iterate" else config.h
     records = run_batch(
         model, f_deltas, [delta_abs for _, _, delta_abs in cells], schedules,

@@ -14,11 +14,13 @@ tolerance ``_TOL`` or after ``_MAX_ITER`` iterations), behind
 drivers in :mod:`dsm.driver`.
 
 Which residuals are exact: F(u) = L u + g(u) runs through the kernel's
-running sums at the start and wherever a row is about to leave.  Between
-those, each iterate's F, G and ||G|| are carried: the line search takes a
-trial's F as L v - lam*L s + g(v - lam*s), with L s = G - D s read off the
-Newton equation, so they differ from the exact values by the rounding of
-the shifted solves.  A caller's stop decides on exact values only.
+running sums at the start and wherever a caller's stop asks for it: where
+a row is about to leave, and, in a run, after a search that fell back.
+Between those, each iterate's F, G and ||G|| are carried: the line search
+takes a trial's F as L v - lam*L s + g(v - lam*s), with L s = G - D s read
+off the Newton equation, so they differ from the exact values by the
+rounding of the shifted solves.  A caller's stop decides on exact values
+only.
 """
 
 from __future__ import annotations
@@ -127,10 +129,12 @@ def line_search(model: OperatorModel, v, fv, lv, step, lstep, a, f_values, g_nor
     accepted, lam)``, one entry per row, F and L carried from the trial that
     made the iterate.  A row where no candidate passes takes the candidate
     with the smallest finite residual norm, and that candidate's lam, with F
-    and L evaluated there exactly, or stays at v, with the F and L it came in
-    with and its lam0, if no candidate has one.  Trial points may overflow:
-    call it under ``np.errstate(over="ignore", invalid="ignore")``, as the
-    Newton loop does.
+    and L carried as they were tried, or stays at v, with the F and L it came
+    in with and its lam0, if no candidate has one.  No search runs the
+    kernel's running sums: a caller that needs an exact F at a failed row
+    evaluates it (both Newton-loop callers do, at their stop).  Trial points
+    may overflow: call it under ``np.errstate(over="ignore",
+    invalid="ignore")``, as the Newton loop does.
     """
     grid = model.grid
     lam0 = np.ones(len(v)) if lam0 is None else lam0
@@ -177,21 +181,21 @@ def line_search(model: OperatorModel, v, fv, lv, step, lstep, a, f_values, g_nor
                 x[keep] for x in (pending, vp, lvp, sp, lsp, ap, fp, gp, lp, trial_norms)
             )
     # No step length passed: take the trial with the smallest finite norm
-    # (the first of equals) again, evaluated exactly, or stay at v where no
-    # trial is finite.
+    # (the first of equals) again, carried as it was tried, or stay at v where
+    # no trial is finite.
     trial_norms[~(trial_norms < math.inf)] = math.inf
     k_best = np.argmin(trial_norms, axis=1)
-    best_norm = trial_norms[np.arange(len(pending)), k_best]
-    found = best_norm < math.inf
+    found = trial_norms[np.arange(len(pending)), k_best] < math.inf
     stay = pending[~found]
-    new[stay], f_new[stay], lv_new[stay], norm[stay] = v[stay], fv[stay], lv[stay], g_norm[stay]
+    new[stay], f_new[stay], lv_new[stay] = v[stay], fv[stay], lv[stay]
     rows = pending[found]
-    scale = np.ldexp(1.0, -k_best[found])
-    new[rows] = vp[found] - scale[:, None] * sp[found]
-    f_new[rows], lv_new[rows] = model._split_values(new[rows])
-    lam_out[rows] = lp[found] * scale
-    g_new[pending], exact_norm = regularized_residual(grid, f_new[pending], new[pending], ap, fp)
-    norm[rows] = exact_norm[found]
+    scale = np.ldexp(1.0, -k_best[found])[:, None]
+    new[rows], lv_new[rows] = vp[found] - scale * sp[found], lvp[found] - scale * lsp[found]
+    f_new[rows] = model._with_g(new[rows], lv_new[rows])
+    lam_out[rows] = lp[found] * scale[:, 0]
+    g_new[pending], norm[pending] = regularized_residual(
+        grid, f_new[pending], new[pending], ap, fp
+    )
     return new, f_new, lv_new, g_new, norm, accepted, lam_out
 
 
@@ -199,13 +203,14 @@ def _newton_rows(model: OperatorModel, u, f_values, shifts, first_step, stop):
     """Step each row of ``u`` ``(S, n)`` still in the stack to u - lam*s,
     (F'(u) + a*I) s = F(u) + a*u - f with f its row of ``f_values``, until
     ``stop`` has let every row leave.  ``shifts`` is a column ``(S, 1)`` of
-    fixed shifts, or ``shifts(k, rows)`` gives step k's.  ``first_step(lam,
-    s, L s)`` scales each Newton step s and its image L s in place by its
-    row's first step length, from its last one lam, and returns the search's
-    lam0; None takes full steps.  ``stop(k, rows, u, F(u), f_values,
-    ||G(u)||, accepted, lam, u_prev, exact)`` sees iterate k (0 at the
-    start), the search that made it and the iterate before, and returns
-    which rows leave.
+    fixed shifts, or ``shifts(k)`` gives iterate k's column for the rows
+    still in the stack (a run computes it from its schedule columns, which
+    its stop compacts as rows leave).  ``first_step(lam, s, L s)`` scales
+    each Newton step s and its image L s in place by its row's first step
+    length, from its last one lam, and returns the search's lam0; None takes
+    full steps.  ``stop(k, rows, u, F(u), f_values, ||G(u)||, accepted, lam,
+    u_prev, exact)`` sees iterate k (0 at the start), the search that made
+    it and the iterate before, and returns which rows leave.
 
     F is evaluated through the kernel's running sums once, at the start.
     After that each iterate's F, G and ||G|| are carried: they come from the
@@ -216,11 +221,14 @@ def _newton_rows(model: OperatorModel, u, f_values, shifts, first_step, stop):
     by up to 1.7e-9 of the discrepancy over exp1's 55 steps on 1000 points.
     So a row leaves only on an exactly evaluated F (residual replacement, as
     in Krylov solvers: van der Vorst & Ye, SIAM J. Sci. Comput. 22, 2000).
-    ``stop`` calls ``exact(leaving)`` on the rows whose carried value meets
-    its test, or that leave anyway; that evaluates their F and L u exactly,
-    replaces F(u), G(u) and ||G(u)|| in place, and the stop decides on the
-    exact values.  A row whose exact value does not pass continues from it.
-    Iterate 0's values are exact already.
+    ``stop`` calls ``exact(rows)`` on the rows whose carried value meets its
+    test, or that leave anyway, and a run's stop on the rows whose search
+    fell back; that evaluates their F and L u exactly, replaces F(u), G(u)
+    and ||G(u)|| in place, and the stop decides on the exact values.  A row
+    whose exact value does not pass continues from it.  A stop may first
+    move a leaving row of u in place: the regularized solve's puts a row
+    whose search failed back at the iterate before it.  Iterate 0's values
+    are exact already.
     """
     grid = model.grid
     rows = np.arange(len(u))
@@ -237,7 +245,7 @@ def _newton_rows(model: OperatorModel, u, f_values, shifts, first_step, stop):
         fu, lu = model._split_values(u)
         if not np.isfinite(fu).all():
             raise ValueError("cannot evaluate the model at the start point")
-        a = shifts(0, rows) if callable(shifts) else shifts
+        a = shifts(0) if callable(shifts) else shifts
         g, g_norm = regularized_residual(grid, fu, u, a, f_values)
         u_prev, k = u, 0
         while True:
@@ -266,7 +274,7 @@ def _newton_rows(model: OperatorModel, u, f_values, shifts, first_step, stop):
             del step, lstep
             k += 1
             if callable(shifts):
-                a = shifts(k, rows)
+                a = shifts(k)
                 g, g_norm = regularized_residual(grid, fu, u, a, f_values)
 
 
@@ -293,20 +301,16 @@ def _regularized_rows(model: OperatorModel, f_values, a, starts):
     residual_norms, iterations = np.empty(len(a)), np.zeros(len(a), dtype=int)
 
     def stop(k, rows, v, fv, _, g_norm, accepted, lam, v_prev, exact):
+        # a row whose search failed goes back to the iterate before it, and
+        # leaves with that; exact evaluates it there
+        v[~accepted] = v_prev[~accepted]
         at_cap = k == _MAX_ITER
-        exact(accepted & (~(g_norm > _TOL) | at_cap))
+        exact(~accepted | ~(g_norm > _TOL) | at_cap)
         leave = ~accepted | ~(g_norm > _TOL) | at_cap
         if np.count_nonzero(leave):
-            done, kept = rows[leave], accepted[leave]
-            solutions[done] = np.where(kept[:, None], v[leave], v_prev[leave])
-            f_solutions[done], residual_norms[done] = fv[leave], g_norm[leave]
-            if not kept.all():
-                failed = done[~kept]
-                f_solutions[failed] = model.apply_values(solutions[failed])
-                residual_norms[failed] = regularized_residual(
-                    model.grid, f_solutions[failed], solutions[failed], a[failed], f_values[failed]
-                )[1]
-            iterations[done] = k
+            done = rows[leave]
+            solutions[done], f_solutions[done] = v[leave], fv[leave]
+            residual_norms[done], iterations[done] = g_norm[leave], k
         return leave
 
     _newton_rows(model, solutions, f_values, a, None, stop)

@@ -123,6 +123,14 @@ def test_record_shapes_and_schedule_trace(identity_setup):
     expected_a = [sched.a(n) for n in range(record.n_stop + 1)]
     np.testing.assert_array_equal(record.a_values, expected_a)
     assert record.wall_time >= 0.0
+    # b = 0.5 at h = 0.5, 166 steps: numpy takes x ** 0.5 with a scalar
+    # exponent as sqrt(x), which differs from pow(x, 0.5) in the last bit at
+    # about one x in twenty
+    schedule = ContinuousSchedule(d=0.5, c=3.0, b=0.5)
+    record = run_euler(model, f_delta, delta, schedule, h=0.5)
+    assert record.stopped_by_discrepancy and record.n_stop > 100
+    t = np.arange(record.n_stop + 1) * 0.5
+    np.testing.assert_array_equal(record.a_values, schedule.a(t))
 
 
 def test_stop_is_strict_at_stop_and_not_before(identity_setup):
@@ -342,6 +350,35 @@ def test_replacement_rejects_a_false_carried_stop():
     np.testing.assert_allclose(record.residuals, plain.residuals, rtol=1e-9)
 
 
+class _UphillSecondStep(_CountingModel):
+    """Turns the run's second Newton step around, with its image L s, so no
+    step length of that search passes its Armijo test."""
+
+    solves = 0
+
+    def _newton_step(self, values, a, rhs):
+        self.solves += 1
+        step, lstep = super()._newton_step(values, a, rhs)
+        return (-step, -lstep) if self.solves == 2 else (step, lstep)
+
+
+def test_a_fallback_iterate_rests_on_an_exact_f():
+    # the failed search takes its best trial with F carried as it was tried;
+    # the stop evaluates F there exactly, and the run goes on from that F, so
+    # the residual at iterate 2 is the exact one a run capped there stops on
+    model, f_delta, delta = _exp1_setup()
+    schedule = DiscreteSchedule(68.1, delta, 0.99, 1)
+    runs = []
+    for cap in (2, 4):
+        faulty = _UphillSecondStep("arctan3", model.grid)
+        runs.append(run_iteration(faulty, f_delta, delta, schedule, max_iter=cap))
+        # the running sums ran at the start, at the fallback iterate and at the cap
+        assert faulty.exact == faulty.sums == 2 + (cap > 2)
+    short, long = runs
+    assert long.fallback.tolist() == [False, True, False, False]
+    np.testing.assert_array_equal(long.residuals[:3], short.residuals)
+
+
 # c0 * (n - 1)**(p/2) for c0 = 3, p = 0.9 on the 60-point grid below: the
 # arctan_setup runs take about 20 steps before the discrepancy stop
 ARCTAN_C0 = 18.8
@@ -358,10 +395,11 @@ def arctan_setup():
     return model, f_delta, norm(pert)
 
 
-def _exp1_setup():
-    # the exp1 preset's cell at delta_rel = 1%, on sine noise
+def _exp1_setup(kind="arctan3"):
+    # the exp1 preset's cell at delta_rel = 1%, on sine noise; with the cubic
+    # model, exp2's
     grid = QuadratureGrid(100)
-    model = OperatorModel("arctan3", grid)
+    model = OperatorModel(kind, grid)
     f = model.apply(exact_solution("step", grid))
     f_delta, delta = calibrate_noise(f, sine_noise(grid), 0.01)
     return model, f_delta, delta
@@ -369,14 +407,16 @@ def _exp1_setup():
 
 def test_euler_with_unit_step_matches_iteration(arctan_setup):
     """With h = 1 and a(t) = C0 delta^p/(shift + t) the Euler trace equals
-    the discrete iteration's, float for float: on the arctan setup, and
-    along all 55 steps of exp1 (c0 = 68.1, p = 0.99)."""
+    the discrete iteration's, float for float: on the arctan setup, along
+    all 55 steps of exp1 (c0 = 68.1, p = 0.99, shift 1) and along exp2's
+    cell (c0 = 15.8, p = 0.9, shift 6), so every preset's (shift, p)."""
     stops = []
-    for (model, f_delta, delta), c0, p in (
-        (arctan_setup, ARCTAN_C0, 0.9), (_exp1_setup(), 68.1, 0.99),
+    for (model, f_delta, delta), c0, p, shift in (
+        (arctan_setup, ARCTAN_C0, 0.9, 1), (_exp1_setup(), 68.1, 0.99, 1),
+        (_exp1_setup("cubic"), 15.8, 0.9, 6),
     ):
-        discrete = DiscreteSchedule(c0=c0, delta=delta, p=p, shift=1)
-        continuous = ContinuousSchedule(d=c0 * delta ** p, c=1.0, b=1.0)
+        discrete = DiscreteSchedule(c0=c0, delta=delta, p=p, shift=shift)
+        continuous = ContinuousSchedule(d=c0 * delta ** p, c=float(shift), b=1.0)
         rec_i = run_iteration(model, f_delta, delta, discrete)
         rec_e = run_euler(model, f_delta, delta, continuous, h=1.0)
         assert rec_i.stopped_by_discrepancy and rec_e.stopped_by_discrepancy
@@ -385,7 +425,7 @@ def test_euler_with_unit_step_matches_iteration(arctan_setup):
         np.testing.assert_array_equal(rec_i.residuals, rec_e.residuals)
         np.testing.assert_array_equal(rec_i.a_values, rec_e.a_values)
         np.testing.assert_array_equal(rec_i.final.values, rec_e.final.values)
-    assert stops[0] >= 10 and stops[1] == 55
+    assert stops[0] >= 10 and stops[1] == 55 and stops[2] > 1
 
 
 def test_smaller_euler_step_needs_more_steps(arctan_setup):
@@ -439,29 +479,26 @@ def test_backtracking_recovers_saturating_runaway():
 def test_search_starts_at_twice_the_last_step_length():
     """Each step's search starts at lam0 = min(1, 2*lam_prev) and halves from
     there, so a step that takes lam costs 1 + log2(lam0/lam) trials; a
-    fallback step tries all 41 step lengths and evaluates its pick exactly,
-    unless it stays at v.  Besides those picks F is evaluated exactly at the
-    start and at the stop.  The run is one row, so a call is one row
-    evaluation."""
+    fallback step tries all 41 step lengths, and the stop then evaluates the
+    iterate it took exactly.  F is evaluated exactly at the start, at each
+    fallback iterate and at the stop, once where the last step fell back.
+    The run is one row, so a call is one row evaluation."""
     model, record = _saturating_runaway()
     lam = record.step_lengths
     assert len(lam) == len(record.fallback) == record.n_stop
     assert np.all((lam > 0) & (lam <= 1))
     assert lam.min() < 1
     lam0 = np.minimum(1.0, 2.0 * np.concatenate([[1.0], lam[:-1]]))
-    # a row that stays at v keeps its F, so its residual repeats exactly
-    stays = record.residuals[1:] == record.residuals[:-1]
-    trials, picks = 0, 0
-    for first, took, fell_back, stay in zip(lam0, lam, record.fallback, stays):
+    trials = 0
+    for first, took, fell_back in zip(lam0, lam, record.fallback):
         if fell_back:
             trials += 41
-            picks += not stay
         else:
             halvings = np.log2(first / took)
             assert halvings == int(halvings) >= 0
             trials += 1 + int(halvings)
     assert model.trials == trials
-    assert model.exact == model.sums == 2 + picks
+    assert model.exact == model.sums == 2 + np.count_nonzero(record.fallback[:-1])
 
 
 def _count_wraps(monkeypatch, fn):
