@@ -17,10 +17,10 @@ schedule and threshold, through the package's one Newton loop (see
 one-row case.  A run's line search starts at min(1, 2*lam), twice the
 step length it last took (1 at first; Nocedal & Wright, *Numerical
 Optimization*, 2006, section 3.5), so the full step, scaled by h, is taken
-wherever the raw iteration is stable.  Where no step length passes, a run
-takes the search's best candidate (see :func:`dsm.regsolve.line_search`)
-and evaluates F there exactly.  Every schedule enters the loop in one form,
-a(t) = d / (c + t)**b at t = n*h.
+wherever the raw iteration is stable.  Where no step length passes, the run
+stalls: it stays at the iterate it had and ends there, on F evaluated there
+exactly, as the regularized solve does (see :mod:`dsm.regsolve`).  Every
+schedule enters the loop in one form, a(t) = d / (c + t)**b at t = n*h.
 """
 
 from __future__ import annotations
@@ -132,18 +132,22 @@ class RunRecord:
     length ``n_stop + 1``.  ``a_values[k]`` is the shift the loop used at
     iterate k, a(t) at t = k*h: in its regularized residual and in the step
     from it.  The last residual is the discrepancy of an exactly evaluated
-    F(final), as are ``residuals[0]``, the residual after every fallback step
-    and any residual whose carried value met the threshold and was
-    replaced; the others are carried
-    from the Newton equation (see :func:`dsm.regsolve.line_search`) and
-    differ from the exact ones by the rounding of the shifted solves: by at
-    most 3.4e-10 relative on the benchmark's presets and stiff cells and
-    1.7e-9 on exp1 at n = 1000.  ``step_lengths[k]`` is the step length lam the
-    line search took from iterate k to k + 1 (the step is lam*h times the
-    Newton step), and ``fallback[k]`` is True where no lam passed its
-    Armijo test; both have length ``n_stop``.  ``stopped_by_discrepancy``
-    is False when the step cap ran out first (the caller treats that as
-    divergence).
+    F(final), as are ``residuals[0]`` and any residual whose carried value
+    met the threshold and was replaced; the others are carried from the
+    Newton equation (see :func:`dsm.regsolve.line_search`) and differ from
+    the exact ones by the rounding of the shifted solves: by at most 3.4e-10
+    relative on the benchmark's presets and stiff cells and 1.7e-9 on exp1
+    at n = 1000.  ``step_lengths[k]`` is the step length lam the line search
+    took from iterate k to k + 1 (the step is lam*h times the Newton step);
+    it has length ``n_stop``.  A run ends in one of three states:
+
+    - stopped: ``stopped_by_discrepancy`` is True;
+    - capped: it is False and ``n_stop`` equals the step cap (the caller
+      treats that as divergence);
+    - stalled: it is False and ``n_stop`` is below the cap.  The line search
+      from iterate ``n_stop`` accepted no step length, so the run stayed
+      there and ended.
+
     ``wall_time`` runs from the start of the batch the run belonged to (see
     :func:`run_batch`) to the run's stop.
     """
@@ -154,21 +158,19 @@ class RunRecord:
     a_values: np.ndarray
     stopped_by_discrepancy: bool
     step_lengths: np.ndarray
-    fallback: np.ndarray
     wall_time: float = field(default=0.0)
 
 
 def _drive(model, f_values, columns, thresholds, u, h, max_steps):
     # The runs' side of the Newton loop.  columns holds the (S, 1) columns d,
     # c and b of each stack row's schedule a(t) = d/(c + t)**b, and table[:, i]
-    # stack row i's a_n, residuals, step lengths and fallbacks (1.0 or 0.0) by
-    # step; both lose rows with the stack.  table has room for 64 steps, then
-    # doubles.  Its a-row holds the shift each step took, written as it is
-    # computed, so a record keeps exactly those shifts and no stop has to
-    # compute them again.
+    # stack row i's a_n, residuals and step lengths by step; both lose rows
+    # with the stack.  table has room for 64 steps, then doubles.  Its a-row
+    # holds the shift each step took, written as it is computed, so a record
+    # keeps exactly those shifts and no stop has to compute them again.
     start = time.perf_counter()
     records = [None] * len(u)
-    table = np.empty((4, len(u), 0))
+    table = np.empty((3, len(u), 0))
     # the powers other than 1 (b = 1 takes none), each with its exponent as a
     # scalar, as ContinuousSchedule.a takes it: numpy takes x ** 0.5 as
     # sqrt(x), which differs from pow(x, 0.5) in the last bit
@@ -177,7 +179,7 @@ def _drive(model, f_values, columns, thresholds, u, h, max_steps):
     def shifts(n):
         nonlocal table
         if n == table.shape[2]:
-            room = np.empty((4, table.shape[1], min(max(n, 64), max_steps + 1 - n)))
+            room = np.empty((3, table.shape[1], min(max(n, 64), max_steps + 1 - n)))
             table = np.concatenate([table, room], axis=2)
         d, c, b = columns
         base = c + n * h
@@ -194,28 +196,34 @@ def _drive(model, f_values, columns, thresholds, u, h, max_steps):
         lstep *= factor
         return lam0
 
-    def stop(n, rows, u, fu, f_values, g_norm, accepted, lam, _, exact):
+    def stop(n, rows, u, fu, f_values, g_norm, accepted, lam, exact):
         nonlocal table, columns, thresholds
         if n:
-            table[2, :, n - 1], table[3, :, n - 1] = lam, ~accepted
+            table[2, :, n - 1] = lam
         res = norms(model.grid, fu - f_values)
         # a row whose carried discrepancy meets its threshold, that is at the
-        # cap, or whose search fell back, is evaluated exactly; a row stops on
-        # its exact value
-        candidates = (res < thresholds) | (n == max_steps) | ~accepted
+        # cap, or whose search accepted no step length (it stalled at iterate
+        # n - 1) is evaluated exactly; a row stops on its exact value, and a
+        # stalled row leaves whatever that reads
+        stalled = ~accepted
+        candidates = (res < thresholds) | (n == max_steps) | stalled
         if np.count_nonzero(candidates):
             exact(candidates)
             res[candidates] = norms(model.grid, fu[candidates] - f_values[candidates])
         table[1, :, n] = res
         stopped = res < thresholds
-        leave = stopped | (n == max_steps)
+        leave = stopped | (n == max_steps) | stalled
         if np.count_nonzero(leave):
             wall = time.perf_counter() - start
             for i in np.flatnonzero(leave):
-                a_values, residuals, lengths, fallback = table[:, i, : n + 1].copy()
+                # a stalled row's record ends at the iterate it stayed at,
+                # with the exact discrepancy there
+                m = n - 1 if stalled[i] else n
+                a_values, residuals, lengths = table[:, i, : m + 1].copy()
+                residuals[m] = res[i]
                 records[rows[i]] = RunRecord(
-                    GridFunction(model.grid, u[i]), n, residuals, a_values,
-                    bool(stopped[i]), lengths[:n], fallback[:n] == 1.0, wall,
+                    GridFunction(model.grid, u[i]), m, residuals, a_values,
+                    bool(stopped[i]), lengths[:m], wall,
                 )
             keep = ~leave
             table, thresholds = table[:, keep], thresholds[keep]

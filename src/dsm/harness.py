@@ -193,6 +193,9 @@ class ExperimentConfig:
             raise ValueError("seeds must be nonempty")
         if not (math.isfinite(self.h) and self.h > 0):
             raise ValueError(f"h must be positive and finite, got {self.h}")
+        # the iteration steps with h = 1; another h needs mode = euler
+        if self.mode == "iterate" and self.h != 1.0:
+            raise ValueError(f"h must be 1 in mode 'iterate' (use mode 'euler'), got {self.h}")
         if not (self.max_iter >= 1 and float(self.max_iter).is_integer()):
             raise ValueError(f"max_iter must be an integer >= 1, got {self.max_iter}")
         # DiscreteSchedule checks c0, p and shift, and StoppingRule stop_c and
@@ -287,10 +290,9 @@ def run_cells(config: ExperimentConfig) -> Iterable[RunCell]:
             # the paper's a_n = c0 * delta**p / (n + shift) is this a(t) at t = n
             d = config.c0 * delta_abs ** config.p
             schedules.append(ContinuousSchedule(d=d, c=float(config.shift), b=1.0))
-    h = 1.0 if config.mode == "iterate" else config.h
     records = run_batch(
         model, f_deltas, [delta_abs for _, _, delta_abs in cells], schedules,
-        rule=rule, h=h, max_steps=config.max_iter,
+        rule=rule, h=config.h, max_steps=config.max_iter,
     )
     for (delta_rel, seed, delta_abs), f_delta, record in zip(cells, f_deltas, records):
         row = ResultRow(

@@ -11,12 +11,13 @@ per step, and drops each row, with what it gets alone, at its caller's
 stop: ``_regularized_rows`` (a fixed shift per row, stop at the residual
 tolerance ``_TOL`` or after ``_MAX_ITER`` iterations), behind
 :func:`solve_regularized` and the paths of :mod:`dsm.checks`, and the run
-drivers in :mod:`dsm.driver`.
+drivers in :mod:`dsm.driver`.  Both stops share one rule for a failed
+search: a row whose line search accepts no step length stays at the
+iterate it had and leaves the loop there.
 
 Which residuals are exact: F(u) = L u + g(u) runs through the kernel's
-running sums at the start and wherever a caller's stop asks for it: where
-a row is about to leave, and, in a run, after a search that fell back.
-Between those, each iterate's F, G and ||G|| are carried: the line search
+running sums at the start and wherever a row is about to leave.  Between
+those, each iterate's F, G and ||G|| are carried: the line search
 takes a trial's F as L v - lam*L s + g(v - lam*s), with L s = G - D s read
 off the Newton equation, so they differ from the exact values by the
 rounding of the shifted solves.  A caller's stop decides on exact values
@@ -127,14 +128,12 @@ def line_search(model: OperatorModel, v, fv, lv, step, lstep, a, f_values, g_nor
 
     Returns ``(iterate, F(iterate), L iterate, G(iterate), ||G(iterate)||,
     accepted, lam)``, one entry per row, F and L carried from the trial that
-    made the iterate.  A row where no candidate passes takes the candidate
-    with the smallest finite residual norm, and that candidate's lam, with F
-    and L carried as they were tried, or stays at v, with the F and L it came
-    in with and its lam0, if no candidate has one.  No search runs the
-    kernel's running sums: a caller that needs an exact F at a failed row
-    evaluates it (both Newton-loop callers do, at their stop).  Trial points
-    may overflow: call it under ``np.errstate(over="ignore",
-    invalid="ignore")``, as the Newton loop does.
+    made the iterate.  A row where no step length passes stays at v, bit for
+    bit, with the F and L v it came in with, its lam0, and G(v) and ||G(v)||
+    computed from them; both Newton-loop callers end such a row at their
+    stop.  No search runs the kernel's running sums.  Trial points may
+    overflow: call it under ``np.errstate(over="ignore", invalid="ignore")``,
+    as the Newton loop does.
     """
     grid = model.grid
     lam0 = np.ones(len(v)) if lam0 is None else lam0
@@ -145,16 +144,13 @@ def line_search(model: OperatorModel, v, fv, lv, step, lstep, a, f_values, g_nor
     accepted = norm <= (1.0 - _DECREASE_SLACK * lam0) * g_norm
     if np.count_nonzero(accepted) == len(accepted):
         return new, f_new, lv_new, g_new, norm, accepted, lam0
-    # The rows still searching, stacked, with the residual norm of each of
-    # their trials (trial k at 2^-k*step); a row that passes leaves the stack.
+    # The rows still searching, stacked; a row that passes leaves the stack.
     lam_out = lam0.copy()
     pending = np.flatnonzero(~accepted)
     stack = (v, lv, step, lstep, a, f_values, g_norm, lam0)
     if len(pending) < len(v):
         stack = tuple(x[pending] for x in stack)
     vp, lvp, sp, lsp, ap, fp, gp, lp = stack
-    trial_norms = np.empty((len(pending), _HALVINGS + 1))
-    trial_norms[:, 0] = norm[pending]
     scale = 1.0
     for k in range(1, _HALVINGS + 1):
         scale *= 0.5
@@ -162,7 +158,6 @@ def line_search(model: OperatorModel, v, fv, lv, step, lstep, a, f_values, g_nor
         lc = lvp - scale * lsp
         fc = model._with_g(candidate, lc)
         gc, cand_norm = regularized_residual(grid, fc, candidate, ap, fp)
-        trial_norms[:, k] = cand_norm
         lam = lp * scale
         passed = cand_norm <= (1.0 - _DECREASE_SLACK * lam) * gp
         n_passed = np.count_nonzero(passed)
@@ -177,25 +172,13 @@ def line_search(model: OperatorModel, v, fv, lv, step, lstep, a, f_values, g_nor
             keep = ~passed
             if not np.count_nonzero(keep):
                 return new, f_new, lv_new, g_new, norm, accepted, lam_out
-            pending, vp, lvp, sp, lsp, ap, fp, gp, lp, trial_norms = (
-                x[keep] for x in (pending, vp, lvp, sp, lsp, ap, fp, gp, lp, trial_norms)
+            pending, vp, lvp, sp, lsp, ap, fp, gp, lp = (
+                x[keep] for x in (pending, vp, lvp, sp, lsp, ap, fp, gp, lp)
             )
-    # No step length passed: take the trial with the smallest finite norm
-    # (the first of equals) again, carried as it was tried, or stay at v where
-    # no trial is finite.
-    trial_norms[~(trial_norms < math.inf)] = math.inf
-    k_best = np.argmin(trial_norms, axis=1)
-    found = trial_norms[np.arange(len(pending)), k_best] < math.inf
-    stay = pending[~found]
-    new[stay], f_new[stay], lv_new[stay] = v[stay], fv[stay], lv[stay]
-    rows = pending[found]
-    scale = np.ldexp(1.0, -k_best[found])[:, None]
-    new[rows], lv_new[rows] = vp[found] - scale * sp[found], lvp[found] - scale * lsp[found]
-    f_new[rows] = model._with_g(new[rows], lv_new[rows])
-    lam_out[rows] = lp[found] * scale[:, 0]
-    g_new[pending], norm[pending] = regularized_residual(
-        grid, f_new[pending], new[pending], ap, fp
-    )
+    # No step length passed: these rows stay at v, with the F and L v they
+    # came in with and their lam0.
+    new[pending], f_new[pending], lv_new[pending] = vp, fv[pending], lvp
+    g_new[pending], norm[pending] = regularized_residual(grid, f_new[pending], vp, ap, fp)
     return new, f_new, lv_new, g_new, norm, accepted, lam_out
 
 
@@ -209,8 +192,9 @@ def _newton_rows(model: OperatorModel, u, f_values, shifts, first_step, stop):
     each Newton step s and its image L s in place by its row's first step
     length, from its last one lam, and returns the search's lam0; None takes
     full steps.  ``stop(k, rows, u, F(u), f_values, ||G(u)||, accepted, lam,
-    u_prev, exact)`` sees iterate k (0 at the start), the search that made
-    it and the iterate before, and returns which rows leave.
+    exact)`` sees iterate k (0 at the start) and the search that made it,
+    and returns which rows leave.  A row whose search accepted no step
+    length is still at iterate k - 1, and both callers' stops end it there.
 
     F is evaluated through the kernel's running sums once, at the start.
     After that each iterate's F, G and ||G|| are carried: they come from the
@@ -222,13 +206,10 @@ def _newton_rows(model: OperatorModel, u, f_values, shifts, first_step, stop):
     So a row leaves only on an exactly evaluated F (residual replacement, as
     in Krylov solvers: van der Vorst & Ye, SIAM J. Sci. Comput. 22, 2000).
     ``stop`` calls ``exact(rows)`` on the rows whose carried value meets its
-    test, or that leave anyway, and a run's stop on the rows whose search
-    fell back; that evaluates their F and L u exactly, replaces F(u), G(u)
-    and ||G(u)|| in place, and the stop decides on the exact values.  A row
-    whose exact value does not pass continues from it.  A stop may first
-    move a leaving row of u in place: the regularized solve's puts a row
-    whose search failed back at the iterate before it.  Iterate 0's values
-    are exact already.
+    test, or that leave anyway; that evaluates their F and L u exactly,
+    replaces F(u), G(u) and ||G(u)|| in place, and the stop decides on the
+    exact values.  A row whose exact value does not pass continues from it.
+    Iterate 0's values are exact already.
     """
     grid = model.grid
     rows = np.arange(len(u))
@@ -247,9 +228,9 @@ def _newton_rows(model: OperatorModel, u, f_values, shifts, first_step, stop):
             raise ValueError("cannot evaluate the model at the start point")
         a = shifts(0) if callable(shifts) else shifts
         g, g_norm = regularized_residual(grid, fu, u, a, f_values)
-        u_prev, k = u, 0
+        k = 0
         while True:
-            leave = stop(k, rows, u, fu, f_values, g_norm, accepted, lam, u_prev, exact)
+            leave = stop(k, rows, u, fu, f_values, g_norm, accepted, lam, exact)
             n_leave = np.count_nonzero(leave)
             if n_leave == len(rows):
                 return
@@ -266,7 +247,6 @@ def _newton_rows(model: OperatorModel, u, f_values, shifts, first_step, stop):
             # holds about a dozen (S, n) arrays at its peak
             del g
             lam0 = None if first_step is None else first_step(lam, step, lstep)
-            u_prev = u
             u, fu, lu, g, g_norm, accepted, lam = line_search(
                 model, u, fu, lu, step, lstep, a, f_values, g_norm, lam0
             )
@@ -300,10 +280,9 @@ def _regularized_rows(model: OperatorModel, f_values, a, starts):
     solutions, f_solutions = starts, np.empty_like(starts)
     residual_norms, iterations = np.empty(len(a)), np.zeros(len(a), dtype=int)
 
-    def stop(k, rows, v, fv, _, g_norm, accepted, lam, v_prev, exact):
-        # a row whose search failed goes back to the iterate before it, and
+    def stop(k, rows, v, fv, _, g_norm, accepted, lam, exact):
+        # a row whose search failed is still at the iterate before it, and
         # leaves with that; exact evaluates it there
-        v[~accepted] = v_prev[~accepted]
         at_cap = k == _MAX_ITER
         exact(~accepted | ~(g_norm > _TOL) | at_cap)
         leave = ~accepted | ~(g_norm > _TOL) | at_cap

@@ -119,6 +119,17 @@ def test_euler_mode_flags(capsys):
     assert main(args) == 0
 
 
+def test_step_size_without_euler_mode_exit_2(tmp_path, capsys):
+    # the iteration steps with h = 1: --h 0.5 alone is an invalid configuration,
+    # not a run at h = 1
+    assert main(FAST_ARGS + ["--h", "0.5"]) == 2
+    assert "mode 'euler'" in capsys.readouterr().err
+    cfg = tmp_path / "h.cfg"
+    cfg.write_text("h = 0.5\n")
+    assert main(FAST_ARGS + ["--config", str(cfg)]) == 2
+    assert main(FAST_ARGS + ["--config", str(cfg), "--mode", "euler"]) == 0
+
+
 def test_dump_solution(tmp_path, capsys):
     out_file = tmp_path / "solution.csv"
     code = main(["dump-solution", "--preset", "exp2-const",

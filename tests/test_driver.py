@@ -119,7 +119,7 @@ def test_record_shapes_and_schedule_trace(identity_setup):
     record = run_iteration(model, f_delta, delta, sched)
     assert len(record.residuals) == record.n_stop + 1
     assert len(record.a_values) == record.n_stop + 1
-    assert len(record.step_lengths) == len(record.fallback) == record.n_stop
+    assert len(record.step_lengths) == record.n_stop
     expected_a = [sched.a(n) for n in range(record.n_stop + 1)]
     np.testing.assert_array_equal(record.a_values, expected_a)
     assert record.wall_time >= 0.0
@@ -154,7 +154,7 @@ def test_immediate_stop_returns_start(identity_setup):
     assert record.stopped_by_discrepancy
     assert record.n_stop == 0
     assert len(record.residuals) == 1
-    assert len(record.step_lengths) == len(record.fallback) == 0
+    assert len(record.step_lengths) == 0
     np.testing.assert_array_equal(record.final.values, np.zeros(grid.n))
 
 
@@ -278,7 +278,6 @@ def test_accepted_trial_supplies_next_residual():
     assert model.trials == max(stops)
     for record in records:
         np.testing.assert_array_equal(record.step_lengths, np.ones(record.n_stop))
-        assert not record.fallback.any()
 
 
 def _preset_and_stiff_configs():
@@ -351,32 +350,68 @@ def test_replacement_rejects_a_false_carried_stop():
 
 
 class _UphillSecondStep(_CountingModel):
-    """Turns the run's second Newton step around, with its image L s, so no
-    step length of that search passes its Armijo test."""
+    """Turns the second Newton step of the stack row ``row`` (of every row by
+    default) around, with its image L s, so no step length of that row's
+    search passes its Armijo test."""
 
     solves = 0
+    row = slice(None)
 
     def _newton_step(self, values, a, rhs):
         self.solves += 1
         step, lstep = super()._newton_step(values, a, rhs)
-        return (-step, -lstep) if self.solves == 2 else (step, lstep)
+        if self.solves == 2:
+            step[self.row] *= -1.0
+            lstep[self.row] *= -1.0
+        return step, lstep
 
 
-def test_a_fallback_iterate_rests_on_an_exact_f():
-    # the failed search takes its best trial with F carried as it was tried;
-    # the stop evaluates F there exactly, and the run goes on from that F, so
-    # the residual at iterate 2 is the exact one a run capped there stops on
+def test_a_stalled_run_ends_on_an_exact_f():
+    """A run whose line search accepts no step length stalls: it stays at
+    the iterate it had and ends there, not stopped by discrepancy, with the
+    exact discrepancy there as its last residual.  On exp1's cell, with the
+    second search sent uphill, a run capped at 2 or 4 steps ends at iterate
+    1 with the record of a run capped at 1, and the running sums run at the
+    start and at the stall only."""
     model, f_delta, delta = _exp1_setup()
     schedule = DiscreteSchedule(68.1, delta, 0.99, 1)
-    runs = []
+    one_step = run_iteration(model, f_delta, delta, schedule, max_iter=1)
     for cap in (2, 4):
         faulty = _UphillSecondStep("arctan3", model.grid)
-        runs.append(run_iteration(faulty, f_delta, delta, schedule, max_iter=cap))
-        # the running sums ran at the start, at the fallback iterate and at the cap
-        assert faulty.exact == faulty.sums == 2 + (cap > 2)
-    short, long = runs
-    assert long.fallback.tolist() == [False, True, False, False]
-    np.testing.assert_array_equal(long.residuals[:3], short.residuals)
+        record = run_iteration(faulty, f_delta, delta, schedule, max_iter=cap)
+        assert record.n_stop == 1 and not record.stopped_by_discrepancy
+        assert faulty.exact == faulty.sums == 2
+        exact = norms(model.grid, model.apply(record.final).values - f_delta.values)
+        assert record.residuals[-1] == exact
+        for name in ("residuals", "a_values", "step_lengths"):
+            np.testing.assert_array_equal(getattr(record, name), getattr(one_step, name))
+        np.testing.assert_array_equal(record.final.values, one_step.final.values)
+
+
+def test_a_stalled_row_leaves_its_neighbours_as_they_run_alone():
+    """In a batch of exp1's cell at c0 = 30, 68.1 and 150, the middle row's
+    second search is sent uphill: that row stalls at iterate 1 with the
+    record it gets alone, and the other two run on to their discrepancy
+    stops, bit for bit as they run alone."""
+    model, f_delta, delta = _exp1_setup()
+    schedules = [DiscreteSchedule(c0, delta, 0.99, 1) for c0 in (30.0, 68.1, 150.0)]
+    faulty = _UphillSecondStep("arctan3", model.grid)
+    faulty.row = 1
+    batch = run_batch(faulty, [f_delta] * 3, [delta] * 3, schedules)
+    stalled = _UphillSecondStep("arctan3", model.grid)
+    alone = [
+        run_iteration(model, f_delta, delta, schedules[0]),
+        run_iteration(stalled, f_delta, delta, schedules[1]),
+        run_iteration(model, f_delta, delta, schedules[2]),
+    ]
+    assert [r.stopped_by_discrepancy for r in batch] == [True, False, True]
+    assert batch[1].n_stop == 1 < min(batch[0].n_stop, batch[2].n_stop)
+    for record, want in zip(batch, alone):
+        assert record.n_stop == want.n_stop
+        assert record.stopped_by_discrepancy == want.stopped_by_discrepancy
+        for name in ("residuals", "a_values", "step_lengths"):
+            np.testing.assert_array_equal(getattr(record, name), getattr(want, name))
+        np.testing.assert_array_equal(record.final.values, want.final.values)
 
 
 # c0 * (n - 1)**(p/2) for c0 = 3, p = 0.9 on the 60-point grid below: the
@@ -478,27 +513,19 @@ def test_backtracking_recovers_saturating_runaway():
 
 def test_search_starts_at_twice_the_last_step_length():
     """Each step's search starts at lam0 = min(1, 2*lam_prev) and halves from
-    there, so a step that takes lam costs 1 + log2(lam0/lam) trials; a
-    fallback step tries all 41 step lengths, and the stop then evaluates the
-    iterate it took exactly.  F is evaluated exactly at the start, at each
-    fallback iterate and at the stop, once where the last step fell back.
-    The run is one row, so a call is one row evaluation."""
+    there, so a step that takes lam costs 1 + log2(lam0/lam) trials.  F is
+    evaluated exactly at the start and at the stop only.  The run is one
+    row, so a call is one row evaluation."""
     model, record = _saturating_runaway()
     lam = record.step_lengths
-    assert len(lam) == len(record.fallback) == record.n_stop
+    assert len(lam) == record.n_stop
     assert np.all((lam > 0) & (lam <= 1))
     assert lam.min() < 1
     lam0 = np.minimum(1.0, 2.0 * np.concatenate([[1.0], lam[:-1]]))
-    trials = 0
-    for first, took, fell_back in zip(lam0, lam, record.fallback):
-        if fell_back:
-            trials += 41
-        else:
-            halvings = np.log2(first / took)
-            assert halvings == int(halvings) >= 0
-            trials += 1 + int(halvings)
-    assert model.trials == trials
-    assert model.exact == model.sums == 2 + np.count_nonzero(record.fallback[:-1])
+    halvings = np.log2(lam0 / lam)
+    assert np.all(halvings == halvings.astype(int)) and halvings.min() >= 0
+    assert model.trials == np.sum(1 + halvings.astype(int))
+    assert model.exact == model.sums == 2
 
 
 def _count_wraps(monkeypatch, fn):
@@ -611,7 +638,6 @@ def test_batch_rows_match_runs_alone(kind, n, mode, levels, c0):
         np.testing.assert_array_equal(record.a_values, alone.a_values)
         np.testing.assert_array_equal(record.final.values, alone.final.values)
         np.testing.assert_array_equal(record.step_lengths, alone.step_lengths)
-        np.testing.assert_array_equal(record.fallback, alone.fallback)
 
 
 class _SingularModel(OperatorModel):

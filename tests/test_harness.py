@@ -193,6 +193,15 @@ def test_config_rejects_schedule_parameters_when_built(mode, change):
         PRESETS["exp2-const"].override(mode=mode, **change)
 
 
+@pytest.mark.parametrize("h", [0.5, 2.0])
+def test_config_rejects_a_step_size_in_iterate_mode(h):
+    # the iteration steps with h = 1, so another h would be ignored; in Euler
+    # mode it is the step size
+    with pytest.raises(ValueError, match="^h must be 1 in mode 'iterate'"):
+        PRESETS["exp2-const"].override(h=h)
+    assert PRESETS["exp2-const"].override(mode="euler", h=h).h == h
+
+
 @pytest.mark.parametrize("preset", ["exp1", "exp2-const"])
 @pytest.mark.parametrize("seed", [-1, 2 ** 64])
 def test_config_rejects_a_seed_outside_the_stream(preset, seed):
@@ -262,7 +271,8 @@ def test_batched_cells_match_cells_run_alone(mode):
     """run_cells runs a config's cells as one batch; every cell, in the
     same order, is the one its (delta_rel, seed) config gives alone."""
     config = PRESETS["exp1"].override(
-        n_points=40, delta_rel=(0.01, 0.05, 0.02), seeds=(3, 1, 2), mode=mode, h=0.5,
+        n_points=40, delta_rel=(0.01, 0.05, 0.02), seeds=(3, 1, 2), mode=mode,
+        h=0.5 if mode == "euler" else 1.0,
     )
     batch = list(run_cells(config))
     assert [(c.row.delta_rel, c.row.seed) for c in batch] == [

@@ -195,11 +195,12 @@ _N = 12
 )
 def test_line_search_result_is_consistent(kind, a, data):
     """Whatever the direction and first step length lam0, the search returns
-    for every row a finite iterate, its F and L, its regularized residual and
-    norm, and a step length lam0*2^-k it took, with an Armijo decrease at that
-    lam whenever it reports acceptance; each row of a stack gets what it gets
-    alone.  The trial a row takes, accepted or a fallback pick, has L = L v -
-    2^-k L s and F that plus g, bit for bit, within rounding of the exact F.
+    for every row a finite iterate, its F and L, and its regularized residual
+    and norm; each row of a stack gets what it gets alone.  A row that
+    reports acceptance took a step length lam = lam0*2^-k with an Armijo
+    decrease at that lam, and its trial has L = L v - 2^-k L s and F that
+    plus g, bit for bit, within rounding of the exact F.  A row that does
+    not stays at v with the F, L v and lam0 it came in with, bit for bit.
     The direction comes scaled by lam0, as the drivers pass it.  Scale 1e200
     makes every candidate overflow F or the residual."""
     rows = data.draw(st.integers(1, 3))
@@ -223,25 +224,22 @@ def test_line_search_result_is_consistent(kind, a, data):
     new, f_new, l_new, g_new, new_norm, accepted, lam = got
     for k in range(rows):
         assert np.all(np.isfinite(new[k]))
-        assert lam[k] in [lam0[k] * 0.5 ** j for j in range(41)]
-        # a row stays at v, with its lam0, only where no candidate was finite
-        stayed = not accepted[k] and lam[k] == lam0[k] and np.array_equal(new[k], v[k])
-        assert stayed or np.array_equal(new[k], v[k] - (lam[k] / lam0[k]) * direction[k])
-        exact_f = model.apply_values(new[k])
-        if stayed:
-            np.testing.assert_array_equal(f_new[k], fv[k])
-            np.testing.assert_array_equal(l_new[k], lv[k])
-        else:
+        if accepted[k]:
+            assert lam[k] in [lam0[k] * 0.5 ** j for j in range(41)]
+            np.testing.assert_array_equal(new[k], v[k] - (lam[k] / lam0[k]) * direction[k])
             carried = lv[k] - (lam[k] / lam0[k]) * ldirection[k]
             np.testing.assert_array_equal(l_new[k], carried)
             np.testing.assert_array_equal(f_new[k], model._with_g(new[k], carried))
             bound = 1e-14 * (1.0 + np.abs(lv[k]).max() + np.abs(carried - lv[k]).max())
-            assert np.abs(f_new[k] - exact_f).max() <= bound
+            assert np.abs(f_new[k] - model.apply_values(new[k])).max() <= bound
+            assert new_norm[k] <= (1.0 - 1e-4 * lam[k]) * g_norm[k]
+        else:
+            assert lam[k] == lam0[k]
+            for got_k, came_in in ((new, v), (f_new, fv), (l_new, lv)):
+                np.testing.assert_array_equal(got_k[k], came_in[k])
         g, norm_k = regularized_residual(grid, f_new[k], new[k], a[k], f_values[k])
         np.testing.assert_array_equal(g_new[k], g)
         assert new_norm[k] == norm_k
-        if accepted[k]:
-            assert new_norm[k] <= (1.0 - 1e-4 * lam[k]) * g_norm[k]
         one = slice(k, k + 1)
         with np.errstate(**quiet):
             alone = line_search(
@@ -264,8 +262,8 @@ class _CountingKernel(OperatorModel):
 def test_line_search_trials_run_no_running_sums(kind):
     # three rows along their Newton directions (on the cubic model two of
     # them halve, two and three times); no trial runs the kernel's running
-    # sums.  Rows sent uphill fall back, and their picks are carried as they
-    # were tried: no search, failed or not, runs them.
+    # sums.  Rows sent uphill fail, and stay at v with the F, L v and lam0
+    # they came in with: no search, failed or not, runs them.
     grid = QuadratureGrid(30)
     model = _CountingKernel(kind, grid)
     v = np.stack([0.3 * np.cos(k * grid.nodes) for k in (1, 2, 3)])
@@ -282,6 +280,9 @@ def test_line_search_trials_run_no_running_sums(kind):
     with np.errstate(over="ignore", invalid="ignore"):
         uphill = line_search(model, v, fv, lv, -step, -lstep, a, f_values, g_norm)
     assert model.kernel_calls == 0 and not uphill[5].any()
+    for got_stay, came_in in zip(uphill, (v, fv, lv)):
+        np.testing.assert_array_equal(got_stay, came_in)
+    np.testing.assert_array_equal(uphill[6], np.ones(3))
 
 
 def _stacked(model, f, shifts, start=None):
