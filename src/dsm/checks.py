@@ -29,11 +29,12 @@ the last solution on that data (from 0 in the first stack).  The suite's
 three sweeps of a model are one path, a lone trajectory or the large-a
 shifts the one-sweep case, and the crossing search's doubling times one
 more, before Illinois regula falsi narrows its bracket, one solve per step.
-The data residual ||F(V) - f_delta|| takes F(V) from the solve, and norms
-and margins are taken a whole ``(S, n)`` stack at a time.  The Gronwall
-check advances its two RK4 solutions (steps dt and dt/2) in one scalar
-loop, its stages written out, that evaluates the schedule once per
-distinct stage time, and holds O(1) floats at any step count.
+The data residual ||F(V) - f_delta|| is the norm of the residual the solve
+returns, and norms and margins are taken a whole ``(S, n)`` stack at a
+time.  The Gronwall check advances its two RK4 solutions (steps dt and
+dt/2) in one scalar loop, its stages written out, that evaluates the
+schedule once per distinct stage time, and holds O(1) floats at any step
+count.
 
 Every random draw comes from the package's one counter-based SplitMix64
 stream, the one behind the Gaussian noise; ``numpy.random`` is never
@@ -55,7 +56,7 @@ from .driver import ContinuousSchedule
 from .harness import _uniforms, calibrate_noise, exact_solution, sine_noise
 from .hilbert import GridFunction, GridMismatchError, QuadratureGrid, norm, norms
 from .operators import OperatorModel, SingularShiftError
-from .regsolve import ConvergenceError, _regularized_rows, solve_regularized, start_values
+from .regsolve import ConvergenceError, _regularized_rows, solve_regularized
 
 __all__ = [
     "CheckReport",
@@ -170,9 +171,9 @@ def _trajectories(model, sweeps):
     # row on its own data and started from the last solution on that data in
     # the stacks before (0 in the first); the first a, sweep by sweep, whose
     # solve did not converge raises ConvergenceError.  Returns one Trajectory
-    # per sweep, its residuals ||F(V) - f|| with F(V) from the solve.
-    for f, _ in sweeps:
-        start = start_values(model, f, None)  # 0, once f is on the model's grid
+    # per sweep, its residuals ||F(V) - f|| the norms of the solve's r = F(V) - f.
+    model._check(*(f for f, _ in sweeps))
+    start = np.zeros(model.grid.n)
     sizes = [len(a) for _, a in sweeps]
     a_values = np.concatenate([a for _, a in sweeps])
     # each row's data, named by the first sweep on it; of the (S, n) stacks
@@ -189,16 +190,15 @@ def _trajectories(model, sweeps):
     stacks = max(1, math.ceil(math.sqrt(len(order) * decades) / _PATH_STACK_ROOT))
     for chunk in np.array_split(order, stacks):
         keys = data[chunk].tolist()
-        f_rows = values[keys]
         try:
-            v, fv, eq_res[chunk], _, converged[chunk] = _regularized_rows(
-                model, f_rows, a_values[chunk, None],
+            v, r, eq_res[chunk], _, converged[chunk] = _regularized_rows(
+                model, values[keys], a_values[chunk, None],
                 np.array([last.get(key, start) for key in keys]),
             )
         except SingularShiftError as err:
             raise SingularShiftError(err.pivot_index, chunk[err.row]) from err
         solutions[chunk] = v
-        res_norms[chunk], sol_norms[chunk] = norms(model.grid, fv - f_rows), norms(model.grid, v)
+        res_norms[chunk], sol_norms[chunk] = norms(model.grid, r), norms(model.grid, v)
         last.update(zip(keys, v))
     if not converged.all():
         k = int(np.argmin(converged))
@@ -353,19 +353,20 @@ def find_crossing_time(
     bracket the Illinois variant of regula falsi (Dowell & Jarratt, BIT
     1971) on phi(t) - C*delta narrows it, with a midpoint wherever the
     secant point leaves the bracket; returns t1 with
-    |phi(t1) - C*delta| <= 1e-8 after at most 200 steps.  phi(t) takes F(V)
-    from the regularized solve, on raw arrays.  The doubling times
-    t = 0, 1, 2, 4, ... follow the path of solutions in consecutive stacks
-    of nine, the first from 0 and each next one from the last solution of
-    the one before; each regula falsi step is one solve, warm-started from
-    the last.
+    |phi(t1) - C*delta| <= 1e-8 after at most 200 steps.  phi(t) is the norm
+    of the data residual the regularized solve returns, on raw arrays.  The
+    doubling times t = 0, 1, 2, 4, ... follow the path of solutions in
+    consecutive stacks of nine, the first from 0 and each next one from the
+    last solution of the one before; each regula falsi step is one solve,
+    warm-started from the last.
     """
     if not 0 < delta < math.inf:
         raise ValueError(f"delta must be positive and finite, got {delta}")
     if not C > 1.0:
         raise ValueError(f"C must be > 1, got {C}")
     target = C * delta
-    start = start_values(model, f_delta, None)
+    model._check(f_delta)
+    start = np.zeros(model.grid.n)
     if _data_residual_norms(model, f_delta, start) <= target:
         raise ValueError("C*delta is not below ||F(0) - f_delta||; no crossing")
 
@@ -373,10 +374,10 @@ def find_crossing_time(
         # the solutions at ``times``, one stack from ``start``, and a reader of
         # phi(t) - C*delta at row k that raises if that row did not converge
         a = schedule.a(times).reshape(-1, 1)
-        v, fv, res, _, converged = _regularized_rows(
+        v, r, res, _, converged = _regularized_rows(
             model, f_delta.values, a, np.tile(start, (len(times), 1))
         )
-        values = norms(model.grid, fv - f_delta.values) - target
+        values = norms(model.grid, r) - target
 
         def read(k):
             if not converged[k]:

@@ -9,7 +9,8 @@ with the discrepancy-principle stop: quit at the first iterate with
 package, the discrepancy and ``delta`` are in the quadrature-weighted L^2
 norm (:func:`dsm.hilbert.norms`), so the stop does not depend on the mesh.
 A run stops only on an exactly evaluated F(u_n); between stops the loop
-carries F from its line search (see :mod:`dsm.regsolve`).
+carries the data residual F(u_n) - f_delta from its line search, and the
+stop takes its norm as the discrepancy (see :mod:`dsm.regsolve`).
 
 :func:`run_batch` takes a batch of runs, one row each with its own data,
 schedule and threshold, through the package's one Newton loop (see
@@ -33,7 +34,7 @@ import numpy as np
 
 from .hilbert import GridFunction, norms
 from .operators import OperatorModel
-from .regsolve import _newton_rows, start_values
+from .regsolve import _newton_rows
 # unused here; imported only because benchmarks/spans.py patches this name
 from .regsolve import solve_shifted_linear  # noqa: F401
 
@@ -196,11 +197,11 @@ def _drive(model, f_values, columns, thresholds, u, h, max_steps):
         lstep *= factor
         return lam0
 
-    def stop(n, rows, u, fu, f_values, g_norm, accepted, lam, exact):
+    def stop(n, rows, u, r, g_norm, accepted, lam, exact):
         nonlocal table, columns, thresholds
         if n:
             table[2, :, n - 1] = lam
-        res = norms(model.grid, fu - f_values)
+        res = norms(model.grid, r)
         # a row whose carried discrepancy meets its threshold, that is at the
         # cap, or whose search accepted no step length (it stalled at iterate
         # n - 1) is evaluated exactly; a row stops on its exact value, and a
@@ -209,7 +210,7 @@ def _drive(model, f_values, columns, thresholds, u, h, max_steps):
         candidates = (res < thresholds) | (n == max_steps) | stalled
         if np.count_nonzero(candidates):
             exact(candidates)
-            res[candidates] = norms(model.grid, fu[candidates] - f_values[candidates])
+            res[candidates] = norms(model.grid, r[candidates])
         table[1, :, n] = res
         stopped = res < thresholds
         leave = stopped | (n == max_steps) | stalled
@@ -264,6 +265,7 @@ def run_batch(
         raise ValueError(f"step size h must be positive and finite, got {h}")
     if not (max_steps >= 0 and float(max_steps).is_integer()):
         raise ValueError(f"max_steps must be an integer >= 0, got {max_steps}")
+    max_steps = int(max_steps)
     if not len(f_deltas) == len(deltas) == len(schedules) > 0:
         raise ValueError("need one delta and one schedule per data row, and at least one row")
     for schedule in schedules:
@@ -275,7 +277,8 @@ def run_batch(
     thresholds = np.array([rule.threshold(delta) for delta in deltas])
     # the schedules' d, c and b as three contiguous (S, 1) columns
     columns = list(np.array([[s.d, s.c, s.b] for s in schedules]).T[:, :, None].copy())
-    u = np.array([start_values(model, f_delta, u0) for f_delta in f_deltas])
+    model._check(u0, *f_deltas)
+    u = np.tile(np.zeros(model.grid.n) if u0 is None else u0.values, (len(f_deltas), 1))
     f_values = np.array([f_delta.values for f_delta in f_deltas])
     return _drive(model, f_values, columns, thresholds, u, h, max_steps)
 

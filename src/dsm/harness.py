@@ -198,6 +198,7 @@ class ExperimentConfig:
             raise ValueError(f"h must be 1 in mode 'iterate' (use mode 'euler'), got {self.h}")
         if not (self.max_iter >= 1 and float(self.max_iter).is_integer()):
             raise ValueError(f"max_iter must be an integer >= 1, got {self.max_iter}")
+        object.__setattr__(self, "max_iter", int(self.max_iter))
         # DiscreteSchedule checks c0, p and shift, and StoppingRule stop_c and
         # gamma: build both, so a bad value fails before any cell runs (the
         # ContinuousSchedule that run_cells builds would take p = 2 or shift = 0.5)

@@ -315,7 +315,9 @@ class OperatorModel:
         and 2e-9 to 3e-9 at n = 10^5, against 5e-11 at a = 1e-8.  The floor
         is the solve's, not the residual's: the residual summed in extended
         precision gives the same values, and a second refinement step does
-        not lower it at n = 10^5.  The row length n alone picks the branch,
+        not lower it at n = 10^5.  So the tested 1e-10 bound on the relative
+        residual holds for a >= 1e-8; below that the tests pin the floor at
+        n = 10^4 to 5e-10.  The row length n alone picks the branch,
         so a row of a stack still gives what it gives alone.  A row whose diagonal passes 2^64 (a D below
         2.3e-20 or less) has its T rhs scaled by a power of 2 first, so that
         a tiny D does not push y into the subnormal range, where it would

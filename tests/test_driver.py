@@ -180,6 +180,20 @@ def test_run_cap_reports_unstopped(identity_setup):
     assert len(record.residuals) == 4
 
 
+def test_an_integral_float_cap_runs_as_its_integer(identity_setup):
+    # a cap of 3.0 passes the integer check and is the cap 3: the table it
+    # sizes fits the same steps, and the record is the same bit for bit
+    grid, model, f_delta = identity_setup
+    delta = 1e-8
+    schedule = DiscreteSchedule(2.0, delta, 0.9, 1)
+    want = run_iteration(model, f_delta, delta, schedule, max_iter=3)
+    got = run_iteration(model, f_delta, delta, schedule, max_iter=3.0)
+    assert (got.n_stop, got.stopped_by_discrepancy) == (want.n_stop, want.stopped_by_discrepancy)
+    for name in ("residuals", "a_values", "step_lengths"):
+        np.testing.assert_array_equal(getattr(got, name), getattr(want, name))
+    np.testing.assert_array_equal(got.final.values, want.final.values)
+
+
 def test_euler_zero_steps(identity_setup):
     grid, model, f_delta = identity_setup
     record = run_euler(

@@ -180,6 +180,12 @@ def test_config_validation():
         base.override(seeds=(1.5,))
 
 
+def test_config_stores_an_integral_float_cap_as_an_int():
+    # as it stores seeds: the driver sizes its trace by the cap
+    config = PRESETS["exp2-const"].override(max_iter=600.0)
+    assert config.max_iter == 600 and type(config.max_iter) is int
+
+
 @pytest.mark.parametrize("mode", ["iterate", "euler"])
 @pytest.mark.parametrize(
     "change", [{"c0": 0.0}, {"p": 2.0}, {"shift": 0.5}, {"h": 0.0}, {"shift": 1.5}]

@@ -190,10 +190,12 @@ def stacks(draw):
 @settings(max_examples=200, deadline=None)
 def test_norms_of_a_stack_is_the_one_weighted_norm(stack, a):
     # norms is the one weighted-norm sum: one norm per row of a stack, bit
-    # for bit hilbert.norm of that row and the regularized residual's norm
+    # for bit hilbert.norm of that row and the regularized residual's norm;
+    # G = a*v + r from r = F(v) - f is (F(v) - f) + a*v bit for bit
     fv, v, f_values = stack
     grid = QuadratureGrid(v.shape[1])
-    g, g_norms = regularized_residual(grid, fv, v, a, f_values)
+    g, g_norms = regularized_residual(grid, fv - f_values, v, a)
+    np.testing.assert_array_equal(g, (fv - f_values) + a * v)
     np.testing.assert_array_equal(norms(grid, g), g_norms)
     assert norms(grid, g).shape == (len(g),)
     for k, row in enumerate(g):

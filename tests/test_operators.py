@@ -372,6 +372,23 @@ def test_shifted_solve_at_the_refinement_limit(kind, n, monkeypatch):
             assert np.linalg.norm(residual) <= 1e-10 * np.linalg.norm(rhs.values)
 
 
+def test_refined_solve_floor_at_tiny_shifts():
+    """Near the first-kind limit the refined step misses 1e-10: on the
+    linear model at u = 0 and n = 10^4, random right-hand sides leave a
+    relative residual of 4.8e-11 to 1.42e-10 at a <= 1e-12, against 4.0e-11
+    at a = 1e-8.  The floor is pinned at 5e-10."""
+    n = 10 ** 4
+    grid = QuadratureGrid(n)
+    model = OperatorModel("linear", grid)
+    u = GridFunction(grid, np.zeros(n))
+    for seed in range(5):
+        rhs = GridFunction(grid, np.random.default_rng(seed).standard_normal(n))
+        for a in (1e-12, 1e-16, 1e-20):
+            step = solve_shifted_linear(model, u, a, rhs)
+            residual = rhs.values - _shifted_operator(model, u, a, step)
+            assert np.linalg.norm(residual) <= 5e-10 * np.linalg.norm(rhs.values)
+
+
 @pytest.mark.parametrize("n", [40, _UNREFINED_MAX_N + 1])
 @pytest.mark.parametrize("info", [-4, 1, 3, 45])
 def test_failed_tridiagonal_solve_always_raises(n, info, monkeypatch):

@@ -195,12 +195,13 @@ _N = 12
 )
 def test_line_search_result_is_consistent(kind, a, data):
     """Whatever the direction and first step length lam0, the search returns
-    for every row a finite iterate, its F and L, and its regularized residual
-    and norm; each row of a stack gets what it gets alone.  A row that
-    reports acceptance took a step length lam = lam0*2^-k with an Armijo
-    decrease at that lam, and its trial has L = L v - 2^-k L s and F that
-    plus g, bit for bit, within rounding of the exact F.  A row that does
-    not stays at v with the F, L v and lam0 it came in with, bit for bit.
+    for every row a finite iterate, its data residual r = F - f and L, and
+    its regularized residual and norm; each row of a stack gets what it gets
+    alone.  A row that reports acceptance took a step length lam = lam0*2^-k
+    with an Armijo decrease at that lam, and its trial has L = L v - 2^-k L s,
+    F that plus g, within rounding of the exact F, and r that F minus f, bit
+    for bit.  A row that does not stays at v with the r, L v and lam0 it
+    came in with, bit for bit.
     The direction comes scaled by lam0, as the drivers pass it.  Scale 1e200
     makes every candidate overflow F or the residual."""
     rows = data.draw(st.integers(1, 3))
@@ -214,14 +215,15 @@ def test_line_search_result_is_consistent(kind, a, data):
     grid = QuadratureGrid(_N)
     model = OperatorModel(kind, grid)
     fv, lv = model._split_values(v)
+    rv = fv - f_values
     a = np.full((rows, 1), a)
-    _, g_norm = regularized_residual(grid, fv, v, a, f_values)
+    _, g_norm = regularized_residual(grid, rv, v, a)
     # the raw kernels leave overflow warnings to the caller, as in the Newton loops
     quiet = dict(over="ignore", invalid="ignore")
     with np.errstate(**quiet):
         ldirection = model._split_values(direction)[1]
-        got = line_search(model, v, fv, lv, direction, ldirection, a, f_values, g_norm, lam0)
-    new, f_new, l_new, g_new, new_norm, accepted, lam = got
+        got = line_search(model, v, rv, lv, direction, ldirection, a, f_values, g_norm, lam0)
+    new, r_new, l_new, g_new, new_norm, accepted, lam = got
     for k in range(rows):
         assert np.all(np.isfinite(new[k]))
         if accepted[k]:
@@ -229,21 +231,22 @@ def test_line_search_result_is_consistent(kind, a, data):
             np.testing.assert_array_equal(new[k], v[k] - (lam[k] / lam0[k]) * direction[k])
             carried = lv[k] - (lam[k] / lam0[k]) * ldirection[k]
             np.testing.assert_array_equal(l_new[k], carried)
-            np.testing.assert_array_equal(f_new[k], model._with_g(new[k], carried))
+            f_new = model._with_g(new[k], carried)
+            np.testing.assert_array_equal(r_new[k], f_new - f_values[k])
             bound = 1e-14 * (1.0 + np.abs(lv[k]).max() + np.abs(carried - lv[k]).max())
-            assert np.abs(f_new[k] - model.apply_values(new[k])).max() <= bound
+            assert np.abs(f_new - model.apply_values(new[k])).max() <= bound
             assert new_norm[k] <= (1.0 - 1e-4 * lam[k]) * g_norm[k]
         else:
             assert lam[k] == lam0[k]
-            for got_k, came_in in ((new, v), (f_new, fv), (l_new, lv)):
+            for got_k, came_in in ((new, v), (r_new, rv), (l_new, lv)):
                 np.testing.assert_array_equal(got_k[k], came_in[k])
-        g, norm_k = regularized_residual(grid, f_new[k], new[k], a[k], f_values[k])
+        g, norm_k = regularized_residual(grid, r_new[k], new[k], a[k])
         np.testing.assert_array_equal(g_new[k], g)
         assert new_norm[k] == norm_k
         one = slice(k, k + 1)
         with np.errstate(**quiet):
             alone = line_search(
-                model, v[one], fv[one], lv[one], direction[one], ldirection[one], a[one],
+                model, v[one], rv[one], lv[one], direction[one], ldirection[one], a[one],
                 f_values[one], g_norm[one], lam0[one],
             )
         for got_alone, want in zip(alone, got):
@@ -262,25 +265,26 @@ class _CountingKernel(OperatorModel):
 def test_line_search_trials_run_no_running_sums(kind):
     # three rows along their Newton directions (on the cubic model two of
     # them halve, two and three times); no trial runs the kernel's running
-    # sums.  Rows sent uphill fail, and stay at v with the F, L v and lam0
-    # they came in with: no search, failed or not, runs them.
+    # sums.  Rows sent uphill fail, and stay at v with the r = F - f, L v and
+    # lam0 they came in with: no search, failed or not, runs them.
     grid = QuadratureGrid(30)
     model = _CountingKernel(kind, grid)
     v = np.stack([0.3 * np.cos(k * grid.nodes) for k in (1, 2, 3)])
     f_values = np.tile(1.0 + grid.nodes, (3, 1))
     a = np.array([[1e-2], [1e-3], [1.0]])
     fv, lv = model._split_values(v)
-    g, g_norm = regularized_residual(grid, fv, v, a, f_values)
+    rv = fv - f_values
+    g, g_norm = regularized_residual(grid, rv, v, a)
     step, lstep = model._newton_step(v, a, g)
     model.kernel_calls = 0
-    got = line_search(model, v, fv, lv, step, lstep, a, f_values, g_norm)
+    got = line_search(model, v, rv, lv, step, lstep, a, f_values, g_norm)
     assert model.kernel_calls == 0 and got[5].all()
     if kind == "cubic":
         assert got[6].tolist() == [0.25, 0.125, 1.0]
     with np.errstate(over="ignore", invalid="ignore"):
-        uphill = line_search(model, v, fv, lv, -step, -lstep, a, f_values, g_norm)
+        uphill = line_search(model, v, rv, lv, -step, -lstep, a, f_values, g_norm)
     assert model.kernel_calls == 0 and not uphill[5].any()
-    for got_stay, came_in in zip(uphill, (v, fv, lv)):
+    for got_stay, came_in in zip(uphill, (v, rv, lv)):
         np.testing.assert_array_equal(got_stay, came_in)
     np.testing.assert_array_equal(uphill[6], np.ones(3))
 
@@ -385,22 +389,23 @@ class _UphillSecondStep(OperatorModel):
 
 @pytest.mark.parametrize("kind", ["arctan3", "cubic"])
 def test_rows_return_f_at_their_solutions(grid, kind):
-    # F(v) of each row comes from the search trial that made v, or, for a
-    # row that leaves at a failed search with the iterate before it, from
-    # one evaluation there; either way it is F(v) bit for bit, next to the
-    # solutions, norms and flags of each row's one-row solve_regularized
+    # the data residual F(v) - f of each row comes from the search trial
+    # that made v, or, for a row that leaves at a failed search with the
+    # iterate before it, from one evaluation there; either way it is
+    # F(v) - f bit for bit, next to the solutions, norms and flags of each
+    # row's one-row solve_regularized
     f = GridFunction(grid, 1.0 + grid.nodes)
     shifts = [1e6, 1.0, 1e-2, 1e-4]
     a = np.array(shifts).reshape(-1, 1)
     model = _UphillSecondStep(kind, grid)
-    solutions, f_solutions, norms, iterations, converged = _regularized_rows(
+    solutions, r_solutions, norms, iterations, converged = _regularized_rows(
         model, f.values, a, np.zeros((len(shifts), grid.n))
     )
     # the shift 1e6 row meets tol in one step; the others leave at the
     # failed second search
     assert converged.tolist() == [True, False, False, False]
     assert iterations.tolist() == [1, 2, 2, 2]
-    np.testing.assert_array_equal(f_solutions, model.apply_values(solutions))
+    np.testing.assert_array_equal(r_solutions, model.apply_values(solutions) - f.values)
     for k, a in enumerate(shifts):
         alone = solve_regularized(_UphillSecondStep(kind, grid), f, a)
         np.testing.assert_array_equal(solutions[k], alone.solution.values)
@@ -426,7 +431,7 @@ class _FalseFirstConvergence(OperatorModel):
         if self.steps == 1:
             v1 = values - step
             lstep = lstep + regularized_residual(
-                self.grid, self.plain.apply_values(v1), v1, self.a, self.f_values
+                self.grid, self.plain.apply_values(v1) - self.f_values, v1, self.a
             )[0]
         return step, lstep
 
@@ -434,18 +439,19 @@ class _FalseFirstConvergence(OperatorModel):
 @pytest.mark.parametrize("kind", ["arctan3", "cubic"])
 def test_rows_converge_only_on_an_exact_residual(grid, kind):
     # a row whose carried residual meets tol after one step is evaluated
-    # exactly there, runs on from the exact F, and converges: its norm and F
-    # are the exact ones at its solution.  (The fault also lets the first
-    # search accept the full step, so the row takes its own path there.)
+    # exactly there, runs on from the exact F, and converges: its norm and
+    # data residual F - f are the exact ones at its solution.  (The fault
+    # also lets the first search accept the full step, so the row takes its
+    # own path there.)
     f = GridFunction(grid, 1.0 + grid.nodes)
     a = np.array([[1e-2]])
     model = _FalseFirstConvergence(kind, grid, f.values, a)
-    solutions, f_solutions, norms_, iterations, converged = _regularized_rows(
+    solutions, r_solutions, norms_, iterations, converged = _regularized_rows(
         model, f.values, a, np.zeros((1, grid.n))
     )
     assert converged[0] and iterations[0] > 1
-    np.testing.assert_array_equal(f_solutions, model.apply_values(solutions))
-    exact = regularized_residual(grid, f_solutions, solutions, a, f.values)[1]
+    np.testing.assert_array_equal(r_solutions, model.apply_values(solutions) - f.values)
+    exact = regularized_residual(grid, r_solutions, solutions, a)[1]
     assert norms_[0] == exact[0] <= regsolve._TOL
 
 
