@@ -10,6 +10,8 @@ Subcommands:
 
 ``run`` and ``dump-solution`` resolve their config alike: the preset, then
 the config file, then the flags given, each winning over the one before.
+The config-file key ``seed`` picks ``dump-solution``'s one cell; ``run``
+takes ``seeds`` and rejects ``seed`` as an invalid configuration.
 
 Exit codes: 0 success, 1 divergent run or failed check, 2 invalid
 configuration, 3 I/O failure.
@@ -140,7 +142,9 @@ def _resolve(args):
 
 
 def _cmd_run(args) -> int:
-    config, out, _ = _resolve(args)
+    config, out, seed = _resolve(args)
+    if seed is not None:
+        raise ValueError("config key 'seed' is dump-solution's; run takes 'seeds'")
     rows = run_experiment(config)
     print(format_table(rows))
     if out:

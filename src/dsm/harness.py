@@ -177,6 +177,7 @@ class ExperimentConfig:
             raise ValueError(f"mode must be 'iterate' or 'euler', got {self.mode!r}")
         if not (self.n_points >= 2 and float(self.n_points).is_integer()):
             raise ValueError(f"n_points must be an integer >= 2, got {self.n_points}")
+        object.__setattr__(self, "n_points", int(self.n_points))
         for s in self.seeds:
             if not float(s).is_integer():
                 raise ValueError(f"seeds must be integers, got {s}")
@@ -203,6 +204,7 @@ class ExperimentConfig:
         # gamma: build both, so a bad value fails before any cell runs (the
         # ContinuousSchedule that run_cells builds would take p = 2 or shift = 0.5)
         DiscreteSchedule(self.c0, 1.0, self.p, self.shift)
+        object.__setattr__(self, "shift", int(self.shift))
         StoppingRule(self.stop_c, self.gamma)
 
     def override(self, **changes) -> "ExperimentConfig":

@@ -192,18 +192,22 @@ class OperatorModel:
         self.kind = kind
         self.grid = grid
         self._g, self._gprime = _NONLINEARITY[kind]
-        # exp(+-x), with the quadrature weights folded into the factors the
+        # The per-node factors below are rows (1, n), so that they meet a stack
+        # (S, n) with no broadcast over a missing axis: for a one-row stack at
+        # n = 100 that broadcast cost about 1.5 us per operation (timeit).
+        # exp(+-x), with the quadrature weights w folded into the factors the
         # running sums multiply by; the reversed copy feeds the sum from the right
-        self._up = np.exp(grid.nodes)
-        self._down = np.exp(-grid.nodes)
-        self._up_w = self._up * grid.weights
-        self._down_w_rev = (self._down * grid.weights)[::-1].copy()
+        self._up = np.exp(grid.nodes)[None]
+        self._down = np.exp(-grid.nodes)[None]
+        self._w = grid.weights[None]
+        self._up_w = self._up * self._w
+        self._down_w_rev = (self._down * self._w)[:, ::-1].copy()
         # T = (1 - rho^2) E^{-1}: its off-diagonal -rho and its diagonal, and
         # the (1 - rho^2) W term of the Newton system
         self._rho = math.exp(-grid.h)
-        self._t_diag = np.full(grid.n, 1.0 + self._rho ** 2)
-        self._t_diag[[0, -1]] = 1.0
-        self._cw = -math.expm1(-2.0 * grid.h) * grid.weights
+        self._t_diag = np.full((1, grid.n), 1.0 + self._rho ** 2)
+        self._t_diag[:, [0, -1]] = 1.0
+        self._cw = -math.expm1(-2.0 * grid.h) * self._w
         # T's off-diagonal over a flattened stack of rows, zero between the last
         # node of a row and the first of the next; see _coupling
         self._couplings = np.full(grid.n - 1, -self._rho)
@@ -217,23 +221,16 @@ class OperatorModel:
             if u is not None and u.grid != self.grid:
                 raise GridMismatchError(f"function on {u.grid!r}, model on {self.grid!r}")
 
-    def _rows(self, values):
-        # A stack of S > 1 rows as shape (S, n), and a single row, stacked or
-        # not, as shape (n,): the kernels below work on either, and numpy's
-        # calls on small arrays cost less in one dimension.
-        rows = values.reshape(-1, self.grid.n)
-        return rows[0] if len(rows) == 1 else rows
-
     def _kernel_values(self, rows):
-        # E (w*u) as two running sums: exp(-|x_i - x_j|) is exp(-x_i) exp(x_j)
-        # for j <= i and exp(x_i) exp(-x_j) for j >= i, so the diagonal term is
-        # counted twice.  Every factor lies in [1/e, e].  The sums run along
-        # each row on its own.
-        out = np.add.accumulate(self._up_w * rows, axis=-1)
+        # E (w*u) for a stack of rows (S, n) as two running sums:
+        # exp(-|x_i - x_j|) is exp(-x_i) exp(x_j) for j <= i and
+        # exp(x_i) exp(-x_j) for j >= i, so the diagonal term is counted twice.
+        # Every factor lies in [1/e, e].  The sums run along each row on its own.
+        out = np.add.accumulate(self._up_w * rows, axis=1)
         out *= self._down
-        rev = np.add.accumulate(self._down_w_rev * rows[..., ::-1], axis=-1)
-        out += self._up * rev[..., ::-1]
-        out -= self.grid.weights * rows
+        rev = np.add.accumulate(self._down_w_rev * rows[:, ::-1], axis=1)
+        out += self._up * rev[:, ::-1]
+        out -= self._w * rows
         return out
 
     def apply_values(self, values: np.ndarray) -> np.ndarray:
@@ -245,8 +242,9 @@ class OperatorModel:
     def _split_values(self, values):
         # F(u) and its linear part L u, L = E W (I for the identity model), on
         # raw node values: the Newton loop's exact evaluation.  Where g = 0 the
-        # two are one array.
-        rows = self._rows(values)
+        # two are one array.  They are computed on a stack (S, n), S = 1 for
+        # one row, and come back in the shape of ``values``.
+        rows = values.reshape(-1, self.grid.n)
         if self.kind == "identity":
             linear = np.array(rows, dtype=float)
         else:
@@ -265,7 +263,7 @@ class OperatorModel:
     def apply_kernel(self, u: GridFunction) -> GridFunction:
         """The integral term B(u) alone."""
         self._check(u)
-        return GridFunction(self.grid, self._kernel_values(u.values))
+        return GridFunction(self.grid, self._kernel_values(u.values.reshape(1, -1))[0])
 
     def apply(self, u: GridFunction) -> GridFunction:
         """F(u); raises ``ValueError`` where F(u) is not finite."""
@@ -336,22 +334,23 @@ class OperatorModel:
         # linear part, read off the Newton equation (L + D) s = rhs as
         # L s = rhs - D s, one pass over the D the solve formed; the identity
         # model's L s is s.  It is L s to the solve's own accuracy, and the
-        # Newton loop's line search takes its trials' F from it.
-        rows, b = self._rows(values), self._rows(rhs)
-        if rows.ndim == 1 and getattr(a, "ndim", 0):
-            a = a.reshape(())
+        # Newton loop's line search takes its trials' F from it.  Both are
+        # computed on a stack (S, n), S = 1 for one row, and come back in the
+        # shape of ``values``.
+        n = self.grid.n
+        rows, b = values.reshape(-1, n), rhs.reshape(-1, n)
         if self.kind == "identity":
             step = (b / (1.0 + a)).reshape(values.shape)
             if not _all_finite(step):
-                raise _singular(self.grid.n, np.flatnonzero(~np.isfinite(step))[0])
+                raise _singular(n, np.flatnonzero(~np.isfinite(step))[0])
             return step, step.copy()
         if self._gprime is None:
             shift = np.broadcast_to(a, rows.shape)
         else:
             shift = self._gprime(rows)
             shift += a
-        step = self._solve_tridiagonal(shift, b).reshape(values.shape)
-        return step, rhs - shift * step
+        step = self._solve_tridiagonal(shift, b)
+        return step.reshape(values.shape), (b - shift * step).reshape(values.shape)
 
     def _coupling(self, size):
         # T's off-diagonal for a flattened stack of ``size`` nodes: -rho within
@@ -389,7 +388,7 @@ class OperatorModel:
         # range.  Scaling by a power of 2 is exact, so a row whose y was not
         # subnormal gets the same bits as unscaled.
         b = b.reshape(shift.shape)
-        k = np.frexp(top)[1] // 2 - np.frexp(np.abs(b).max(axis=-1, keepdims=True))[1]
+        k = np.frexp(top)[1] // 2 - np.frexp(np.abs(b).max(axis=1, keepdims=True))[1]
         k = np.where(top > _RESCALE_DIAG, np.maximum(k, 0), 0)
         step = dpttrs(d, e, np.ldexp(b, k).ravel(), 1)[0].reshape(shift.shape)
         step /= shift
@@ -404,17 +403,20 @@ class OperatorModel:
             # overflows, would give the finite but wrong step y / D = 0 there
             bad = ~np.isfinite(shift) | ~np.isfinite(diag) | ~np.isfinite(rhs)
             raise _singular(n, np.flatnonzero(bad)[0])
+        # each row's largest diagonal entry, read before dpttrf overwrites
+        # diag with the pivots
+        top = None
+        if diag.max() > _RESCALE_DIAG:
+            top = diag.max(axis=1, keepdims=True)
         coupling = self._coupling(diag.size)
-        # dpttrf overwrites e with L's off-diagonal: it gets a copy
+        # dpttrf overwrites d with the pivots and e with L's off-diagonal: diag
+        # is this step's own, and the kept couplings go as a copy
         d, e, info = dpttrf(diag.ravel(), coupling.copy(), 1, 1)
         if info:
             # info > 0 is the 1-based index of the first non-positive pivot,
             # counted across the stack; info < 0, a rejected argument, names
             # node 0 of row 0
             raise _singular(n, max(info - 1, 0))
-        top = None
-        if diag.max() > _RESCALE_DIAG:
-            top = diag.max(axis=-1, keepdims=True)
         step = self._solve_factored(d, e, coupling, shift, rhs, top)
         # a non-finite step is not refined: T would carry it into the next row
         if n > _UNREFINED_MAX_N and _all_finite(step):

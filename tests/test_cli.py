@@ -65,6 +65,17 @@ def test_unknown_config_key_exit_2(tmp_path, capsys):
     assert main(["run", "--config", str(cfg)]) == 2
 
 
+def test_run_rejects_config_seed_exit_2(tmp_path, capsys):
+    # seed is dump-solution's key: run used to drop it and run seeds = 1
+    cfg = tmp_path / "seed.cfg"
+    cfg.write_text("seeds = 1\nseed = 7\n")
+    assert main(FAST_ARGS + ["--config", str(cfg)]) == 2
+    out, err = capsys.readouterr()
+    assert "'seed'" in err and "n_iterations" not in out
+    cfg.write_text("seeds = 1\n")
+    assert main(FAST_ARGS + ["--config", str(cfg)]) == 0
+
+
 def test_missing_config_file_exit_3(capsys):
     assert main(["run", "--config", "/nonexistent/run.cfg"]) == 3
 

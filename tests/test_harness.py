@@ -186,6 +186,19 @@ def test_config_stores_an_integral_float_cap_as_an_int():
     assert config.max_iter == 600 and type(config.max_iter) is int
 
 
+def test_config_stores_an_integral_float_grid_size_and_shift_as_ints():
+    # as it stores max_iter: a float grid size reached the CSV through %.6g,
+    # as 1e+06 at 10^6 nodes
+    config = PRESETS["exp2-const"].override(n_points=30.0, shift=6.0)
+    assert (config.n_points, config.shift) == (30, 6)
+    assert type(config.n_points) is int and type(config.shift) is int
+    cell, _ = run_solution_dump(config, 0.03)
+    assert type(cell.row.n_points) is int
+    large = PRESETS["exp2-const"].override(n_points=1e6)
+    row = replace(cell.row, n_points=large.n_points)
+    assert rows_to_csv([row]).splitlines()[1].split(",")[5] == "1000000"
+
+
 @pytest.mark.parametrize("mode", ["iterate", "euler"])
 @pytest.mark.parametrize(
     "change", [{"c0": 0.0}, {"p": 2.0}, {"shift": 0.5}, {"h": 0.0}, {"shift": 1.5}]

@@ -495,7 +495,7 @@ def test_rescaled_rows_keep_their_bits_where_y_stays_normal(n, monkeypatch):
 @pytest.mark.parametrize("overwrite", [0, 1])
 @pytest.mark.parametrize("n", [100, _UNREFINED_MAX_N + 1])
 @pytest.mark.parametrize("rows", [1, 55])
-def test_loaded_dgtsv_matches_scipy_linalg(rows, n, overwrite):
+def test_loaded_dpttrf_dpttrs_match_scipy_linalg(rows, n, overwrite):
     """The dpttrf and dpttrs loaded straight from scipy's _flapack give the
     bits that scipy.linalg.lapack's give, on block systems shaped like a
     stacked shifted solve, and report a non-positive pivot the same way."""
