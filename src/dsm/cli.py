@@ -4,14 +4,17 @@ Subcommands:
 
 * ``dsm run`` -- run an experiment preset (optionally overridden by flags
   or a config file), print the result table, optionally write CSV.
-* ``dsm dump-solution`` -- run one (delta_rel, seed) cell and write the
-  reconstructed solution next to the exact one, node by node.
+* ``dsm dump-solution`` -- run the one (delta_rel, seed) cell its config
+  names and write the reconstructed solution next to the exact one, node
+  by node.
 * ``dsm verify-lemmas`` -- run the analytic checks and report margins.
 
-``run`` and ``dump-solution`` resolve their config alike: the preset, then
-the config file, then the flags given, each winning over the one before.
-The config-file key ``seed`` picks ``dump-solution``'s one cell; ``run``
-takes ``seeds`` and rejects ``seed`` as an invalid configuration.
+``run`` and ``dump-solution`` take the same flags: ``--config`` and one
+``--<key>`` for each config key, its underscores written as dashes.  A flag
+and a config-file line set a key through the same parser.  Both subcommands
+resolve their config alike: the preset, then the config file, then the
+flags given, each winning over the one before.  A dump needs exactly one
+``delta_rel`` and one ``seeds`` value, and an ``out`` path.
 
 Exit codes: 0 success, 1 divergent run or failed check, 2 invalid
 configuration, 3 I/O failure.
@@ -22,16 +25,15 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .harness import NOISE_KINDS, PRESETS, emit_csv, format_table, run_experiment, run_solution_dump
+from .harness import EXACT_KINDS, NOISE_KINDS, PRESETS, emit_csv, format_table
+from .harness import run_experiment, run_solution_dump
 from .operators import MODEL_KINDS
 from .regsolve import ConvergenceError, SingularShiftError
 
 __all__ = ["main"]
 
 def _comma_list(kind):
-    """Parser for comma-separated values such as ``0.01, 0.001``.  The same
-    parser reads a flag and a config-file value, so both reject the same
-    input with ValueError."""
+    """Parser for comma-separated values such as ``0.01, 0.001``."""
 
     def parse(text: str) -> tuple:
         return tuple(kind(part) for part in text.split(",") if part.strip())
@@ -40,14 +42,26 @@ def _comma_list(kind):
     return parse
 
 
-# config key -> parser of its string value in a config file; a flag whose
-# argparse dest is a key sets that key
+# config key -> (parser of its string value, help); the config-file line
+# ``key = value`` and the flag ``--key value`` (underscores as dashes) set
+# the key through the same parser, so both reject the same input
 _CONFIG_KEYS = {
-    **dict.fromkeys(("n_points", "shift", "max_iter", "seed"), int),
-    **dict.fromkeys(("c0", "p", "h", "stop_c", "gamma"), float),
-    "delta_rel": _comma_list(float),
-    "seeds": _comma_list(int),
-    **dict.fromkeys(("preset", "model", "exact", "noise", "mode", "out"), str),
+    "preset": (str, f"experiment preset: {', '.join(sorted(PRESETS))} (default exp1)"),
+    "model": (str, f"operator model: {', '.join(MODEL_KINDS)}"),
+    "exact": (str, f"exact solution: {', '.join(EXACT_KINDS)}"),
+    "n_points": (int, "grid size"),
+    "c0": (float, "schedule amplitude C0 in a_n = C0 delta^p / (n + shift)"),
+    "p": (float, "schedule exponent p"),
+    "shift": (int, "schedule shift"),
+    "delta_rel": (_comma_list(float), "comma-separated relative noise levels"),
+    "seeds": (_comma_list(int), "comma-separated noise seeds"),
+    "noise": (str, f"noise kind: {', '.join(NOISE_KINDS)}"),
+    "mode": (str, "driver: iterate, euler"),
+    "h": (float, "Euler step size (mode euler only)"),
+    "stop_c": (float, "stopping constant C"),
+    "gamma": (float, "stopping exponent"),
+    "max_iter": (int, "step cap of a run"),
+    "out": (str, "output CSV path"),
 }
 
 
@@ -55,7 +69,7 @@ def _coerce(key: str, value: str):
     if key not in _CONFIG_KEYS:
         raise ValueError(f"unknown config key {key!r}")
     try:
-        return _CONFIG_KEYS[key](value)
+        return _CONFIG_KEYS[key][0](value)
     except ValueError as exc:
         raise ValueError(f"config key {key!r}: {exc}") from None
 
@@ -63,9 +77,10 @@ def _coerce(key: str, value: str):
 def load_config_file(path) -> dict:
     """Parse ``key = value`` lines; '#' starts a comment, blank lines skip.
 
-    Values stay strings; :func:`_resolve` coerces them per key.
+    Values stay strings; :func:`_resolve` coerces them per key.  A key set
+    twice raises ``ValueError`` naming both lines.
     """
-    options = {}
+    options, seen = {}, {}
     with open(path) as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.split("#", 1)[0].strip()
@@ -76,40 +91,27 @@ def load_config_file(path) -> dict:
             key, _, value = (part.strip() for part in line.partition("="))
             if not key or not value:
                 raise ValueError(f"{path}:{lineno}: empty key or value")
-            options[key] = value
+            if key in seen:
+                raise ValueError(f"{path}:{lineno}: key {key!r} already set on line {seen[key]}")
+            options[key], seen[key] = value, lineno
     return options
 
 
 def _build_parser() -> argparse.ArgumentParser:
+    config = argparse.ArgumentParser(add_help=False)
+    config.add_argument("--config", help="config file with 'key = value' lines")
+    for key, (parse, text) in _CONFIG_KEYS.items():
+        config.add_argument("--" + key.replace("_", "-"), type=parse, help=text)
+
     parser = argparse.ArgumentParser(
         prog="dsm",
         description="Iteratively regularized solver for nonlinear integral equations",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    run = sub.add_parser("run", help="run an experiment preset")
-    run.add_argument("--preset", choices=sorted(PRESETS), help="experiment preset")
-    run.add_argument("--config", help="config file with 'key = value' lines")
-    run.add_argument("--n-points", type=int, dest="n_points", help="grid size")
-    run.add_argument("--c0", type=float, help="schedule amplitude C0")
-    run.add_argument("--delta-rel", type=_CONFIG_KEYS["delta_rel"], dest="delta_rel",
-                     help="comma-separated relative noise levels")
-    run.add_argument("--seeds", type=_CONFIG_KEYS["seeds"], help="comma-separated noise seeds")
-    run.add_argument("--mode", choices=("iterate", "euler"), help="driver to use")
-    run.add_argument("--h", type=float, help="Euler step size")
-    run.add_argument("--gamma", type=float, help="stopping exponent")
-    run.add_argument("--stop-c", type=float, dest="stop_c", help="stopping constant C")
-    run.add_argument("--noise", choices=NOISE_KINDS, help="noise kind")
-    run.add_argument("--out", help="write result rows to this CSV file")
+    run = sub.add_parser("run", parents=[config], help="run an experiment preset")
     run.set_defaults(func=_cmd_run)
-
-    dump = sub.add_parser("dump-solution", help="write one reconstructed solution as CSV")
-    dump.add_argument("--preset", choices=sorted(PRESETS), help="experiment preset")
-    dump.add_argument("--config", help="config file with 'key = value' lines")
-    dump.add_argument("--delta-rel", type=_CONFIG_KEYS["delta_rel"], dest="delta_rel",
-                      required=True, help="relative noise level of the cell")
-    dump.add_argument("--seed", type=int, help="noise seed (default: the config's first)")
-    dump.add_argument("--out", required=True, help="output CSV path")
+    dump = sub.add_parser("dump-solution", parents=[config],
+                          help="write one reconstructed solution as CSV")
     dump.set_defaults(func=_cmd_dump)
 
     verify = sub.add_parser("verify-lemmas", help="run the analytic checks")
@@ -121,30 +123,25 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _resolve(args):
-    """The (config, out, seed) a subcommand runs with.
+    """The (config, out) a subcommand runs with.
 
     The preset (default ``exp1``), then the config file, then the flags
     given, each winning over the one before; ``preset`` itself follows the
-    same order.  ``out`` and ``seed`` are options, not config fields.
+    same order.  ``out`` is an option, not a config field.
     """
     options = {}
     if args.config:
         options = {k: _coerce(k, v) for k, v in load_config_file(args.config).items()}
-    options.update(
-        (k, v) for k, v in vars(args).items() if k in _CONFIG_KEYS and v is not None
-    )
+    options.update((k, v) for k, v in vars(args).items() if k in _CONFIG_KEYS and v is not None)
     preset = options.pop("preset", "exp1")
     if preset not in PRESETS:
         raise ValueError(f"unknown preset {preset!r}; expected one of {sorted(PRESETS)}")
     out = options.pop("out", None)
-    seed = options.pop("seed", None)
-    return PRESETS[preset].override(**options), out, seed
+    return PRESETS[preset].override(**options), out
 
 
 def _cmd_run(args) -> int:
-    config, out, seed = _resolve(args)
-    if seed is not None:
-        raise ValueError("config key 'seed' is dump-solution's; run takes 'seeds'")
+    config, out = _resolve(args)
     rows = run_experiment(config)
     print(format_table(rows))
     if out:
@@ -154,10 +151,10 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_dump(args) -> int:
-    config, out, seed = _resolve(args)
-    if len(config.delta_rel) != 1:
-        raise ValueError(f"dump-solution runs one cell; got delta_rel {config.delta_rel}")
-    cell, _ = run_solution_dump(config, config.delta_rel[0], seed=seed, out=out)
+    config, out = _resolve(args)
+    if out is None:
+        raise ValueError("dump-solution needs an output path: --out or the config key 'out'")
+    cell, _ = run_solution_dump(config, out)
     print(f"wrote {cell.row.n_points} nodes to {out}", file=sys.stderr)
     return 0 if cell.row.stopped else 1
 

@@ -185,13 +185,15 @@ class ExperimentConfig:
                 raise ValueError(f"seed must lie in [0, 2**64), got {int(s)}")
         object.__setattr__(self, "delta_rel", tuple(float(d) for d in self.delta_rel))
         object.__setattr__(self, "seeds", tuple(int(s) for s in self.seeds))
-        if not self.delta_rel:
-            raise ValueError("delta_rel must be nonempty")
+        for key in ("delta_rel", "seeds"):
+            values = getattr(self, key)
+            if not values:
+                raise ValueError(f"{key} must be nonempty")
+            if len(set(values)) < len(values):
+                raise ValueError(f"{key} repeats the value {max(values, key=values.count)}")
         for d in self.delta_rel:
             if not 0.0 < d < 1.0:
                 raise ValueError(f"delta_rel entries must lie in (0, 1), got {d}")
-        if not self.seeds:
-            raise ValueError("seeds must be nonempty")
         if not (math.isfinite(self.h) and self.h > 0):
             raise ValueError(f"h must be positive and finite, got {self.h}")
         # the iteration steps with h = 1; another h needs mode = euler
@@ -359,15 +361,15 @@ def format_table(rows) -> str:
     return "\n".join(lines)
 
 
-def run_solution_dump(config: ExperimentConfig, delta_rel: float, seed=None, out=None):
-    """Run the single cell (delta_rel, seed) and return (cell, csv_text) with
-    columns x, u_exact, u_dsm at full float precision; write it when ``out``
-    is given."""
-    if seed is None:
-        seed = config.seeds[0]
-    # unconverted, so that ExperimentConfig rejects a fractional seed
-    single = config.override(delta_rel=(float(delta_rel),), seeds=(seed,))
-    cell = next(iter(run_cells(single)))
+def run_solution_dump(config: ExperimentConfig, out=None):
+    """Run the config's one cell and return (cell, csv_text) with columns
+    x, u_exact, u_dsm at full float precision; write it when ``out`` is
+    given.  A config with more than one ``delta_rel`` or ``seeds`` value
+    raises ``ValueError`` naming the key, before anything runs."""
+    for key in ("delta_rel", "seeds"):
+        if len(getattr(config, key)) != 1:
+            raise ValueError(f"a solution dump runs one cell; got {key} {getattr(config, key)}")
+    cell = next(iter(run_cells(config)))
     lines = ["x,u_exact,u_dsm"]
     for x, ue, ud in zip(
         cell.model.grid.nodes, cell.u_exact.values, cell.record.final.values

@@ -1,10 +1,12 @@
 """Command line behavior: subcommands, config precedence, exit codes."""
 
 import itertools
+import re
 
 import pytest
 
-from dsm.cli import load_config_file, main
+from dsm.cli import _CONFIG_KEYS, _build_parser, _resolve, load_config_file, main
+from dsm.harness import PRESETS
 
 # exp2-const is the fastest preset, so CLI runs stay in the millisecond range
 FAST_ARGS = ["run", "--preset", "exp2-const", "--delta-rel", "0.03,0.01", "--seeds", "1"]
@@ -66,7 +68,8 @@ def test_unknown_config_key_exit_2(tmp_path, capsys):
 
 
 def test_run_rejects_config_seed_exit_2(tmp_path, capsys):
-    # seed is dump-solution's key: run used to drop it and run seeds = 1
+    # seed is no config key (a dump's seed comes from seeds, as a run's
+    # does), so it is an unknown key, not one that run drops
     cfg = tmp_path / "seed.cfg"
     cfg.write_text("seeds = 1\nseed = 7\n")
     assert main(FAST_ARGS + ["--config", str(cfg)]) == 2
@@ -84,10 +87,18 @@ def test_unwritable_out_exit_3(capsys):
     assert main(FAST_ARGS + ["--out", "/nonexistent/dir/rows.csv"]) == 3
 
 
-def test_bad_flag_value_is_usage_error():
-    with pytest.raises(SystemExit) as exc:
-        main(["run", "--preset", "unknown"])
-    assert exc.value.code == 2
+@pytest.mark.parametrize("key, value", [
+    ("preset", "unknown"), ("noise", "white"), ("mode", "newton"),
+])
+def test_bad_flag_value_is_configuration_error(tmp_path, capsys, key, value):
+    # a flag value goes through the checks of the same config-file line
+    assert main(["run", f"--{key}", value]) == 2
+    flag_err = capsys.readouterr().err
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(f"{key} = {value}\n")
+    assert main(["run", "--config", str(cfg)]) == 2
+    assert capsys.readouterr().err == flag_err
+    assert repr(value) in flag_err
 
 
 @pytest.mark.parametrize("flag, value", [("--delta-rel", "0.03,x"), ("--seeds", "1,y")])
@@ -144,7 +155,7 @@ def test_step_size_without_euler_mode_exit_2(tmp_path, capsys):
 def test_dump_solution(tmp_path, capsys):
     out_file = tmp_path / "solution.csv"
     code = main(["dump-solution", "--preset", "exp2-const",
-                 "--delta-rel", "0.01", "--seed", "3", "--out", str(out_file)])
+                 "--delta-rel", "0.01", "--seeds", "3", "--out", str(out_file)])
     assert code == 0
     lines = out_file.read_text().splitlines()
     assert lines[0] == "x,u_exact,u_dsm"
@@ -155,10 +166,32 @@ def test_dump_solution(tmp_path, capsys):
     assert abs(float(ud0) - 1.0) < 0.1
 
 
-def test_dump_requires_out():
-    with pytest.raises(SystemExit) as exc:
-        main(["dump-solution", "--preset", "exp1", "--delta-rel", "0.01"])
-    assert exc.value.code == 2
+def test_dump_requires_out(tmp_path, capsys):
+    # from --out or from the config file's out, which works as the flag does
+    assert main(["dump-solution", "--preset", "exp2-const", "--delta-rel", "0.01"]) == 2
+    assert "'out'" in capsys.readouterr().err
+    out_file = tmp_path / "solution.csv"
+    cfg = tmp_path / "out.cfg"
+    cfg.write_text(f"out = {out_file}\n")
+    assert main(["dump-solution", "--preset", "exp2-const", "--delta-rel", "0.01",
+                 "--config", str(cfg)]) == 0
+    assert len(out_file.read_text().splitlines()) == 1 + 30
+
+
+def test_dump_solution_takes_the_grid_size_flag(tmp_path, capsys):
+    out_file = tmp_path / "solution.csv"
+    assert main(["dump-solution", "--preset", "exp2-const", "--n-points", "40",
+                 "--delta-rel", "0.03", "--out", str(out_file)]) == 0
+    assert len(out_file.read_text().splitlines()) == 41
+
+
+def test_dump_of_two_seeds_exit_2_writes_no_file(tmp_path, capsys):
+    # a dump runs the config's one cell, so seeds follow the rule of delta_rel
+    out_file = tmp_path / "solution.csv"
+    assert main(["dump-solution", "--preset", "exp2-const", "--delta-rel", "0.03",
+                 "--seeds", "1,2", "--out", str(out_file)]) == 2
+    assert "seeds" in capsys.readouterr().err
+    assert not out_file.exists()
 
 
 def test_verify_lemmas_identity(tmp_path, capsys):
@@ -229,12 +262,13 @@ def test_run_preset_flag_beats_file_preset(tmp_path, capsys):
 
 
 def test_dump_seed_flag_beats_file_seed(tmp_path, capsys):
-    # exp1 has gaussian noise, so the seed shows in the dump
+    # exp1 has gaussian noise, so the seed shows in the dump; the dump's one
+    # seed is the config key seeds, as a run's are
     cfg = tmp_path / "s.cfg"
-    cfg.write_text("seed = 3\n")
+    cfg.write_text("seeds = 3\n")
     dumps = {}
-    for name, extra in [("file", ["--config", str(cfg), "--seed", "4"]),
-                        ("flag", ["--seed", "4"]), ("seed 3", ["--seed", "3"])]:
+    for name, extra in [("file", ["--config", str(cfg), "--seeds", "4"]),
+                        ("flag", ["--seeds", "4"]), ("seed 3", ["--seeds", "3"])]:
         out_file = tmp_path / f"{name}.csv"
         assert main(["dump-solution", "--preset", "exp1", "--delta-rel", "0.01",
                      "--out", str(out_file)] + extra) == 0
@@ -272,7 +306,7 @@ def test_flag_and_file_combinations_never_raise(
     if file_preset:
         lines.append("preset = exp2-const")
     if file_seed:
-        lines.append("seed = 3")
+        lines.append("seeds = 3")
     if file_out:
         lines.append(f"out = {tmp_path / 'file.csv'}")
     if file_delta:
@@ -283,7 +317,64 @@ def test_flag_and_file_combinations_never_raise(
     if flag_preset:
         argv += ["--preset", "exp2-const"]
     if flag_seed:
-        argv += ["--seed", "4"] if command == "dump-solution" else ["--seeds", "4"]
+        argv += ["--seeds", "4"]
     if command == "dump-solution":
         argv += ["--out", str(tmp_path / "flag.csv")]
     assert main(argv) in (0, 1, 2, 3)
+
+
+# a value for each config key that differs from the default preset's
+_KEY_SAMPLES = {
+    "preset": "exp2-const", "model": "cubic", "exact": "const_one", "n_points": "40",
+    "c0": "2.5", "p": "0.8", "shift": "3", "delta_rel": "0.03, 0.01", "seeds": "4, 5",
+    "noise": "sine", "mode": "euler", "h": "0.5", "stop_c": "1.5", "gamma": "0.9",
+    "max_iter": "7", "out": "rows.csv",
+}
+
+
+def _resolved(argv):
+    return _resolve(_build_parser().parse_args(argv))
+
+
+@pytest.mark.parametrize("command", ["run", "dump-solution"])
+@pytest.mark.parametrize("key", sorted(_CONFIG_KEYS))
+def test_config_key_flag_equals_its_file_line(tmp_path, command, key):
+    value = _KEY_SAMPLES[key]
+    # h other than 1 needs the Euler driver
+    context = ["--mode", "euler"] if key == "h" else []
+    cfg = tmp_path / "one.cfg"
+    cfg.write_text(f"{key} = {value}\n")
+    flag = _resolved([command, "--" + key.replace("_", "-"), value] + context)
+    assert flag == _resolved([command, "--config", str(cfg)] + context)
+    assert flag != (PRESETS["exp1"], None)
+
+
+def test_run_and_dump_take_one_flag_per_config_key(capsys):
+    expected = {"--help", "--config"} | {"--" + k.replace("_", "-") for k in _CONFIG_KEYS}
+    for command in ("run", "dump-solution"):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--help"])
+        assert exc.value.code == 0
+        assert set(re.findall(r"--[a-z0-9-]+", capsys.readouterr().out)) == expected
+
+
+@pytest.mark.parametrize("key, flags", [
+    ("delta_rel", ["--delta-rel", "0.03,0.03"]),
+    ("seeds", ["--delta-rel", "0.03", "--seeds", "1,2,1"]),
+], ids=["delta_rel", "seeds"])
+def test_run_of_a_repeated_entry_exit_2(capsys, key, flags):
+    # a repeated entry would run the same cell twice
+    assert main(["run", "--preset", "exp2-const", "--seeds", "1"] + flags) == 2
+    out, err = capsys.readouterr()
+    assert f"{key} repeats" in err and "n_iterations" not in out
+
+
+def test_config_file_key_set_twice_exit_2(tmp_path, capsys):
+    # which of two values is meant is unknowable, so neither wins
+    cfg = tmp_path / "twice.cfg"
+    cfg.write_text("preset = exp2-const\nc0 = 4.55\n# a comment\nc0 = 1e-9\n")
+    with pytest.raises(ValueError, match=r":4: key 'c0' already set on line 2"):
+        load_config_file(cfg)
+    assert main(["run", "--config", str(cfg), "--delta-rel", "0.03", "--seeds", "1"]) == 2
+    out, err = capsys.readouterr()
+    assert "line 2" in err and "n_iterations" not in out

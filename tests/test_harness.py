@@ -180,6 +180,17 @@ def test_config_validation():
         base.override(seeds=(1.5,))
 
 
+@pytest.mark.parametrize("changes, message", [
+    ({"delta_rel": (0.03, 0.01, 0.03)}, "delta_rel repeats the value 0.03"),
+    ({"seeds": (2, 1, 2)}, "seeds repeats the value 2"),
+    ({"seeds": (1, 1.0)}, "seeds repeats the value 1"),
+], ids=["delta_rel", "seeds", "integral-float-seed"])
+def test_config_rejects_a_repeated_entry(changes, message):
+    # a repeated entry would run the same cell twice
+    with pytest.raises(ValueError, match=message):
+        PRESETS["exp2-const"].override(**changes)
+
+
 def test_config_stores_an_integral_float_cap_as_an_int():
     # as it stores seeds: the driver sizes its trace by the cap
     config = PRESETS["exp2-const"].override(max_iter=600.0)
@@ -189,10 +200,10 @@ def test_config_stores_an_integral_float_cap_as_an_int():
 def test_config_stores_an_integral_float_grid_size_and_shift_as_ints():
     # as it stores max_iter: a float grid size reached the CSV through %.6g,
     # as 1e+06 at 10^6 nodes
-    config = PRESETS["exp2-const"].override(n_points=30.0, shift=6.0)
+    config = PRESETS["exp2-const"].override(n_points=30.0, shift=6.0, delta_rel=(0.03,))
     assert (config.n_points, config.shift) == (30, 6)
     assert type(config.n_points) is int and type(config.shift) is int
-    cell, _ = run_solution_dump(config, 0.03)
+    cell, _ = run_solution_dump(config)
     assert type(cell.row.n_points) is int
     large = PRESETS["exp2-const"].override(n_points=1e6)
     row = replace(cell.row, n_points=large.n_points)
@@ -368,7 +379,7 @@ def test_format_table_has_two_header_lines():
 
 def test_solution_dump(tmp_path):
     path = tmp_path / "sol.csv"
-    cell, text = run_solution_dump(FAST, 0.01, seed=1, out=path)
+    cell, text = run_solution_dump(FAST.override(delta_rel=(0.01,), seeds=(1,)), out=path)
     lines = path.read_text().splitlines()
     assert lines[0] == "x,u_exact,u_dsm"
     assert len(lines) == FAST.n_points + 1
@@ -379,15 +390,20 @@ def test_solution_dump(tmp_path):
     assert cell.row.seed == 1 and cell.row.delta_rel == 0.01
 
 
-def test_solution_dump_defaults_to_first_seed():
-    cell, _ = run_solution_dump(FAST, 0.03)
-    assert cell.row.seed == FAST.seeds[0]
+def test_solution_dump_rejects_several_cells(tmp_path):
+    # a dump runs the config's one cell, not a pick among several
+    path = tmp_path / "sol.csv"
+    for key, single in [("seeds", {"delta_rel": (0.03,)}), ("delta_rel", {"seeds": (1,)})]:
+        with pytest.raises(ValueError, match=f"one cell; got {key}"):
+            run_solution_dump(FAST.override(**single), out=path)
+    assert not path.exists()
 
 
 def test_solution_dump_rejects_a_fractional_seed(tmp_path):
+    # the dump's seed is the config's, so the config rejects it before a run
     path = tmp_path / "sol.csv"
     with pytest.raises(ValueError, match="seeds must be integers"):
-        run_solution_dump(FAST, 0.03, seed=1.5, out=path)
+        run_solution_dump(FAST.override(delta_rel=(0.03,), seeds=(1.5,)), out=path)
     assert not path.exists()
 
 
