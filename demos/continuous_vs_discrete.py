@@ -1,15 +1,16 @@
 """Show that the discrete iteration is explicit Euler on the continuous flow.
 
-With step h = 1 and the matching parameter schedule a(t) = d/(c + t), the
-Euler trace reproduces the iteration bitwise; shrinking h tracks the
-underlying ODE more closely and stops at nearly the same physical time
-t = n*h with nearly the same error.
+DiscreteSchedule(c0, delta, p, shift) builds the paper's a_n as the
+ContinuousSchedule a(t) = d/(c + t) with d = c0*delta**p and c = shift, and
+both drivers take that one schedule: the Euler trace at step h = 1
+reproduces the iteration bitwise; shrinking h tracks the underlying ODE more
+closely and stops at nearly the same physical time t = n*h with nearly the
+same error.
 """
 
 import numpy as np
 
 from dsm import (
-    ContinuousSchedule,
     DiscreteSchedule,
     OperatorModel,
     QuadratureGrid,
@@ -28,11 +29,11 @@ f = model.apply(u_star)
 f_delta, delta = calibrate_noise(f, sine_noise(grid), 0.01)
 
 c0, p, shift = 68.1, 0.99, 1
-rec = run_iteration(model, f_delta, delta, DiscreteSchedule(c0, delta, p, shift))
+schedule = DiscreteSchedule(c0, delta, p, shift)
+rec = run_iteration(model, f_delta, delta, schedule)
 print(f"discrete iteration: stop n={rec.n_stop}, "
       f"rel_error={rel_error(rec.final, u_star):.4f}")
 
-schedule = ContinuousSchedule(d=c0 * delta ** p, c=float(shift), b=1.0)
 for h in (1.0, 0.5, 0.25, 0.1):
     ode = run_euler(model, f_delta, delta, schedule, h=h, max_steps=2000)
     gap = float(np.max(np.abs(ode.final.values - rec.final.values)))

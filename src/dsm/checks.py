@@ -329,6 +329,7 @@ def check_large_a_limit(model: OperatorModel, f_delta: GridFunction) -> CheckRep
     on [-1, 1)^n.  The shifts are solved as one sweep by decreasing a, as in
     :func:`build_trajectory`.
     """
+    model._check(f_delta)
     a_values = np.array(_LARGE_A_SHIFTS)
     base = _data_residual_norms(model, f_delta, np.zeros(model.grid.n))
     m1 = _derivative_norm_bound(model)

@@ -20,8 +20,14 @@ step length it last took (1 at first; Nocedal & Wright, *Numerical
 Optimization*, 2006, section 3.5), so the full step, scaled by h, is taken
 wherever the raw iteration is stable.  Where no step length passes, the run
 stalls: it stays at the iterate it had and ends there, on F evaluated there
-exactly, as the regularized solve does (see :mod:`dsm.regsolve`).  Every
-schedule enters the loop in one form, a(t) = d / (c + t)**b at t = n*h.
+exactly, as the regularized solve does (see :mod:`dsm.regsolve`).
+
+There is one schedule type, :class:`ContinuousSchedule`, a(t) = d / (c + t)**b,
+and every run takes it at t = n*h.  The paper's discrete a_n = c0 *
+delta**p / (n + shift) is that form with b = 1 sampled at h = 1;
+:func:`DiscreteSchedule` builds it.  The step size h alone picks the
+integrator: h = 1 is the paper's iteration, any other h explicit Euler on the
+continuous flow.
 """
 
 from __future__ import annotations
@@ -50,37 +56,6 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class DiscreteSchedule:
-    """a_n = c0 * delta**p / (n + shift) for integer n >= 0.
-
-    That is the continuous form a(t) = d / (c + t)**b sampled at t = n, with
-    the read-only d = c0 * delta**p, c = shift (as a float) and b = 1: the
-    form :func:`run_batch` steps every schedule by.
-    """
-
-    c0: float
-    delta: float
-    p: float
-    shift: int
-    d = property(lambda self: self.c0 * self.delta ** self.p)
-    c = property(lambda self: float(self.shift))
-    b = 1.0
-
-    def __post_init__(self):
-        if not 0 < self.c0 < math.inf:
-            raise ValueError(f"c0 must be positive and finite, got {self.c0}")
-        if not 0 < self.delta < math.inf:
-            raise ValueError(f"delta must be positive and finite, got {self.delta}")
-        if not 0.0 < self.p <= 1.0:
-            raise ValueError(f"p must be in (0, 1], got {self.p}")
-        if not (self.shift >= 1 and float(self.shift).is_integer()):
-            raise ValueError(f"shift must be an integer >= 1, got {self.shift}")
-
-    def a(self, n: int) -> float:
-        return self.d / (n + self.c)
-
-
-@dataclass(frozen=True)
 class ContinuousSchedule:
     """a(t) = d / (c + t)**b for t >= 0, with finite d, c > 0 and 0 < b <= 1."""
 
@@ -102,6 +77,26 @@ class ContinuousSchedule:
     def adot_abs(self, t: float):
         """|da/dt| = b * d / (c + t)**(b + 1); a is strictly decreasing."""
         return self.b * self.d / (self.c + t) ** (self.b + 1.0)
+
+
+def DiscreteSchedule(c0: float, delta: float, p: float, shift: int) -> ContinuousSchedule:
+    """The paper's a_n = c0 * delta**p / (n + shift) for integer n >= 0.
+
+    That is the continuous form a(t) = d / (c + t)**b sampled at t = n, so
+    this returns ``ContinuousSchedule(d=c0 * delta**p, c=float(shift), b=1)``:
+    the one schedule type, which :func:`run_batch` steps with any h.  A d that
+    overflows or vanishes raises ``ValueError`` here, as ContinuousSchedule
+    checks it.
+    """
+    if not 0 < c0 < math.inf:
+        raise ValueError(f"c0 must be positive and finite, got {c0}")
+    if not 0 < delta < math.inf:
+        raise ValueError(f"delta must be positive and finite, got {delta}")
+    if not 0.0 < p <= 1.0:
+        raise ValueError(f"p must be in (0, 1], got {p}")
+    if not (shift >= 1 and float(shift).is_integer()):
+        raise ValueError(f"shift must be an integer >= 1, got {shift}")
+    return ContinuousSchedule(d=c0 * delta ** p, c=float(shift), b=1.0)
 
 
 @dataclass(frozen=True)
@@ -248,11 +243,11 @@ def run_batch(
     """Run one trajectory per row of data, all rows as one iteration.
 
     Row k starts at ``u0`` (default 0) and solves for the data
-    ``f_deltas[k]`` with noise level ``deltas[k]`` and schedule
-    ``schedules[k]``, a :class:`ContinuousSchedule` for the explicit Euler
-    step h or a :class:`DiscreteSchedule`, which steps with h = 1.  Both
-    enter the loop in one form: the rows' d, c and b become ``(S, 1)``
-    columns once, and step n takes a(t) = d/(c + t)**b at t = n*h.  Each row
+    ``f_deltas[k]`` with noise level ``deltas[k]`` and the
+    :class:`ContinuousSchedule` ``schedules[k]`` (:func:`DiscreteSchedule`
+    builds the paper's a_n as one).  The rows' d, c and b become ``(S, 1)``
+    columns once, and step n takes a(t) = d/(c + t)**b at t = n*h: h = 1 is
+    the paper's iteration, any other h the explicit Euler step.  Each row
     stops at its own discrepancy threshold or after ``max_steps`` steps.
 
     Each step calls each Newton kernel once for all the rows still running,
@@ -269,10 +264,8 @@ def run_batch(
     if not len(f_deltas) == len(deltas) == len(schedules) > 0:
         raise ValueError("need one delta and one schedule per data row, and at least one row")
     for schedule in schedules:
-        if not isinstance(schedule, (DiscreteSchedule, ContinuousSchedule)):
-            raise ValueError(f"not a DiscreteSchedule or ContinuousSchedule: {schedule!r}")
-        if isinstance(schedule, DiscreteSchedule) and h != 1.0:
-            raise ValueError(f"a DiscreteSchedule steps with h = 1, got h = {h}")
+        if not isinstance(schedule, ContinuousSchedule):
+            raise ValueError(f"not a ContinuousSchedule: {schedule!r}")
     rule = rule or StoppingRule()
     thresholds = np.array([rule.threshold(delta) for delta in deltas])
     # the schedules' d, c and b as three contiguous (S, 1) columns
@@ -287,15 +280,14 @@ def run_iteration(
     model: OperatorModel,
     f_delta: GridFunction,
     delta: float,
-    schedule: DiscreteSchedule,
+    schedule: ContinuousSchedule,
     rule: StoppingRule | None = None,
     u0: GridFunction | None = None,
     max_iter: int = 500,
 ) -> RunRecord:
-    """Run the damped-Newton iteration with the discrete schedule (h = 1):
-    the one-row case of :func:`run_batch`."""
-    if not isinstance(schedule, DiscreteSchedule):
-        raise ValueError("run_iteration needs a DiscreteSchedule")
+    """Run the paper's damped-Newton iteration, h = 1, so step n takes a(n)
+    (the paper's a_n for a schedule from :func:`DiscreteSchedule`): the
+    one-row case of :func:`run_batch`."""
     if max_iter < 1:
         raise ValueError(f"max_iter must be >= 1, got {max_iter}")
     return run_batch(model, [f_delta], [delta], [schedule], rule, u0, 1.0, max_iter)[0]
@@ -315,9 +307,6 @@ def run_euler(
     one-row case of :func:`run_batch`.
 
     a(t) is sampled at the start of each step (t = n*h for iterate n), so
-    with h = 1 and matched schedule parameters the trace coincides with
-    :func:`run_iteration`.
+    with h = 1 the trace is :func:`run_iteration`'s on the same schedule.
     """
-    if not isinstance(schedule, ContinuousSchedule):
-        raise ValueError("run_euler needs a ContinuousSchedule")
     return run_batch(model, [f_delta], [delta], [schedule], rule, u0, h, max_steps)[0]

@@ -21,16 +21,10 @@ from typing import Iterable
 
 import numpy as np
 
-from .driver import (
-    ContinuousSchedule,
-    DiscreteSchedule,
-    RunRecord,
-    StoppingRule,
-    run_batch,
-)
+from .driver import DiscreteSchedule, RunRecord, StoppingRule, run_batch
 # unused here; imported only because benchmarks/spans.py patches these names
 from .driver import run_euler, run_iteration  # noqa: F401
-from .hilbert import GridFunction, QuadratureGrid, norm, rel_error
+from .hilbert import GridFunction, QuadratureGrid, _check_same_grid, norm, rel_error
 from .operators import MODEL_KINDS, OperatorModel
 
 __all__ = [
@@ -133,7 +127,8 @@ def make_noise(kind: str, grid: QuadratureGrid, seed: int) -> GridFunction:
 def calibrate_noise(f: GridFunction, noise: GridFunction, delta_rel: float) -> tuple:
     """Scale ``noise`` so that ||f_delta - f|| = delta_rel * ||f|| exactly
     (weighted norm), and return the pair ``(f_delta, delta)``: the perturbed
-    data and that absolute delta."""
+    data and that absolute delta.  Both must live on one grid."""
+    _check_same_grid(f, noise)
     if not 0.0 < delta_rel < 1.0:
         raise ValueError(f"delta_rel must lie in (0, 1), got {delta_rel}")
     noise_norm = norm(noise)
@@ -203,8 +198,7 @@ class ExperimentConfig:
             raise ValueError(f"max_iter must be an integer >= 1, got {self.max_iter}")
         object.__setattr__(self, "max_iter", int(self.max_iter))
         # DiscreteSchedule checks c0, p and shift, and StoppingRule stop_c and
-        # gamma: build both, so a bad value fails before any cell runs (the
-        # ContinuousSchedule that run_cells builds would take p = 2 or shift = 0.5)
+        # gamma: build both, so a bad value fails before any cell runs
         DiscreteSchedule(self.c0, 1.0, self.p, self.shift)
         object.__setattr__(self, "shift", int(self.shift))
         StoppingRule(self.stop_c, self.gamma)
@@ -292,9 +286,7 @@ def run_cells(config: ExperimentConfig) -> Iterable[RunCell]:
             f_delta, delta_abs = calibrate_noise(f, noises[seed], delta_rel)
             cells.append((delta_rel, seed, delta_abs))
             f_deltas.append(f_delta)
-            # the paper's a_n = c0 * delta**p / (n + shift) is this a(t) at t = n
-            d = config.c0 * delta_abs ** config.p
-            schedules.append(ContinuousSchedule(d=d, c=float(config.shift), b=1.0))
+            schedules.append(DiscreteSchedule(config.c0, delta_abs, config.p, config.shift))
     records = run_batch(
         model, f_deltas, [delta_abs for _, _, delta_abs in cells], schedules,
         rule=rule, h=config.h, max_steps=config.max_iter,

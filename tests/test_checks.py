@@ -127,6 +127,20 @@ def test_perturbation_bounds_validation(arctan_traj):
         check_perturbation_bounds(traj, traj_exact, coarse, 0.01)
 
 
+@pytest.mark.parametrize("call", [
+    lambda model, f, other: calibrate_noise(f, other, 0.01),
+    lambda model, f, other: calibrate_noise(other, f, 0.01),
+    lambda model, f, other: check_large_a_limit(model, other),
+], ids=["noise", "data", "large_a_limit"])
+def test_function_from_another_grid_is_a_grid_mismatch(call):
+    grid = QuadratureGrid(30)
+    model = OperatorModel("arctan3", grid)
+    f = model.apply(exact_solution("step", grid))
+    other = sine_noise(QuadratureGrid(40))
+    with pytest.raises(GridMismatchError, match=r"QuadratureGrid\(n=40\)"):
+        call(model, f, other)
+
+
 def _monotonicity_reference(traj):
     phi, psi = traj.residual_norms, traj.solution_norms
     margins = []

@@ -48,6 +48,24 @@ def test_discrete_schedule_validation():
             DiscreteSchedule(c0=1.0, p=0.9, **bad)
 
 
+@pytest.mark.parametrize("preset", sorted(PRESETS))
+def test_discrete_schedule_is_the_papers_a_n_as_a_continuous_schedule(preset):
+    # a_n = c0 * delta**p / (n + shift), bit for bit, from the one schedule type
+    config = PRESETS[preset]
+    for delta in (0.37, 0.01, 2.5e-5):
+        sched = DiscreteSchedule(config.c0, delta, config.p, config.shift)
+        assert type(sched) is ContinuousSchedule
+        for n in range(61):
+            assert sched.a(n) == config.c0 * delta ** config.p / (n + config.shift)
+
+
+@pytest.mark.parametrize("c0, delta", [(1e300, 1e10), (1e-300, 1e-300)])
+def test_discrete_schedule_rejects_an_overflowing_or_vanishing_d(c0, delta):
+    # d = c0 * delta**p is inf or 0, which no run can step with
+    with pytest.raises(ValueError, match="^d, c must be positive and finite"):
+        DiscreteSchedule(c0, delta, 1.0, 1)
+
+
 def test_continuous_schedule_values():
     sched = ContinuousSchedule(d=2.0, c=4.0, b=0.5)
     assert sched.a(0.0) == 1.0
@@ -206,10 +224,6 @@ def test_euler_zero_steps(identity_setup):
 
 def test_driver_schedule_type_checks(identity_setup):
     grid, model, f_delta = identity_setup
-    with pytest.raises(ValueError):
-        run_iteration(model, f_delta, 0.01, ContinuousSchedule(1.0, 1.0, 1.0))
-    with pytest.raises(ValueError):
-        run_euler(model, f_delta, 0.01, DiscreteSchedule(1.0, 0.01, 0.9, 1))
     with pytest.raises(ValueError):
         run_iteration(model, f_delta, 0.01, DiscreteSchedule(1.0, 0.01, 0.9, 1), max_iter=0)
     with pytest.raises(ValueError):
@@ -477,6 +491,19 @@ def test_euler_with_unit_step_matches_iteration(arctan_setup):
     assert stops[0] >= 10 and stops[1] == 55 and stops[2] > 1
 
 
+def test_euler_takes_a_discrete_schedule_at_any_step_size(arctan_setup):
+    # DiscreteSchedule builds a ContinuousSchedule, so h alone picks the integrator
+    model, f_delta, delta = arctan_setup
+    discrete = DiscreteSchedule(ARCTAN_C0, delta, 0.9, 1)
+    continuous = ContinuousSchedule(d=ARCTAN_C0 * delta ** 0.9, c=1.0, b=1.0)
+    got = run_euler(model, f_delta, delta, discrete, h=0.5)
+    want = run_euler(model, f_delta, delta, continuous, h=0.5)
+    assert got.stopped_by_discrepancy and got.n_stop == want.n_stop
+    for name in ("residuals", "a_values", "step_lengths"):
+        np.testing.assert_array_equal(getattr(got, name), getattr(want, name))
+    np.testing.assert_array_equal(got.final.values, want.final.values)
+
+
 def test_smaller_euler_step_needs_more_steps(arctan_setup):
     model, f_delta, delta = arctan_setup
     continuous = ContinuousSchedule(d=ARCTAN_C0 * delta ** 0.9, c=1.0, b=1.0)
@@ -682,7 +709,5 @@ def test_batch_validation(identity_setup):
         run_batch(model, [], [], [])
     with pytest.raises(ValueError):
         run_batch(model, [f_delta, f_delta], [0.05], [discrete, discrete])
-    with pytest.raises(ValueError):
-        run_batch(model, [f_delta], [0.05], [discrete], h=0.5)
     with pytest.raises(ValueError):
         run_batch(model, [f_delta], [0.05], [lambda n: 1.0])

@@ -215,9 +215,8 @@ def test_config_stores_an_integral_float_grid_size_and_shift_as_ints():
     "change", [{"c0": 0.0}, {"p": 2.0}, {"shift": 0.5}, {"h": 0.0}, {"shift": 1.5}]
 )
 def test_config_rejects_schedule_parameters_when_built(mode, change):
-    # before any cell runs; in Euler mode nothing later would reject p = 2 or
-    # shift = 0.5 or 1.5, since ContinuousSchedule(d=c0*delta**p, c=shift, b=1)
-    # takes them.  The message names the key, as the CLI prints it.
+    # before any cell runs, in either mode.  The message names the key, as
+    # the CLI prints it.
     (key,) = change
     with pytest.raises(ValueError, match=f"^{key} must"):
         PRESETS["exp2-const"].override(mode=mode, **change)
