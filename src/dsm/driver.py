@@ -33,6 +33,7 @@ continuous flow.
 from __future__ import annotations
 
 import math
+import sys
 import time
 from dataclasses import dataclass, field
 
@@ -57,16 +58,22 @@ __all__ = [
 
 @dataclass(frozen=True)
 class ContinuousSchedule:
-    """a(t) = d / (c + t)**b for t >= 0, with finite d, c > 0 and 0 < b <= 1."""
+    """a(t) = d / (c + t)**b for t >= 0, with finite d, c > 0 and 0 < b <= 1.
+
+    d must be a normal double, at least ``sys.float_info.min``: a subnormal d
+    gives shifts with few significant bits, which the shifted solve can take
+    as a numerically singular pivot (d = 7e-322 did).
+    """
 
     d: float
     c: float
     b: float
 
     def __post_init__(self):
-        if not (0 < self.d < math.inf and 0 < self.c < math.inf and self.b > 0):
+        if not (sys.float_info.min <= self.d < math.inf and 0 < self.c < math.inf and self.b > 0):
             raise ValueError(
-                f"d, c must be positive and finite and b positive, got {(self.d, self.c, self.b)}"
+                "d, c must be positive and finite, d not below the smallest normal double "
+                f"{sys.float_info.min}, and b positive, got {(self.d, self.c, self.b)}"
             )
         if self.b > 1.0:
             raise ValueError(f"b must be in (0, 1], got {self.b}")
@@ -85,8 +92,8 @@ def DiscreteSchedule(c0: float, delta: float, p: float, shift: int) -> Continuou
     That is the continuous form a(t) = d / (c + t)**b sampled at t = n, so
     this returns ``ContinuousSchedule(d=c0 * delta**p, c=float(shift), b=1)``:
     the one schedule type, which :func:`run_batch` steps with any h.  A d that
-    overflows or vanishes raises ``ValueError`` here, as ContinuousSchedule
-    checks it.
+    overflows, vanishes or is subnormal raises ``ValueError`` here, as
+    ContinuousSchedule checks it.
     """
     if not 0 < c0 < math.inf:
         raise ValueError(f"c0 must be positive and finite, got {c0}")
@@ -160,10 +167,12 @@ class RunRecord:
 def _drive(model, f_values, columns, thresholds, u, h, max_steps):
     # The runs' side of the Newton loop.  columns holds the (S, 1) columns d,
     # c and b of each stack row's schedule a(t) = d/(c + t)**b, and table[:, i]
-    # stack row i's a_n, residuals and step lengths by step; both lose rows
-    # with the stack.  table has room for 64 steps, then doubles.  Its a-row
-    # holds the shift each step took, written as it is computed, so a record
-    # keeps exactly those shifts and no stop has to compute them again.
+    # stack row i's a_n, residuals and step lengths by step.  The stop
+    # compacts columns, thresholds and table as rows leave, so they always
+    # match the stack and shifts(n, rows) reads them without indexing by
+    # rows.  table has room for 64 steps, then doubles.  Its a-row holds the
+    # shift each step took, written as it is computed, so a record keeps
+    # exactly those shifts and no stop has to compute them again.
     start = time.perf_counter()
     records = [None] * len(u)
     table = np.empty((3, len(u), 0))
@@ -172,7 +181,7 @@ def _drive(model, f_values, columns, thresholds, u, h, max_steps):
     # sqrt(x), which differs from pow(x, 0.5) in the last bit
     powers = set(columns[2].ravel().tolist()) - {1.0}
 
-    def shifts(n):
+    def shifts(n, rows):
         nonlocal table
         if n == table.shape[2]:
             room = np.empty((3, table.shape[1], min(max(n, 64), max_steps + 1 - n)))

@@ -8,23 +8,26 @@ the weighted L2 norm, finds it from any reasonable starting point.
 ``_newton_rows`` is that loop.  It advances a stack of rows ``(S, n)`` of
 raw node values with one shifted solve and one call of :func:`line_search`
 per step, and drops each row, with what it gets alone, at its caller's
-stop: ``_regularized_rows`` (a fixed shift per row, stop at the residual
+stop.  Each caller hands it its shifts in one form, ``shifts(k, rows)``,
+iterate k's column for the batch rows still in the stack:
+``_regularized_rows`` (a fixed shift per row, stop at the residual
 tolerance ``_TOL`` or after ``_MAX_ITER`` iterations), behind
 :func:`solve_regularized` and the paths of :mod:`dsm.checks`, and the run
-drivers in :mod:`dsm.driver`.  Both stops share one rule for a failed
-search: a row whose line search accepts no step length stays at the
-iterate it had and leaves the loop there.
+drivers in :mod:`dsm.driver` (a schedule a(t) at t = k*h).  Both stops
+share one rule for a failed search: a row whose line search accepts no
+step length stays at the iterate it had and leaves the loop there.
 
 The loop carries each row's data residual r = F(u) - f_delta, not F(u):
 f_delta is subtracted once, where F is evaluated.  The Newton right-hand
 side is G = a*u + r and a run's discrepancy is ||r||, so no caller forms
-F - f_delta again.
+F - f_delta again.  G and ||G|| are formed in one place, from r and the
+iterate's shift, once per iterate.
 
 Which residuals are exact: F(u) = L u + g(u) runs through the kernel's
 running sums at the start and wherever a row is about to leave.  Between
-those, each iterate's r, G and ||G|| are carried: the line search
-takes a trial's F as L v - lam*L s + g(v - lam*s), with L s = G - D s read
-off the Newton equation, so they differ from the exact values by the
+those, each iterate's r, and so its G and ||G||, are carried: the line
+search takes a trial's F as L v - lam*L s + g(v - lam*s), with L s = G - D s
+read off the Newton equation, so they differ from the exact values by the
 rounding of the shifted solves.  A caller's stop decides on exact values
 only.
 """
@@ -123,12 +126,12 @@ def line_search(model: OperatorModel, v, rv, lv, step, lstep, a, f_values, g_nor
     every row at once; each halving evaluates only the rows that have not
     yet passed.
 
-    Returns ``(iterate, r(iterate), L iterate, G(iterate), ||G(iterate)||,
-    accepted, lam)``, one entry per row, r and L carried from the trial that
-    made the iterate.  A row where no step length passes stays at v, bit for
-    bit, with the r and L v it came in with, its lam0, and G(v) and ||G(v)||
-    computed from them; both Newton-loop callers end such a row at their
-    stop.  No search runs the kernel's running sums.  Trial points may
+    Returns ``(iterate, r(iterate), L iterate, accepted, lam)``, one entry
+    per row, r and L carried from the trial that made the iterate; the
+    caller forms G and ||G|| at the iterate with its next shift.  A row
+    where no step length passes stays at v, bit for bit, with the r and L v
+    it came in with and its lam0; both Newton-loop callers end such a row at
+    their stop.  No search runs the kernel's running sums.  Trial points may
     overflow: call it under ``np.errstate(over="ignore", invalid="ignore")``,
     as the Newton loop does.
     """
@@ -137,10 +140,10 @@ def line_search(model: OperatorModel, v, rv, lv, step, lstep, a, f_values, g_nor
     new = v - step
     lv_new = lv - lstep
     r_new = model._with_g(new, lv_new) - f_values
-    g_new, norm = regularized_residual(grid, r_new, new, a)
+    norm = regularized_residual(grid, r_new, new, a)[1]
     accepted = norm <= (1.0 - _DECREASE_SLACK * lam0) * g_norm
     if np.count_nonzero(accepted) == len(accepted):
-        return new, r_new, lv_new, g_new, norm, accepted, lam0
+        return new, r_new, lv_new, accepted, lam0
     # The rows still searching, stacked; a row that passes leaves the stack.
     lam_out = lam0.copy()
     pending = np.flatnonzero(~accepted)
@@ -154,29 +157,28 @@ def line_search(model: OperatorModel, v, rv, lv, step, lstep, a, f_values, g_nor
         candidate = vp - scale * sp
         lc = lvp - scale * lsp
         rc = model._with_g(candidate, lc) - fp
-        gc, cand_norm = regularized_residual(grid, rc, candidate, ap)
+        cand_norm = regularized_residual(grid, rc, candidate, ap)[1]
         lam = lp * scale
         passed = cand_norm <= (1.0 - _DECREASE_SLACK * lam) * gp
         n_passed = np.count_nonzero(passed)
         if n_passed == len(v):
             # every row searched to this step length and passed here
-            return candidate, rc, lc, gc, cand_norm, passed, lam
+            return candidate, rc, lc, passed, lam
         if n_passed:
             rows = pending[passed]
             new[rows], r_new[rows], lv_new[rows] = candidate[passed], rc[passed], lc[passed]
-            g_new[rows], norm[rows], lam_out[rows] = gc[passed], cand_norm[passed], lam[passed]
+            lam_out[rows] = lam[passed]
             accepted[rows] = True
             keep = ~passed
             if not np.count_nonzero(keep):
-                return new, r_new, lv_new, g_new, norm, accepted, lam_out
+                return new, r_new, lv_new, accepted, lam_out
             pending, vp, lvp, sp, lsp, ap, fp, gp, lp = (
                 x[keep] for x in (pending, vp, lvp, sp, lsp, ap, fp, gp, lp)
             )
     # No step length passed: these rows stay at v, with the r and L v they
     # came in with and their lam0.
     new[pending], r_new[pending], lv_new[pending] = vp, rv[pending], lvp
-    g_new[pending], norm[pending] = regularized_residual(grid, r_new[pending], vp, ap)
-    return new, r_new, lv_new, g_new, norm, accepted, lam_out
+    return new, r_new, lv_new, accepted, lam_out
 
 
 def _newton_rows(model: OperatorModel, u, f_values, shifts, first_step, stop):
@@ -184,20 +186,20 @@ def _newton_rows(model: OperatorModel, u, f_values, shifts, first_step, stop):
     (F'(u) + a*I) s = r + a*u with r = F(u) - f the row's data residual and f
     its row of ``f_values``, until ``stop`` has let every row leave.  The loop
     carries r, not F: it subtracts f once, where F is evaluated, and every
-    reader takes r.  ``shifts`` is a column ``(S, 1)`` of fixed shifts, or
-    ``shifts(k)`` gives iterate k's column for the rows still in the stack
-    (a run computes it from its schedule columns, which its stop compacts as
-    rows leave).  ``first_step(lam, s, L s)`` scales each Newton step s and
-    its image L s in place by its row's first step length, from its last one
-    lam, and returns the search's lam0; None takes full steps.
-    ``stop(k, rows, u, r, ||G(u)||, accepted, lam, exact)`` sees iterate k
-    (0 at the start) and the search that made it, and returns which rows
-    leave.  A row whose search accepted no step length is still at iterate
-    k - 1, and both callers' stops end it there.
+    reader takes r.  ``shifts(k, rows)`` gives iterate k's column ``(S, 1)``
+    of shifts for ``rows``, the batch rows still in the stack; the loop calls
+    it once per iterate, before the stop, and forms G(u) = a*u + r and
+    ||G(u)|| from it in that one place.  ``first_step(lam, s, L s)`` scales
+    each Newton step s and its image L s in place by its row's first step
+    length, from its last one lam, and returns the search's lam0; None takes
+    full steps.  ``stop(k, rows, u, r, ||G(u)||, accepted, lam, exact)`` sees
+    iterate k (0 at the start) and the search that made it, and returns
+    which rows leave.  A row whose search accepted no step length is still
+    at iterate k - 1, and both callers' stops end it there.
 
     F is evaluated through the kernel's running sums once, at the start.
-    After that each iterate's r, G and ||G|| are carried: they come from the
-    line search trial that made the iterate (see :func:`line_search`), with
+    After that each iterate's r and L u are carried: they come from the line
+    search trial that made the iterate (see :func:`line_search`), with
     L s = G - D s from the Newton equation, D = g'(u) + a.  That L s is off
     by the shifted solve's residual, which each step adds to the carried r
     times its step length, so the carried values drift from the exact ones:
@@ -228,10 +230,10 @@ def _newton_rows(model: OperatorModel, u, f_values, shifts, first_step, stop):
             raise ValueError("cannot evaluate the model at the start point")
         r = fu - f_values
         del fu
-        a = shifts(0) if callable(shifts) else shifts
-        g, g_norm = regularized_residual(grid, r, u, a)
         k = 0
         while True:
+            a = shifts(k, rows)
+            g, g_norm = regularized_residual(grid, r, u, a)
             leave = stop(k, rows, u, r, g_norm, accepted, lam, exact)
             n_leave = np.count_nonzero(leave)
             if n_leave == len(rows):
@@ -245,19 +247,16 @@ def _newton_rows(model: OperatorModel, u, f_values, shifts, first_step, stop):
                 step, lstep = model._newton_step(u, a, g)
             except SingularShiftError as err:
                 raise SingularShiftError(err.pivot_index, rows[err.row]) from err
-            # G goes before the line search makes its successor: the search
-            # holds about a dozen (S, n) arrays at its peak
+            # G goes before the line search: the search holds about a dozen
+            # (S, n) arrays at its peak
             del g
             lam0 = None if first_step is None else first_step(lam, step, lstep)
-            u, r, lu, g, g_norm, accepted, lam = line_search(
+            u, r, lu, accepted, lam = line_search(
                 model, u, r, lu, step, lstep, a, f_values, g_norm, lam0
             )
             # as G above: the step and its image go before the next solve
             del step, lstep
             k += 1
-            if callable(shifts):
-                a = shifts(k)
-                g, g_norm = regularized_residual(grid, r, u, a)
 
 
 def _regularized_rows(model: OperatorModel, f_values, a, starts):
@@ -295,7 +294,7 @@ def _regularized_rows(model: OperatorModel, f_values, a, starts):
             residual_norms[done], iterations[done] = g_norm[leave], k
         return leave
 
-    _newton_rows(model, solutions, f_values, a, None, stop)
+    _newton_rows(model, solutions, f_values, lambda k, rows: a[rows], None, stop)
     return solutions, r_solutions, residual_norms, iterations, residual_norms <= _TOL
 
 

@@ -55,6 +55,18 @@ def test_infinite_schedule_parameter_exit_2(tmp_path, capsys, extra, line):
     assert "finite" in capsys.readouterr().err
 
 
+# c0 = 1e-320 is subnormal as given: it printed "numerically singular pivot"
+# and exited 1.  c0 = 1e-307 passes the config's check and gives the
+# subnormal d = c0 * delta_abs**p = 7e-309 at the cell's delta: it ran on
+# subnormal shifts
+@pytest.mark.parametrize("c0", ["1e-320", "1e-307"])
+def test_subnormal_schedule_d_exit_2(capsys, c0):
+    args = ["run", "--preset", "exp2-const", "--c0", c0, "--delta-rel", "0.03", "--seeds", "1"]
+    assert main(args) == 2
+    err = capsys.readouterr().err
+    assert "d, c must be positive and finite" in err and "smallest normal double" in err
+
+
 def test_infinite_stop_c_exit_2(capsys):
     # C = inf printed n_iterations 0, rel_error 1, stopped true and exited 0
     assert main(FAST_ARGS + ["--stop-c", "inf"]) == 2

@@ -59,9 +59,10 @@ def test_discrete_schedule_is_the_papers_a_n_as_a_continuous_schedule(preset):
             assert sched.a(n) == config.c0 * delta ** config.p / (n + config.shift)
 
 
-@pytest.mark.parametrize("c0, delta", [(1e300, 1e10), (1e-300, 1e-300)])
+@pytest.mark.parametrize("c0, delta", [(1e300, 1e10), (1e-300, 1e-300), (1e-300, 1e-10)])
 def test_discrete_schedule_rejects_an_overflowing_or_vanishing_d(c0, delta):
-    # d = c0 * delta**p is inf or 0, which no run can step with
+    # d = c0 * delta**p is inf, 0 or subnormal (1e-310), which no run can
+    # step with: a subnormal shift can read as a singular pivot
     with pytest.raises(ValueError, match="^d, c must be positive and finite"):
         DiscreteSchedule(c0, delta, 1.0, 1)
 
@@ -78,7 +79,8 @@ def test_continuous_schedule_values():
 def test_continuous_schedule_validation():
     for bad in (dict(d=0.0, c=1.0, b=1.0), dict(d=1.0, c=0.0, b=1.0),
                 dict(d=1.0, c=1.0, b=0.0), dict(d=1.0, c=1.0, b=1.5),
-                dict(d=math.inf, c=1.0, b=1.0), dict(d=1.0, c=math.inf, b=1.0)):
+                dict(d=math.inf, c=1.0, b=1.0), dict(d=1.0, c=math.inf, b=1.0),
+                dict(d=5e-324, c=1.0, b=1.0)):
         with pytest.raises(ValueError):
             ContinuousSchedule(**bad)
 
@@ -679,6 +681,35 @@ def test_batch_rows_match_runs_alone(kind, n, mode, levels, c0):
         np.testing.assert_array_equal(record.a_values, alone.a_values)
         np.testing.assert_array_equal(record.final.values, alone.final.values)
         np.testing.assert_array_equal(record.step_lengths, alone.step_lengths)
+
+
+@pytest.mark.parametrize("h, c0s", [(1.0, (100.0, 40.0, 200.0)), (0.5, (50.0, 20.0, 100.0))])
+def test_batch_rows_match_runs_alone_past_the_tables_growth(h, c0s):
+    """The driver's step table has room for 64 steps, then doubles.  Rows
+    leave before step 64, between 64 and 128 and after 128 (33, 81 and 162
+    steps: a large c0 keeps a_n above the discrepancy for longer), and each
+    gets bit for bit the record it gets alone."""
+    grid = QuadratureGrid(30)
+    model = OperatorModel("arctan3", grid)
+    f_delta, delta = calibrate_noise(
+        model.apply(exact_solution("step", grid)), sine_noise(grid), 0.01
+    )
+    schedules = [ContinuousSchedule(d=c0 * delta ** 0.99, c=1.0, b=1.0) for c0 in c0s]
+    batch = run_batch(model, [f_delta] * 3, [delta] * 3, schedules, h=h)
+    steps = [record.n_stop for record in batch]
+    assert steps[1] < 64 < steps[0] < 128 < steps[2]
+    threshold = StoppingRule().threshold(delta)
+    for record, schedule in zip(batch, schedules):
+        # the table kept every step's shift and discrepancy through its growth
+        t = h * np.arange(record.n_stop + 1)
+        np.testing.assert_array_equal(record.a_values, schedule.a(t))
+        assert np.all(record.residuals[:-1] >= threshold) and record.residuals[-1] < threshold
+        alone = run_euler(model, f_delta, delta, schedule, h=h)
+        assert record.stopped_by_discrepancy and alone.stopped_by_discrepancy
+        assert record.n_stop == alone.n_stop
+        for name in ("residuals", "a_values", "step_lengths"):
+            np.testing.assert_array_equal(getattr(record, name), getattr(alone, name))
+        np.testing.assert_array_equal(record.final.values, alone.final.values)
 
 
 class _SingularModel(OperatorModel):
