@@ -5,7 +5,10 @@ ContinuousSchedule a(t) = d/(c + t) with d = c0*delta**p and c = shift, and
 both drivers take that one schedule: the Euler trace at step h = 1
 reproduces the iteration bitwise; shrinking h tracks the underlying ODE more
 closely and stops at nearly the same physical time t = n*h with nearly the
-same error.
+same error.  Each Euler step's line search tries the full step h first, at
+any h, and the run's step lengths are flow time (h for a full step), so a
+run needs a step cap of at least t_stop/h: max_steps = 2000 covers h = 0.1
+here, where the iteration stops at t = 55.
 """
 
 import numpy as np

@@ -1,8 +1,8 @@
 """Run drivers: regularization schedules, stopping rule, and the two
 integrators for the damped-Newton dynamical system
 
-    u_{n+1} = u_n - h * (F'(u_n) + a_n I)^{-1} (F(u_n) + a_n u_n - f_delta),
-    u_0 given (default 0),
+    u_{n+1} = u_n - lam_n * (F'(u_n) + a_n I)^{-1} (F(u_n) + a_n u_n - f_delta),
+    u_0 given (default 0), lam_n = h where the full Euler step passes,
 
 with the discrepancy-principle stop: quit at the first iterate with
 ``||F(u_n) - f_delta|| < C * delta**gamma``.  Like every norm in the
@@ -15,19 +15,22 @@ stop takes its norm as the discrepancy (see :mod:`dsm.regsolve`).
 :func:`run_batch` takes a batch of runs, one row each with its own data,
 schedule and threshold, through the package's one Newton loop (see
 :mod:`dsm.regsolve`); :func:`run_iteration` and :func:`run_euler` are its
-one-row case.  A run's line search starts at min(1, 2*lam), twice the
-step length it last took (1 at first; Nocedal & Wright, *Numerical
-Optimization*, 2006, section 3.5), so the full step, scaled by h, is taken
-wherever the raw iteration is stable.  Where no step length passes, the run
-stalls: it stays at the iterate it had and ends there, on F evaluated there
-exactly, as the regularized solve does (see :mod:`dsm.regsolve`).
+one-row case.  A step length lam is flow time, the fraction of the Newton
+step taken.  A run's line search starts at the full Euler step h, and after
+that at min(h, 2*lam), twice the step length it last took (Nocedal &
+Wright, *Numerical Optimization*, 2006, section 3.5), so the full step h is
+taken wherever the raw iteration is stable, and lam is always h*2^-j.
+Where no step length passes, the run stalls: it stays at the iterate it had
+and ends there, on F evaluated there exactly, as the regularized solve does
+(see :mod:`dsm.regsolve`).
 
 There is one schedule type, :class:`ContinuousSchedule`, a(t) = d / (c + t)**b,
 and every run takes it at t = n*h.  The paper's discrete a_n = c0 *
 delta**p / (n + shift) is that form with b = 1 sampled at h = 1;
 :func:`DiscreteSchedule` builds it.  The step size h alone picks the
 integrator: h = 1 is the paper's iteration, any other h explicit Euler on the
-continuous flow.
+continuous flow.  Once h is small, a run stops near the same flow time
+t = n*h at any h, so an Euler run needs a step cap of at least t_stop/h.
 """
 
 from __future__ import annotations
@@ -141,8 +144,9 @@ class RunRecord:
     the exact ones by the rounding of the shifted solves: by at most 3.4e-10
     relative on the benchmark's presets and stiff cells and 1.7e-9 on exp1
     at n = 1000.  ``step_lengths[k]`` is the step length lam the line search
-    took from iterate k to k + 1 (the step is lam*h times the Newton step);
-    it has length ``n_stop``.  A run ends in one of three states:
+    took from iterate k to k + 1, in flow time: the step is lam times the
+    Newton step, lam = h*2^-j for some j >= 0, and h for a full Euler step.
+    It has length ``n_stop``.  A run ends in one of three states:
 
     - stopped: ``stopped_by_discrepancy`` is True;
     - capped: it is False and ``n_stop`` equals the step cap (the caller
@@ -192,15 +196,6 @@ def _drive(model, f_values, columns, thresholds, u, h, max_steps):
             base[b == power] **= power
         return np.divide(d, base, out=table[0, :, n : n + 1])
 
-    def first_step(lam, step, lstep):
-        # lam0 rides on the step's one scaling by h, not a second pass over
-        # the stack; as a power of two it changes no other bit
-        lam0 = np.minimum(1.0, 2.0 * lam)
-        factor = (h * lam0)[:, None]
-        step *= factor
-        lstep *= factor
-        return lam0
-
     def stop(n, rows, u, r, g_norm, accepted, lam, exact):
         nonlocal table, columns, thresholds
         if n:
@@ -235,7 +230,9 @@ def _drive(model, f_values, columns, thresholds, u, h, max_steps):
             columns = [column[keep] for column in columns]
         return leave
 
-    _newton_rows(model, u, f_values, shifts, first_step, stop)
+    # the first trial is the full Euler step h, then twice the last length
+    # (lam is inf before the first step), so lam is always h*2^-j
+    _newton_rows(model, u, f_values, shifts, lambda lam: np.minimum(h, 2.0 * lam), stop)
     return records
 
 
@@ -256,8 +253,12 @@ def run_batch(
     :class:`ContinuousSchedule` ``schedules[k]`` (:func:`DiscreteSchedule`
     builds the paper's a_n as one).  The rows' d, c and b become ``(S, 1)``
     columns once, and step n takes a(t) = d/(c + t)**b at t = n*h: h = 1 is
-    the paper's iteration, any other h the explicit Euler step.  Each row
-    stops at its own discrepancy threshold or after ``max_steps`` steps.
+    the paper's iteration, any other h the explicit Euler step.  Each step's
+    line search tries the full step h first, and the recorded step lengths
+    are flow time (see :class:`RunRecord`).  Each row stops at its own
+    discrepancy threshold or after ``max_steps`` steps; once h is small, near
+    the same flow time n*h at any h, so ``max_steps`` must be at least that
+    time over h.
 
     Each step calls each Newton kernel once for all the rows still running,
     and a row's record is bit for bit the one it gets when run alone.
@@ -317,5 +318,10 @@ def run_euler(
 
     a(t) is sampled at the start of each step (t = n*h for iterate n), so
     with h = 1 the trace is :func:`run_iteration`'s on the same schedule.
+    Each step's line search tries the full Euler step h first, at any h > 0,
+    and the recorded step lengths are flow time (h for a full step).  The
+    run stops near the same flow time whatever small h it takes, so it needs
+    ``max_steps`` of at least t_stop/h: about 4.44/h on the exp2-const
+    preset's cell at 3% noise.
     """
     return run_batch(model, [f_delta], [delta], [schedule], rule, u0, h, max_steps)[0]

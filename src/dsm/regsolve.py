@@ -104,27 +104,26 @@ _HALVINGS = 40
 _DECREASE_SLACK = 1e-4
 
 
-def line_search(model: OperatorModel, v, rv, lv, step, lstep, a, f_values, g_norm, lam0=None):
-    """Backtracking line search on the regularized residual along v - 2^-k*step,
+def line_search(model: OperatorModel, v, rv, lv, step, lstep, a, f_values, g_norm, lam0):
+    """Backtracking line search on the regularized residual along v - lam*step,
     row by row.
 
-    ``v``, ``rv`` = F(v) - f_delta, ``lv`` = L v, ``step``, ``lstep`` = L step
-    and ``f_values`` (f_delta) are stacks of rows ``(S, n)``, with L the
-    linear part of F(u) = L u + g(u) (the kernel E W, or I for the identity
-    model); ``a`` is a column ``(S, 1)`` of per-row shifts and ``g_norm`` the
-    weighted norm of each row's G(v) = a*v + rv.  ``lam0`` (default all ones)
-    holds each row's first step length: ``step`` and ``lstep`` come already
-    scaled by it, so trial k of a row, v - 2^-k*step, is at lam = lam0*2^-k
-    along the Newton direction.  A trial's F is not evaluated through the
-    kernel: it is L v - 2^-k*L step + g(v - 2^-k*step), so F is carried,
-    exact up to the rounding of the carried L v and of L step; the trial
-    subtracts f_delta from it once, for its data residual r.  Each row tries
-    k = 0, 1, ... (``_HALVINGS`` halvings) and accepts its first candidate with
-    ||G|| <= (1 - 1e-4*lam) * g_norm (Armijo).  For a Newton direction the
-    slope of ||G(v - lam*s)|| at lam = 0 is -g_norm, so a small enough lam
-    always passes unless rounding intervenes.  The first trial evaluates
-    every row at once; each halving evaluates only the rows that have not
-    yet passed.
+    ``v``, ``rv`` = F(v) - f_delta, ``lv`` = L v, ``step`` (the Newton step),
+    ``lstep`` = L step and ``f_values`` (f_delta) are stacks of rows ``(S, n)``,
+    with L the linear part of F(u) = L u + g(u) (the kernel E W, or I for the
+    identity model); ``a`` is a column ``(S, 1)`` of per-row shifts and
+    ``g_norm`` the weighted norm of each row's G(v) = a*v + rv.  ``lam0``
+    holds each row's first step length, a fraction of the Newton step: trial
+    k of a row is v - lam*step at lam = lam0*2^-k.  A trial's F is not
+    evaluated through the kernel: it is L v - lam*L step + g(v - lam*step),
+    so F is carried, exact up to the rounding of the carried L v and of
+    L step; the trial subtracts f_delta from it once, for its data residual
+    r.  Each row tries k = 0, 1, ... (``_HALVINGS`` halvings) and accepts its
+    first candidate with ||G|| <= (1 - 1e-4*lam) * g_norm (Armijo).  For a
+    Newton direction the slope of ||G(v - lam*s)|| at lam = 0 is -g_norm, so
+    a small enough lam always passes unless rounding intervenes, whatever
+    lam0 is.  The first trial evaluates every row at once; each halving
+    evaluates only the rows that have not yet passed.
 
     Returns ``(iterate, r(iterate), L iterate, accepted, lam)``, one entry
     per row, r and L carried from the trial that made the iterate; the
@@ -136,9 +135,9 @@ def line_search(model: OperatorModel, v, rv, lv, step, lstep, a, f_values, g_nor
     as the Newton loop does.
     """
     grid = model.grid
-    lam0 = np.ones(len(v)) if lam0 is None else lam0
-    new = v - step
-    lv_new = lv - lstep
+    column = lam0[:, None]
+    new = v - column * step
+    lv_new = lv - column * lstep
     r_new = model._with_g(new, lv_new) - f_values
     norm = regularized_residual(grid, r_new, new, a)[1]
     accepted = norm <= (1.0 - _DECREASE_SLACK * lam0) * g_norm
@@ -150,15 +149,14 @@ def line_search(model: OperatorModel, v, rv, lv, step, lstep, a, f_values, g_nor
     stack = (v, lv, step, lstep, a, f_values, g_norm, lam0)
     if len(pending) < len(v):
         stack = tuple(x[pending] for x in stack)
-    vp, lvp, sp, lsp, ap, fp, gp, lp = stack
-    scale = 1.0
-    for k in range(1, _HALVINGS + 1):
-        scale *= 0.5
-        candidate = vp - scale * sp
-        lc = lvp - scale * lsp
+    vp, lvp, sp, lsp, ap, fp, gp, lam = stack
+    for _ in range(_HALVINGS):
+        lam = 0.5 * lam
+        column = lam[:, None]
+        candidate = vp - column * sp
+        lc = lvp - column * lsp
         rc = model._with_g(candidate, lc) - fp
         cand_norm = regularized_residual(grid, rc, candidate, ap)[1]
-        lam = lp * scale
         passed = cand_norm <= (1.0 - _DECREASE_SLACK * lam) * gp
         n_passed = np.count_nonzero(passed)
         if n_passed == len(v):
@@ -172,8 +170,8 @@ def line_search(model: OperatorModel, v, rv, lv, step, lstep, a, f_values, g_nor
             keep = ~passed
             if not np.count_nonzero(keep):
                 return new, r_new, lv_new, accepted, lam_out
-            pending, vp, lvp, sp, lsp, ap, fp, gp, lp = (
-                x[keep] for x in (pending, vp, lvp, sp, lsp, ap, fp, gp, lp)
+            pending, vp, lvp, sp, lsp, ap, fp, gp, lam = (
+                x[keep] for x in (pending, vp, lvp, sp, lsp, ap, fp, gp, lam)
             )
     # No step length passed: these rows stay at v, with the r and L v they
     # came in with and their lam0.
@@ -189,11 +187,12 @@ def _newton_rows(model: OperatorModel, u, f_values, shifts, first_step, stop):
     reader takes r.  ``shifts(k, rows)`` gives iterate k's column ``(S, 1)``
     of shifts for ``rows``, the batch rows still in the stack; the loop calls
     it once per iterate, before the stop, and forms G(u) = a*u + r and
-    ||G(u)|| from it in that one place.  ``first_step(lam, s, L s)`` scales
-    each Newton step s and its image L s in place by its row's first step
-    length, from its last one lam, and returns the search's lam0; None takes
-    full steps.  ``stop(k, rows, u, r, ||G(u)||, accepted, lam, exact)`` sees
-    iterate k (0 at the start) and the search that made it, and returns
+    ||G(u)|| from it in that one place.  ``first_step(lam)`` returns each
+    row's first step length lam0 for the search, a fraction of the Newton
+    step s, from the length lam it last took (inf before the first step);
+    the search forms its trials u - lam*s itself, so no hook writes an array
+    the loop steps.  ``stop(k, rows, u, r, ||G(u)||, accepted, lam, exact)``
+    sees iterate k (0 at the start) and the search that made it, and returns
     which rows leave.  A row whose search accepted no step length is still
     at iterate k - 1, and both callers' stops end it there.
 
@@ -214,7 +213,7 @@ def _newton_rows(model: OperatorModel, u, f_values, shifts, first_step, stop):
     """
     grid = model.grid
     rows = np.arange(len(u))
-    lam, accepted = np.ones(len(u)), np.ones(len(u), dtype=bool)
+    lam, accepted = np.full(len(u), math.inf), np.ones(len(u), dtype=bool)
 
     def exact(which):
         if k and np.count_nonzero(which):
@@ -250,9 +249,8 @@ def _newton_rows(model: OperatorModel, u, f_values, shifts, first_step, stop):
             # G goes before the line search: the search holds about a dozen
             # (S, n) arrays at its peak
             del g
-            lam0 = None if first_step is None else first_step(lam, step, lstep)
             u, r, lu, accepted, lam = line_search(
-                model, u, r, lu, step, lstep, a, f_values, g_norm, lam0
+                model, u, r, lu, step, lstep, a, f_values, g_norm, first_step(lam)
             )
             # as G above: the step and its image go before the next solve
             del step, lstep
@@ -294,7 +292,7 @@ def _regularized_rows(model: OperatorModel, f_values, a, starts):
             residual_norms[done], iterations[done] = g_norm[leave], k
         return leave
 
-    _newton_rows(model, solutions, f_values, lambda k, rows: a[rows], None, stop)
+    _newton_rows(model, solutions, f_values, lambda k, rows: a[rows], np.ones_like, stop)
     return solutions, r_solutions, residual_norms, iterations, residual_norms <= _TOL
 
 

@@ -571,6 +571,60 @@ def test_search_starts_at_twice_the_last_step_length():
     assert model.exact == model.sums == 2
 
 
+def _exp2_const_cell():
+    # the exp2-const preset's cell at delta_rel = 3%: cubic, const_one, n = 30,
+    # sine noise, a(t) = 4.55 delta^0.9 / (6 + t)
+    config = PRESETS["exp2-const"]
+    grid = QuadratureGrid(config.n_points)
+    model = OperatorModel(config.model, grid)
+    f = model.apply(exact_solution(config.exact, grid))
+    f_delta, delta = calibrate_noise(f, sine_noise(grid), 0.03)
+    return model, f_delta, delta, DiscreteSchedule(config.c0, delta, config.p, config.shift)
+
+
+def test_euler_takes_full_steps_below_the_armijo_slack():
+    """At h = 1e-5 the Armijo slack 1e-4*lam is on the step actually taken,
+    so the full Euler step passes: the run takes three steps of length h to
+    its cap rather than stalling at iterate 0."""
+    model, f_delta, delta, schedule = _exp2_const_cell()
+    record = run_euler(model, f_delta, delta, schedule, h=1e-5, max_steps=3)
+    assert record.n_stop == 3 and not record.stopped_by_discrepancy
+    assert record.step_lengths.tolist() == [1e-5] * 3
+
+
+@pytest.mark.parametrize("h", [0.5, 0.25, 3.0])
+def test_step_lengths_are_flow_time(monkeypatch, h):
+    """A run's step lengths are flow time, t += lam: each is h*2^-j.  The
+    search's first trial is the full Euler step h, h > 2 included, and after
+    that min(h, 2*lam) from the length lam last taken.  On exp1's cell with
+    c0 = 68.1 every step at h <= 1 is the full step, so it records h."""
+    starts = []
+
+    def spy(*args):
+        starts.append(args[-1].copy())
+        return line_search(*args)
+
+    line_search = regsolve.line_search
+    monkeypatch.setattr(regsolve, "line_search", spy)
+    model, f_delta, delta = _exp1_setup()
+    cells = [
+        _exp2_const_cell(),
+        (model, f_delta, delta, DiscreteSchedule(68.1, delta, 0.99, 1)),
+        (model, f_delta, delta, DiscreteSchedule(0.01, delta, 0.99, 1)),
+    ]
+    for i, (model, f_delta, delta, schedule) in enumerate(cells):
+        starts.clear()
+        record = run_euler(model, f_delta, delta, schedule, h=h, max_steps=2000)
+        lam = record.step_lengths
+        assert record.stopped_by_discrepancy and len(lam) == record.n_stop > 1
+        halvings = np.log2(h / lam)
+        assert np.all(halvings == np.round(halvings)) and halvings.min() >= 0
+        lam0 = np.concatenate(starts)
+        assert lam0.tolist() == [h] + np.minimum(h, 2.0 * lam[:-1]).tolist()
+        if i == 1 and h < 1:
+            assert lam.tolist() == [h] * record.n_stop
+
+
 def _count_wraps(monkeypatch, fn):
     calls = []
     init = GridFunction.__init__

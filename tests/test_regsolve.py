@@ -194,24 +194,25 @@ _N = 12
     data=st.data(),
 )
 def test_line_search_result_is_consistent(kind, a, data):
-    """Whatever the direction and first step length lam0, the search returns
+    """Whatever the direction s and first step length lam0, the search returns
     for every row a finite iterate, its data residual r = F - f and L; each
     row of a stack gets what it gets alone.  A row that reports acceptance
     took a step length lam = lam0*2^-k with an Armijo decrease at that lam,
     on the norm of G = a*iterate + r (the bits the search tested), and its
-    trial has L = L v - 2^-k L s, F that plus g, within rounding of the exact
-    F, and r that F minus f, bit for bit.  A row that does not stays at v
-    with the r, L v and lam0 it came in with, bit for bit.
-    The direction comes scaled by lam0, as the drivers pass it.  Scale 1e200
-    makes every candidate overflow F or the residual."""
+    trial is v - lam*s, with L = L v - lam*L s, F that plus g, within
+    rounding of the exact F, and r that F minus f, bit for bit.  A row that
+    does not stays at v with the r, L v and lam0 it came in with, bit for
+    bit.  The direction comes unscaled, as the Newton loop passes it; lam0
+    includes run step sizes that are not powers of two (3, 1e-5).  Scale
+    1e200 makes every candidate overflow F or the residual."""
     rows = data.draw(st.integers(1, 3))
     v = data.draw(arrays(np.float64, (rows, _N), elements=st.floats(-5.0, 5.0)))
     f_values = data.draw(arrays(np.float64, (rows, _N), elements=st.floats(-5.0, 5.0)))
     direction = data.draw(arrays(np.float64, (rows, _N), elements=st.floats(-100.0, 100.0)))
     scale = data.draw(arrays(np.float64, (rows, 1), elements=st.sampled_from([1.0, 1e3, 1e200])))
-    first = st.sampled_from([0.5 ** j for j in range(11)])
+    first = st.sampled_from([0.5 ** j for j in range(11)] + [3.0, 1e-5])
     lam0 = data.draw(arrays(np.float64, rows, elements=first))
-    direction = direction * scale * lam0[:, None]
+    direction = direction * scale
     grid = QuadratureGrid(_N)
     model = OperatorModel(kind, grid)
     fv, lv = model._split_values(v)
@@ -229,8 +230,8 @@ def test_line_search_result_is_consistent(kind, a, data):
         assert np.all(np.isfinite(new[k]))
         if accepted[k]:
             assert lam[k] in [lam0[k] * 0.5 ** j for j in range(41)]
-            np.testing.assert_array_equal(new[k], v[k] - (lam[k] / lam0[k]) * direction[k])
-            carried = lv[k] - (lam[k] / lam0[k]) * ldirection[k]
+            np.testing.assert_array_equal(new[k], v[k] - lam[k] * direction[k])
+            carried = lv[k] - lam[k] * ldirection[k]
             np.testing.assert_array_equal(l_new[k], carried)
             f_new = model._with_g(new[k], carried)
             np.testing.assert_array_equal(r_new[k], f_new - f_values[k])
@@ -264,7 +265,8 @@ def test_line_search_trials_run_no_running_sums(kind):
     # three rows along their Newton directions (on the cubic model two of
     # them halve, two and three times); no trial runs the kernel's running
     # sums.  Rows sent uphill fail, and stay at v with the r = F - f, L v and
-    # lam0 they came in with: no search, failed or not, runs them.
+    # lam0 they came in with: no search, failed or not, runs them.  Each
+    # search starts at the full step, as the regularized solve's do.
     grid = QuadratureGrid(30)
     model = _CountingKernel(kind, grid)
     v = np.stack([0.3 * np.cos(k * grid.nodes) for k in (1, 2, 3)])
@@ -275,7 +277,10 @@ def test_line_search_trials_run_no_running_sums(kind):
     g, g_norm = regularized_residual(grid, rv, v, a)
     step, lstep = model._newton_step(v, a, g)
     model.kernel_calls = 0
-    new, r_new, _, accepted, lam = line_search(model, v, rv, lv, step, lstep, a, f_values, g_norm)
+    full = np.ones(3)
+    new, r_new, _, accepted, lam = line_search(
+        model, v, rv, lv, step, lstep, a, f_values, g_norm, full
+    )
     assert model.kernel_calls == 0 and accepted.all()
     # Armijo at each row's lam, on the norm of G at the iterate the search returns
     new_norm = regularized_residual(grid, r_new, new, a)[1]
@@ -283,11 +288,13 @@ def test_line_search_trials_run_no_running_sums(kind):
     if kind == "cubic":
         assert lam.tolist() == [0.25, 0.125, 1.0]
     with np.errstate(over="ignore", invalid="ignore"):
-        *stay, accepted, lam = line_search(model, v, rv, lv, -step, -lstep, a, f_values, g_norm)
+        *stay, accepted, lam = line_search(
+            model, v, rv, lv, -step, -lstep, a, f_values, g_norm, full
+        )
     assert model.kernel_calls == 0 and not accepted.any()
     for got_stay, came_in in zip(stay, (v, rv, lv), strict=True):
         np.testing.assert_array_equal(got_stay, came_in)
-    np.testing.assert_array_equal(lam, np.ones(3))
+    np.testing.assert_array_equal(lam, full)
 
 
 def _stacked(model, f, shifts, start=None):
