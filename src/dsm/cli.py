@@ -42,6 +42,15 @@ def _comma_list(kind):
     return parse
 
 
+def number(text: str):
+    """Parser for a count such as ``100`` or ``1e2``: an int literal as an
+    int, any other number as a float, which the config checks is integral."""
+    try:
+        return int(text)
+    except ValueError:
+        return float(text)
+
+
 # config key -> (parser of its string value, help); the config-file line
 # ``key = value`` and the flag ``--key value`` (underscores as dashes) set
 # the key through the same parser, so both reject the same input
@@ -49,10 +58,10 @@ _CONFIG_KEYS = {
     "preset": (str, f"experiment preset: {', '.join(sorted(PRESETS))} (default exp1)"),
     "model": (str, f"operator model: {', '.join(MODEL_KINDS)}"),
     "exact": (str, f"exact solution: {', '.join(EXACT_KINDS)}"),
-    "n_points": (int, "grid size"),
+    "n_points": (number, "grid size"),
     "c0": (float, "schedule amplitude C0 in a_n = C0 delta^p / (n + shift)"),
     "p": (float, "schedule exponent p"),
-    "shift": (int, "schedule shift"),
+    "shift": (number, "schedule shift"),
     "delta_rel": (_comma_list(float), "comma-separated relative noise levels"),
     "seeds": (_comma_list(int), "comma-separated noise seeds"),
     "noise": (str, f"noise kind: {', '.join(NOISE_KINDS)}"),
@@ -60,7 +69,7 @@ _CONFIG_KEYS = {
     "h": (float, "Euler step size (mode euler only)"),
     "stop_c": (float, "stopping constant C"),
     "gamma": (float, "stopping exponent"),
-    "max_iter": (int, "step cap of a run"),
+    "max_iter": (number, "step cap of a run"),
     "out": (str, "output CSV path"),
 }
 

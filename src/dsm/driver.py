@@ -8,18 +8,23 @@ with the discrepancy-principle stop: quit at the first iterate with
 ``||F(u_n) - f_delta|| < C * delta**gamma``.  Like every norm in the
 package, the discrepancy and ``delta`` are in the quadrature-weighted L^2
 norm (:func:`dsm.hilbert.norms`), so the stop does not depend on the mesh.
-A run stops only on an exactly evaluated F(u_n); between stops the loop
-carries the data residual F(u_n) - f_delta from its line search, and the
-stop takes its norm as the discrepancy (see :mod:`dsm.regsolve`).
 
 :func:`run_batch` takes a batch of runs, one row each with its own data,
 schedule and threshold, through the package's one Newton loop (see
 :mod:`dsm.regsolve`); :func:`run_iteration` and :func:`run_euler` are its
-one-row case.  A step length lam is flow time, the fraction of the Newton
-step taken.  A run's line search starts at the full Euler step h, and after
-that at min(h, 2*lam), twice the step length it last took (Nocedal &
-Wright, *Numerical Optimization*, 2006, section 3.5), so the full step h is
-taken wherever the raw iteration is stable, and lam is always h*2^-j.
+one-row case.  It gives the loop the shift rule a(t) at t = n*h, the
+threshold test ||F(u_n) - f_delta|| < C * delta**gamma, the first step
+length and the step cap, and makes a :class:`RunRecord` of each row the loop
+hands back.  The loop owns the rest: the step table, the stall, the cap, and
+the exact evaluation of F(u_n) before a run leaves, so a run stops only on
+an exactly evaluated discrepancy; between stops the loop carries the data
+residual F(u_n) - f_delta from its line search.
+
+A step length lam is flow time, the fraction of the Newton step taken.  A
+run's line search starts at the full Euler step h, and after that at
+min(h, 2*lam), twice the step length it last took (Nocedal & Wright,
+*Numerical Optimization*, 2006, section 3.5), so the full step h is taken
+wherever the raw iteration is stable, and lam is always h*2^-j.
 Where no step length passes, the run stalls: it stays at the iterate it had
 and ends there, on F evaluated there exactly, as the regularized solve does
 (see :mod:`dsm.regsolve`).
@@ -156,7 +161,8 @@ class RunRecord:
       there and ended.
 
     ``wall_time`` runs from the start of the batch the run belonged to (see
-    :func:`run_batch`) to the run's stop.
+    :func:`run_batch`) to the run's end, when the Newton loop handed it back
+    in one of those three states.
     """
 
     final: GridFunction
@@ -166,74 +172,6 @@ class RunRecord:
     stopped_by_discrepancy: bool
     step_lengths: np.ndarray
     wall_time: float = field(default=0.0)
-
-
-def _drive(model, f_values, columns, thresholds, u, h, max_steps):
-    # The runs' side of the Newton loop.  columns holds the (S, 1) columns d,
-    # c and b of each stack row's schedule a(t) = d/(c + t)**b, and table[:, i]
-    # stack row i's a_n, residuals and step lengths by step.  The stop
-    # compacts columns, thresholds and table as rows leave, so they always
-    # match the stack and shifts(n, rows) reads them without indexing by
-    # rows.  table has room for 64 steps, then doubles.  Its a-row holds the
-    # shift each step took, written as it is computed, so a record keeps
-    # exactly those shifts and no stop has to compute them again.
-    start = time.perf_counter()
-    records = [None] * len(u)
-    table = np.empty((3, len(u), 0))
-    # the powers other than 1 (b = 1 takes none), each with its exponent as a
-    # scalar, as ContinuousSchedule.a takes it: numpy takes x ** 0.5 as
-    # sqrt(x), which differs from pow(x, 0.5) in the last bit
-    powers = set(columns[2].ravel().tolist()) - {1.0}
-
-    def shifts(n, rows):
-        nonlocal table
-        if n == table.shape[2]:
-            room = np.empty((3, table.shape[1], min(max(n, 64), max_steps + 1 - n)))
-            table = np.concatenate([table, room], axis=2)
-        d, c, b = columns
-        base = c + n * h
-        for power in powers:
-            base[b == power] **= power
-        return np.divide(d, base, out=table[0, :, n : n + 1])
-
-    def stop(n, rows, u, r, g_norm, accepted, lam, exact):
-        nonlocal table, columns, thresholds
-        if n:
-            table[2, :, n - 1] = lam
-        res = norms(model.grid, r)
-        # a row whose carried discrepancy meets its threshold, that is at the
-        # cap, or whose search accepted no step length (it stalled at iterate
-        # n - 1) is evaluated exactly; a row stops on its exact value, and a
-        # stalled row leaves whatever that reads
-        stalled = ~accepted
-        candidates = (res < thresholds) | (n == max_steps) | stalled
-        if np.count_nonzero(candidates):
-            exact(candidates)
-            res[candidates] = norms(model.grid, r[candidates])
-        table[1, :, n] = res
-        stopped = res < thresholds
-        leave = stopped | (n == max_steps) | stalled
-        if np.count_nonzero(leave):
-            wall = time.perf_counter() - start
-            for i in np.flatnonzero(leave):
-                # a stalled row's record ends at the iterate it stayed at,
-                # with the exact discrepancy there
-                m = n - 1 if stalled[i] else n
-                a_values, residuals, lengths = table[:, i, : m + 1].copy()
-                residuals[m] = res[i]
-                records[rows[i]] = RunRecord(
-                    GridFunction(model.grid, u[i]), m, residuals, a_values,
-                    bool(stopped[i]), lengths[:m], wall,
-                )
-            keep = ~leave
-            table, thresholds = table[:, keep], thresholds[keep]
-            columns = [column[keep] for column in columns]
-        return leave
-
-    # the first trial is the full Euler step h, then twice the last length
-    # (lam is inf before the first step), so lam is always h*2^-j
-    _newton_rows(model, u, f_values, shifts, lambda lam: np.minimum(h, 2.0 * lam), stop)
-    return records
 
 
 def run_batch(
@@ -263,8 +201,9 @@ def run_batch(
     Each step calls each Newton kernel once for all the rows still running,
     and a row's record is bit for bit the one it gets when run alone.
     ``RunRecord.wall_time`` is the time from the start of the batch to that
-    row's stop.  A :class:`~dsm.operators.SingularShiftError` names the
-    batch row it arose in.
+    row's end: its stop, cap or stall.  A
+    :class:`~dsm.operators.SingularShiftError` names the batch row it arose
+    in.
     """
     if not 0 < h < math.inf:
         raise ValueError(f"step size h must be positive and finite, got {h}")
@@ -278,12 +217,41 @@ def run_batch(
             raise ValueError(f"not a ContinuousSchedule: {schedule!r}")
     rule = rule or StoppingRule()
     thresholds = np.array([rule.threshold(delta) for delta in deltas])
-    # the schedules' d, c and b as three contiguous (S, 1) columns
-    columns = list(np.array([[s.d, s.c, s.b] for s in schedules]).T[:, :, None].copy())
     model._check(u0, *f_deltas)
     u = np.tile(np.zeros(model.grid.n) if u0 is None else u0.values, (len(f_deltas), 1))
     f_values = np.array([f_delta.values for f_delta in f_deltas])
-    return _drive(model, f_values, columns, thresholds, u, h, max_steps)
+    # the schedules' d, c and b as three contiguous (S, 1) columns, and the
+    # powers other than 1 (b = 1 takes none), each with its exponent as a
+    # scalar, as ContinuousSchedule.a takes it: numpy takes x ** 0.5 as
+    # sqrt(x), which differs from pow(x, 0.5) in the last bit
+    d, c, b = np.array([[s.d, s.c, s.b] for s in schedules]).T[:, :, None].copy()
+    powers = set(b.ravel().tolist()) - {1.0}
+
+    def shifts(n, d, c, b, threshold):
+        base = c + n * h
+        for power in powers:
+            base[b == power] **= power
+        return d / base
+
+    def test(r, g_norm, d, c, b, threshold):
+        res = norms(model.grid, r)
+        return res, res < threshold
+
+    def record(u, r, res, n, stopped, stalled, columns):
+        # a stalled run ends at the iterate it stayed at, n - 1
+        a_values, residuals, lengths = columns
+        return RunRecord(
+            GridFunction(model.grid, u), n - stalled, residuals, a_values, stopped,
+            lengths[:-1], time.perf_counter() - start,
+        )
+
+    start = time.perf_counter()
+    # the first trial is the full Euler step h, then twice the last length
+    # (lam is inf before the first step), so lam is always h*2^-j
+    return _newton_rows(
+        model, u, f_values, (d, c, b, thresholds), shifts, test,
+        lambda lam: np.minimum(h, 2.0 * lam), max_steps, record,
+    )
 
 
 def run_iteration(

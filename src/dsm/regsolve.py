@@ -7,15 +7,18 @@ the weighted L2 norm, finds it from any reasonable starting point.
 
 ``_newton_rows`` is that loop.  It advances a stack of rows ``(S, n)`` of
 raw node values with one shifted solve and one call of :func:`line_search`
-per step, and drops each row, with what it gets alone, at its caller's
-stop.  Each caller hands it its shifts in one form, ``shifts(k, rows)``,
-iterate k's column for the batch rows still in the stack:
-``_regularized_rows`` (a fixed shift per row, stop at the residual
-tolerance ``_TOL`` or after ``_MAX_ITER`` iterations), behind
-:func:`solve_regularized` and the paths of :mod:`dsm.checks`, and the run
-drivers in :mod:`dsm.driver` (a schedule a(t) at t = k*h).  Both stops
-share one rule for a failed search: a row whose line search accepts no
-step length stays at the iterate it had and leaves the loop there.
+per step, and owns every exit: a row leaves when its caller's stop test
+passes, at the caller's step cap, or when its line search accepts no step
+length (it stalls: it stays at the iterate it had and leaves there).  The
+loop drops a leaving row and its per-row data from the stack, keeps each
+row's table of shifts, test values and step lengths, and hands the row,
+with what it gets alone, to its caller.  Each caller gives it a shift rule,
+a stop test on one iterate, a first step length, a cap and its per-row
+arrays: ``_regularized_rows`` (a fixed shift per row, the residual
+tolerance ``_TOL``, ``_MAX_ITER`` iterations), behind
+:func:`solve_regularized` and the paths of :mod:`dsm.checks`, and
+:func:`dsm.driver.run_batch` (a schedule a(t) at t = k*h, the discrepancy
+threshold, the step cap).
 
 The loop carries each row's data residual r = F(u) - f_delta, not F(u):
 f_delta is subtracted once, where F is evaluated.  The Newton right-hand
@@ -28,8 +31,9 @@ running sums at the start and wherever a row is about to leave.  Between
 those, each iterate's r, and so its G and ||G||, are carried: the line
 search takes a trial's F as L v - lam*L s + g(v - lam*s), with L s = G - D s
 read off the Newton equation, so they differ from the exact values by the
-rounding of the shifted solves.  A caller's stop decides on exact values
-only.
+rounding of the shifted solves.  A row leaves on exact values only: the
+loop evaluates F again for a row that passes its test, stalls or reaches
+the cap, and tests it again on that.
 """
 
 from __future__ import annotations
@@ -129,8 +133,8 @@ def line_search(model: OperatorModel, v, rv, lv, step, lstep, a, f_values, g_nor
     per row, r and L carried from the trial that made the iterate; the
     caller forms G and ||G|| at the iterate with its next shift.  A row
     where no step length passes stays at v, bit for bit, with the r and L v
-    it came in with and its lam0; both Newton-loop callers end such a row at
-    their stop.  No search runs the kernel's running sums.  Trial points may
+    it came in with and its lam0; the Newton loop ends such a row there.  No
+    search runs the kernel's running sums.  Trial points may
     overflow: call it under ``np.errstate(over="ignore", invalid="ignore")``,
     as the Newton loop does.
     """
@@ -179,22 +183,41 @@ def line_search(model: OperatorModel, v, rv, lv, step, lstep, a, f_values, g_nor
     return new, r_new, lv_new, accepted, lam_out
 
 
-def _newton_rows(model: OperatorModel, u, f_values, shifts, first_step, stop):
+def _newton_rows(
+    model: OperatorModel, u, f_values, per_row, shifts, test, first_step, cap, done
+):
     """Step each row of ``u`` ``(S, n)`` still in the stack to u - lam*s,
     (F'(u) + a*I) s = r + a*u with r = F(u) - f the row's data residual and f
-    its row of ``f_values``, until ``stop`` has let every row leave.  The loop
-    carries r, not F: it subtracts f once, where F is evaluated, and every
-    reader takes r.  ``shifts(k, rows)`` gives iterate k's column ``(S, 1)``
-    of shifts for ``rows``, the batch rows still in the stack; the loop calls
-    it once per iterate, before the stop, and forms G(u) = a*u + r and
-    ||G(u)|| from it in that one place.  ``first_step(lam)`` returns each
-    row's first step length lam0 for the search, a fraction of the Newton
-    step s, from the length lam it last took (inf before the first step);
-    the search forms its trials u - lam*s itself, so no hook writes an array
-    the loop steps.  ``stop(k, rows, u, r, ||G(u)||, accepted, lam, exact)``
-    sees iterate k (0 at the start) and the search that made it, and returns
-    which rows leave.  A row whose search accepted no step length is still
-    at iterate k - 1, and both callers' stops end it there.
+    its row of ``f_values``, until every row has left, and return one entry
+    per batch row: what ``done`` made of it.  The loop carries r, not F: it
+    subtracts f once, where F is evaluated, and every reader takes r.
+
+    The caller gives its rules and its per-row data; the loop does the rest.
+    ``per_row`` is a tuple of the caller's per-row arrays, each ``(S,)`` or
+    ``(S, 1)``.  The loop drops a row's entries when it drops the row, so
+    they always match the stack, and hands them, unpacked, to the two rules:
+
+    - ``shifts(k, *per_row)`` gives iterate k's column ``(S, 1)`` of shifts.
+      The loop calls it once per iterate and forms G(u) = a*u + r and
+      ||G(u)|| from it in that one place.
+    - ``test(r, ||G(u)||, *per_row)`` is the stop test on one iterate: it
+      returns each row's value, a residual norm, and whether it passes.
+
+    ``first_step(lam)`` returns each row's first step length lam0 for the
+    search, a fraction of the Newton step s, from the length lam it last took
+    (inf before the first step); the search forms its trials u - lam*s
+    itself, so no rule writes an array the loop steps.
+
+    A row leaves at iterate k (0 at the start) in one of three ways: its
+    value passes; k reaches ``cap``; or it has stalled: the search that was
+    to make iterate k accepted no step length, so the row is still at iterate
+    k - 1, and it ends there.  The loop keeps each row's shift, value and
+    step length by iterate in one table, with room for 64 iterates, then
+    doubling up to ``cap + 1``.  A row leaving at iterate m (k - 1 if it
+    stalled, k if not) gets ``done(u, r, value, k, passed, stalled,
+    columns)``: its iterate and r, its value there, k, two bools, and its
+    table columns ``(3, m + 1)``: the shifts and values of iterates 0 to m
+    and the step lengths taken from them, the last one unused.
 
     F is evaluated through the kernel's running sums once, at the start.
     After that each iterate's r and L u are carried: they come from the line
@@ -205,22 +228,16 @@ def _newton_rows(model: OperatorModel, u, f_values, shifts, first_step, stop):
     by up to 1.7e-9 of the discrepancy over exp1's 55 steps on 1000 points.
     So a row leaves only on an exactly evaluated F (residual replacement, as
     in Krylov solvers: van der Vorst & Ye, SIAM J. Sci. Comput. 22, 2000).
-    ``stop`` calls ``exact(rows)`` on the rows whose carried value meets its
-    test, or that leave anyway; that evaluates their F and L u exactly,
-    replaces r, G(u) and ||G(u)|| in place, and the stop decides on the
-    exact values.  A row whose exact value does not pass continues from it.
-    Iterate 0's values are exact already.
+    A row that passes on its carried value, stalls or reaches the cap has
+    its F and L u evaluated again, and so its r, G(u) and ||G(u)||, and is
+    tested again on those; its value in the table is the exact one.  A row
+    whose exact value does not pass goes on from it.  Iterate 0's values are
+    exact already.
     """
     grid = model.grid
-    rows = np.arange(len(u))
+    rows, out = np.arange(len(u)), [None] * len(u)
     lam, accepted = np.full(len(u), math.inf), np.ones(len(u), dtype=bool)
-
-    def exact(which):
-        if k and np.count_nonzero(which):
-            i = np.flatnonzero(which)
-            fu, lu[i] = model._split_values(u[i])
-            r[i] = fu - f_values[i]
-            g[i], g_norm[i] = regularized_residual(grid, r[i], u[i], a[i])
+    table = np.empty((3, len(u), 0))
 
     # trial points may overflow; the line search rejects them by their norm
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
@@ -231,17 +248,40 @@ def _newton_rows(model: OperatorModel, u, f_values, shifts, first_step, stop):
         del fu
         k = 0
         while True:
-            a = shifts(k, rows)
+            if k == table.shape[2]:
+                room = np.empty((3, len(rows), min(max(k, 64), cap + 1 - k)))
+                table = np.concatenate([table, room], axis=2)
+            a = shifts(k, *per_row)
             g, g_norm = regularized_residual(grid, r, u, a)
-            leave = stop(k, rows, u, r, g_norm, accepted, lam, exact)
+            value, passed = test(r, g_norm, *per_row)
+            stalled = ~accepted
+            leave = passed | stalled | (k == cap)
+            if k and np.count_nonzero(leave):
+                i = np.flatnonzero(leave)
+                fu, lu[i] = model._split_values(u[i])
+                r[i] = fu - f_values[i]
+                g[i], g_norm[i] = regularized_residual(grid, r[i], u[i], a[i])
+                value, passed = test(r, g_norm, *per_row)
+                leave = passed | stalled | (k == cap)
+            table[0, :, k], table[1, :, k] = a[:, 0], value
+            if k:
+                table[2, :, k - 1] = lam
             n_leave = np.count_nonzero(leave)
-            if n_leave == len(rows):
-                return
             if n_leave:
+                for i in np.flatnonzero(leave).tolist():
+                    m = k - 1 if stalled[i] else k
+                    columns = table[:, i, : m + 1].copy()
+                    columns[1, m] = value[i]
+                    out[rows[i]] = done(
+                        u[i], r[i], value[i], k, bool(passed[i]), bool(stalled[i]), columns
+                    )
+                if n_leave == len(rows):
+                    return out
                 keep = ~leave
                 rows, u, r, lu, f_values, a, g, g_norm, lam = (
                     x[keep] for x in (rows, u, r, lu, f_values, a, g, g_norm, lam)
                 )
+                table, per_row = table[:, keep], tuple(x[keep] for x in per_row)
             try:
                 step, lstep = model._newton_step(u, a, g)
             except SingularShiftError as err:
@@ -259,40 +299,27 @@ def _newton_rows(model: OperatorModel, u, f_values, shifts, first_step, stop):
 
 def _regularized_rows(model: OperatorModel, f_values, a, starts):
     # Solve F(v) + a*v = f by damped Newton for a stack of rows on raw arrays,
-    # all rows taking full steps in one stack: the rows ``starts`` (S, n), a
-    # C-ordered array it overwrites with the solutions, the data ``f_values``,
-    # one row (n,) for every shift or a C-ordered stack (S, n) of one row per
-    # shift, and a column ``a`` (S, 1) of shifts.  A row leaves when it meets
-    # ``_TOL``, at ``_MAX_ITER`` iterations, and, with the iterate it had
-    # before, when no step length passes its Armijo test; it gets bit for bit
-    # what it gets alone.  Returns (solutions, r(solutions), residual_norms,
-    # iterations, converged), with r = F - f the data residual.  Every row
-    # leaves on an exactly evaluated F: a row whose carried residual norm
-    # meets _TOL, or that reaches the cap, has F and its norm evaluated again
-    # (see _newton_rows) and converges only if the exact norm meets _TOL; a
-    # row that leaves at a failed search is evaluated at the iterate before
-    # it.
+    # all rows taking full steps in one stack: from the rows ``starts``
+    # (S, n), for the data ``f_values``, one row (n,) for every shift or a
+    # stack (S, n) of one row per shift, and a column ``a`` (S, 1) of shifts.
+    # A row converges when its residual norm, exactly evaluated, meets
+    # ``_TOL``, and leaves unconverged at ``_MAX_ITER`` iterations or, with
+    # the iterate it had before, when no step length passes its Armijo test
+    # (see _newton_rows); it gets bit for bit what it gets alone.  Returns
+    # (solutions, r(solutions), residual_norms, iterations, converged), with
+    # r = F - f the data residual; a row that stalled counts its failed
+    # search as an iteration.
     valid = (a > 0) & (a < math.inf)
     if not valid.all():
         raise ValueError(f"shift a must be positive and finite, got {a[~valid][0]}")
     if f_values.ndim == 1:
         f_values = np.tile(f_values, (len(a), 1))
-    solutions, r_solutions = starts, np.empty_like(starts)
-    residual_norms, iterations = np.empty(len(a)), np.zeros(len(a), dtype=int)
-
-    def stop(k, rows, v, r, g_norm, accepted, lam, exact):
-        # a row whose search failed is still at the iterate before it, and
-        # leaves with that; exact evaluates it there
-        at_cap = k == _MAX_ITER
-        exact(~accepted | ~(g_norm > _TOL) | at_cap)
-        leave = ~accepted | ~(g_norm > _TOL) | at_cap
-        if np.count_nonzero(leave):
-            done = rows[leave]
-            solutions[done], r_solutions[done] = v[leave], r[leave]
-            residual_norms[done], iterations[done] = g_norm[leave], k
-        return leave
-
-    _newton_rows(model, solutions, f_values, lambda k, rows: a[rows], np.ones_like, stop)
+    solved = _newton_rows(
+        model, starts, f_values, (a,), lambda k, a: a,
+        lambda r, g_norm, a: (g_norm, ~(g_norm > _TOL)), np.ones_like, _MAX_ITER,
+        lambda v, r, norm, k, *_: (v, r, norm, k),
+    )
+    solutions, r_solutions, residual_norms, iterations = map(np.array, zip(*solved))
     return solutions, r_solutions, residual_norms, iterations, residual_norms <= _TOL
 
 
@@ -307,7 +334,6 @@ def solve_regularized(
     ``converged`` is False unless it already meets the tolerance.
     """
     model._check(f_delta)
-    # the start 0 as one C-ordered row, which the solve overwrites
     row = np.zeros((1, model.grid.n))
     a = np.array([[a]], dtype=float)
     v, _, norm, iterations, converged = (

@@ -5,6 +5,7 @@ import re
 
 import pytest
 
+from dsm import operators
 from dsm.cli import _CONFIG_KEYS, _build_parser, _resolve, load_config_file, main
 from dsm.harness import PRESETS
 
@@ -390,3 +391,56 @@ def test_config_file_key_set_twice_exit_2(tmp_path, capsys):
     assert main(["run", "--config", str(cfg), "--delta-rel", "0.03", "--seeds", "1"]) == 2
     out, err = capsys.readouterr()
     assert "line 2" in err and "n_iterations" not in out
+
+
+
+def _rows_without_wall_time(path):
+    return [line.rsplit(",", 1)[0] for line in path.read_text().splitlines()]
+
+
+def test_integral_float_grid_size_runs_the_integer_grid(tmp_path, capsys):
+    # n_points = 1e2, as a flag or as a file line, is n_points = 100: the
+    # same rows, wall time aside
+    cfg = tmp_path / "n.cfg"
+    cfg.write_text("n_points = 1e2\n")
+    rows = []
+    for extra in (["--n-points", "100"], ["--n-points", "1e2"], ["--config", str(cfg)]):
+        out = tmp_path / "rows.csv"
+        assert main(FAST_ARGS + extra + ["--out", str(out)]) == 0
+        rows.append(_rows_without_wall_time(out))
+    assert rows[0] == rows[1] == rows[2]
+    assert len(rows[0]) == 3 and all(",100," in row for row in rows[0][1:])
+
+
+@pytest.mark.parametrize("key, value", [
+    ("n_points", "40.5"), ("shift", "2.5"), ("max_iter", "3.5"), ("max_iter", "inf"),
+])
+def test_non_integral_count_is_configuration_error(tmp_path, capsys, key, value):
+    # the count keys take any number literal, and the config rejects one
+    # that is not integral, naming the key, from a flag as from a file line
+    assert main(FAST_ARGS + ["--" + key.replace("_", "-"), value]) == 2
+    assert f"{key} must be an integer" in capsys.readouterr().err
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(f"{key} = {value}\n")
+    assert main(FAST_ARGS + ["--config", str(cfg)]) == 2
+    assert f"{key} must be an integer" in capsys.readouterr().err
+
+
+def test_tiny_schedule_runs_through_the_rescaled_solve(tmp_path, monkeypatch):
+    # c0 = 1e-25 gives shifts so small (a_0 = 8.6e-28) that the shifted
+    # solve takes the operators' _RESCALE_DIAG branch, which scales a row's
+    # right-hand side by a power of 2; the run still stops, in 16 steps
+    rescaled = []
+    solve = operators.OperatorModel._solve_factored
+
+    def spy(self, d, e, coupling, shift, rhs, top):
+        rescaled.append(top is not None and bool((top > operators._RESCALE_DIAG).any()))
+        return solve(self, d, e, coupling, shift, rhs, top)
+
+    monkeypatch.setattr(operators.OperatorModel, "_solve_factored", spy)
+    out = tmp_path / "rows.csv"
+    argv = ["run", "--preset", "exp1", "--c0", "1e-25", "--delta-rel", "0.01", "--seeds", "1"]
+    assert main(argv + ["--out", str(out)]) == 0
+    row = dict(zip(*(line.split(",") for line in out.read_text().splitlines())))
+    assert (row["n_iterations"], row["stopped"]) == ("16", "true")
+    assert any(rescaled)

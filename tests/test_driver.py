@@ -444,6 +444,47 @@ def test_a_stalled_row_leaves_its_neighbours_as_they_run_alone():
         np.testing.assert_array_equal(record.final.values, want.final.values)
 
 
+class _UphillAtShift(OperatorModel):
+    """Turns the Newton step of each row at the shift ``uphill`` around, with
+    its image L s, so no step length of that row's search passes its Armijo
+    test."""
+
+    uphill = None
+
+    def _newton_step(self, values, a, rhs):
+        step, lstep = super()._newton_step(values, a, rhs)
+        flip = a[:, 0] == self.uphill
+        step[flip], lstep[flip] = -step[flip], -lstep[flip]
+        return step, lstep
+
+
+@pytest.mark.parametrize("stall, cap", [(9, 12), (12, 12), (5, 9)])
+def test_rows_leave_by_all_three_exits_as_they_run_alone(stall, cap):
+    """In one batch of exp1's cell at c0 = 10.7, 30 and 68.1, the first row
+    stops by discrepancy at step 9; the second row's search from iterate
+    stall - 1 is sent uphill, so it stalls there; and the third, whose own
+    stop is step 55, reaches the cap.  Each case puts two of the three exits
+    in one iterate.  Every record is bit for bit the one its row gets alone,
+    and the stalled row's last residual is its exact discrepancy."""
+    model, f_delta, delta = _exp1_setup()
+    schedules = [DiscreteSchedule(c0, delta, 0.99, 1) for c0 in (10.7, 30.0, 68.1)]
+    faulty = _UphillAtShift("arctan3", model.grid)
+    faulty.uphill = schedules[1].a(stall - 1)
+    batch = run_batch(faulty, [f_delta] * 3, [delta] * 3, schedules, max_steps=cap)
+    assert [(r.n_stop, r.stopped_by_discrepancy) for r in batch] == [
+        (9, True), (stall - 1, False), (cap, False)
+    ]
+    exact = norms(model.grid, model.apply(batch[1].final).values - f_delta.values)
+    assert batch[1].residuals[-1] == exact
+    for record, schedule in zip(batch, schedules):
+        want = run_iteration(faulty, f_delta, delta, schedule, max_iter=cap)
+        assert record.n_stop == want.n_stop
+        assert record.stopped_by_discrepancy == want.stopped_by_discrepancy
+        for name in ("residuals", "a_values", "step_lengths"):
+            np.testing.assert_array_equal(getattr(record, name), getattr(want, name))
+        np.testing.assert_array_equal(record.final.values, want.final.values)
+
+
 # c0 * (n - 1)**(p/2) for c0 = 3, p = 0.9 on the 60-point grid below: the
 # arctan_setup runs take about 20 steps before the discrepancy stop
 ARCTAN_C0 = 18.8

@@ -384,15 +384,19 @@ def test_failed_armijo_search_stops_with_the_iterate_before_it(grid, kind, monke
 
 
 class _UphillSecondStep(OperatorModel):
-    """Turns the Newton loop's second step around, with its image L s, so
-    no step length of that search passes its Armijo test."""
+    """Turns the Newton loop's second step around, with its image L s, for
+    the rows at the shift ``uphill`` (every row by default), so no step
+    length of their search passes its Armijo test."""
 
-    solves = 0
+    solves, uphill = 0, None
 
     def _newton_step(self, values, a, rhs):
         self.solves += 1
         step, lstep = super()._newton_step(values, a, rhs)
-        return (-step, -lstep) if self.solves == 2 else (step, lstep)
+        if self.solves == 2:
+            flip = slice(None) if self.uphill is None else a[:, 0] == self.uphill
+            step[flip], lstep[flip] = -step[flip], -lstep[flip]
+        return step, lstep
 
 
 @pytest.mark.parametrize("kind", ["arctan3", "cubic"])
@@ -420,6 +424,39 @@ def test_rows_return_f_at_their_solutions(grid, kind):
         assert (norms[k], iterations[k], converged[k]) == (
             alone.residual_norm, alone.iterations, alone.converged
         )
+
+
+@pytest.mark.parametrize("kind", ["arctan3", "cubic"])
+def test_rows_leave_by_all_three_exits_as_they_do_alone(grid, kind, monkeypatch):
+    # in one stack the shift 1e6 row converges at iteration 1, the 1e-3 row's
+    # second search is sent uphill, so it stalls at iteration 2 with iterate
+    # 1, and the 1e-2 row (8 or 9 iterations uncapped) reaches the cap of 3;
+    # each gets bit for bit what it gets alone, with F - f exact at its
+    # solution
+    monkeypatch.setattr(regsolve, "_MAX_ITER", 3)
+    f = GridFunction(grid, 1.0 + grid.nodes)
+    shifts = [1e6, 1e-2, 1e-3]
+
+    def rows(shifts):
+        model = _UphillSecondStep(kind, grid)
+        model.uphill = 1e-3
+        a = np.array(shifts).reshape(-1, 1)
+        return _regularized_rows(model, f.values, a, np.zeros((len(shifts), grid.n)))
+
+    stacked = rows(shifts)
+    solutions, r_solutions, _, iterations, converged = stacked
+    assert converged.tolist() == [True, False, False]
+    assert iterations.tolist() == [1, 3, 2]
+    plain = OperatorModel(kind, grid)
+    np.testing.assert_array_equal(r_solutions, plain.apply_values(solutions) - f.values)
+    for k, a in enumerate(shifts):
+        for got, want in zip(stacked, rows([a])):
+            np.testing.assert_array_equal(got[k], want[0])
+    # the stalled row holds its iterate 1, the capped row has gone past it
+    monkeypatch.setattr(regsolve, "_MAX_ITER", 1)
+    first = _stacked(plain, f, shifts[1:])[0]
+    np.testing.assert_array_equal(solutions[2], first[1])
+    assert not np.array_equal(solutions[1], first[0])
 
 
 class _FalseFirstConvergence(OperatorModel):
