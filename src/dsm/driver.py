@@ -266,8 +266,8 @@ def run_iteration(
     """Run the paper's damped-Newton iteration, h = 1, so step n takes a(n)
     (the paper's a_n for a schedule from :func:`DiscreteSchedule`): the
     one-row case of :func:`run_batch`."""
-    if max_iter < 1:
-        raise ValueError(f"max_iter must be >= 1, got {max_iter}")
+    if not (max_iter >= 1 and float(max_iter).is_integer()):
+        raise ValueError(f"max_iter must be an integer >= 1, got {max_iter}")
     return run_batch(model, [f_delta], [delta], [schedule], rule, u0, 1.0, max_iter)[0]
 
 

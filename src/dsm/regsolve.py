@@ -20,11 +20,16 @@ tolerance ``_TOL``, ``_MAX_ITER`` iterations), behind
 :func:`dsm.driver.run_batch` (a schedule a(t) at t = k*h, the discrepancy
 threshold, the step cap).
 
-The loop carries each row's data residual r = F(u) - f_delta, not F(u):
-f_delta is subtracted once, where F is evaluated.  The Newton right-hand
-side is G = a*u + r and a run's discrepancy is ||r||, so no caller forms
-F - f_delta again.  G and ||G|| are formed in one place, from r and the
-iterate's shift, once per iterate.
+:func:`line_search` is one loop over the trials u - lam0*2^-k*s, k = 0 to
+``_HALVINGS``, on a stack of the rows still searching: a row that passes
+leaves the stack with its trial, and a row that never passes keeps the
+iterate, r and L u it came in with, so it stalls where it was.
+
+The Newton loop carries each row's data residual r = F(u) - f_delta, not
+F(u): f_delta is subtracted once, where F is evaluated.  The Newton
+right-hand side is G = a*u + r and a run's discrepancy is ||r||, so no
+caller forms F - f_delta again.  G and ||G|| are formed in one place, from
+r and the iterate's shift, once per iterate.
 
 Which residuals are exact: F(u) = L u + g(u) runs through the kernel's
 running sums at the start and wherever a row is about to leave.  Between
@@ -126,61 +131,54 @@ def line_search(model: OperatorModel, v, rv, lv, step, lstep, a, f_values, g_nor
     first candidate with ||G|| <= (1 - 1e-4*lam) * g_norm (Armijo).  For a
     Newton direction the slope of ||G(v - lam*s)|| at lam = 0 is -g_norm, so
     a small enough lam always passes unless rounding intervenes, whatever
-    lam0 is.  The first trial evaluates every row at once; each halving
-    evaluates only the rows that have not yet passed.
+    lam0 is.
+
+    One loop runs the trials k = 0, 1, ..., ``_HALVINGS`` on a stack of the
+    rows still searching, so a row's trial count is k + 1 at the k where it
+    passes.  When every row passes at one trial and none passed before it,
+    that trial is the result.  Otherwise the result starts, at the first
+    trial, from copies of each row's v, r, L v and lam0; a row that passes
+    is written into it and leaves the stack.  A row where no step length
+    passes thus keeps, bit for bit, what it came in with; the Newton loop
+    ends such a row there.
 
     Returns ``(iterate, r(iterate), L iterate, accepted, lam)``, one entry
     per row, r and L carried from the trial that made the iterate; the
-    caller forms G and ||G|| at the iterate with its next shift.  A row
-    where no step length passes stays at v, bit for bit, with the r and L v
-    it came in with and its lam0; the Newton loop ends such a row there.  No
+    caller forms G and ||G|| at the iterate with its next shift.  No
     search runs the kernel's running sums.  Trial points may
     overflow: call it under ``np.errstate(over="ignore", invalid="ignore")``,
     as the Newton loop does.
     """
     grid = model.grid
-    column = lam0[:, None]
-    new = v - column * step
-    lv_new = lv - column * lstep
-    r_new = model._with_g(new, lv_new) - f_values
-    norm = regularized_residual(grid, r_new, new, a)[1]
-    accepted = norm <= (1.0 - _DECREASE_SLACK * lam0) * g_norm
-    if np.count_nonzero(accepted) == len(accepted):
-        return new, r_new, lv_new, accepted, lam0
-    # The rows still searching, stacked; a row that passes leaves the stack.
-    lam_out = lam0.copy()
-    pending = np.flatnonzero(~accepted)
-    stack = (v, lv, step, lstep, a, f_values, g_norm, lam0)
-    if len(pending) < len(v):
-        stack = tuple(x[pending] for x in stack)
-    vp, lvp, sp, lsp, ap, fp, gp, lam = stack
-    for _ in range(_HALVINGS):
-        lam = 0.5 * lam
+    stack, lam = (v, lv, step, lstep, a, f_values, g_norm), lam0
+    for k in range(_HALVINGS + 1):
+        vk, lvk, sk, lsk, ak, fk, gk = stack
         column = lam[:, None]
-        candidate = vp - column * sp
-        lc = lvp - column * lsp
-        rc = model._with_g(candidate, lc) - fp
-        cand_norm = regularized_residual(grid, rc, candidate, ap)[1]
-        passed = cand_norm <= (1.0 - _DECREASE_SLACK * lam) * gp
+        candidate = vk - column * sk
+        lc = lvk - column * lsk
+        rc = model._with_g(candidate, lc) - fk
+        norm = regularized_residual(grid, rc, candidate, ak)[1]
+        passed = norm <= (1.0 - _DECREASE_SLACK * lam) * gk
         n_passed = np.count_nonzero(passed)
         if n_passed == len(v):
-            # every row searched to this step length and passed here
+            # no row passed before this trial, and every row passes here
             return candidate, rc, lc, passed, lam
+        if not k:
+            # each row starts from what it came in with, which a row that
+            # never passes keeps
+            result = v.copy(), rv.copy(), lv.copy(), np.zeros(len(v), dtype=bool), lam0.copy()
+            rows = np.arange(len(v))
         if n_passed:
-            rows = pending[passed]
-            new[rows], r_new[rows], lv_new[rows] = candidate[passed], rc[passed], lc[passed]
-            lam_out[rows] = lam[passed]
-            accepted[rows] = True
+            passing = rows[passed]
+            for out, trial in zip(result, (candidate, rc, lc, passed, lam)):
+                out[passing] = trial[passed]
+            if n_passed == len(rows):
+                return result
             keep = ~passed
-            if not np.count_nonzero(keep):
-                return new, r_new, lv_new, accepted, lam_out
-            pending, vp, lvp, sp, lsp, ap, fp, gp, lam = (
-                x[keep] for x in (pending, vp, lvp, sp, lsp, ap, fp, gp, lam)
-            )
-    # No step length passed: these rows stay at v, with the r and L v they
-    # came in with and their lam0.
-    new[pending], r_new[pending], lv_new[pending] = vp, rv[pending], lvp
-    return new, r_new, lv_new, accepted, lam_out
+            rows, lam = rows[keep], lam[keep]
+            stack = tuple(x[keep] for x in stack)
+        lam = 0.5 * lam
+    return result
 
 
 def _newton_rows(

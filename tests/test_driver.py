@@ -226,8 +226,11 @@ def test_euler_zero_steps(identity_setup):
 
 def test_driver_schedule_type_checks(identity_setup):
     grid, model, f_delta = identity_setup
-    with pytest.raises(ValueError):
-        run_iteration(model, f_delta, 0.01, DiscreteSchedule(1.0, 0.01, 0.9, 1), max_iter=0)
+    for max_iter in (0, 2.5):
+        with pytest.raises(ValueError, match=f"max_iter must be an integer >= 1, got {max_iter}"):
+            run_iteration(
+                model, f_delta, 0.01, DiscreteSchedule(1.0, 0.01, 0.9, 1), max_iter=max_iter
+            )
     with pytest.raises(ValueError):
         run_euler(model, f_delta, 0.01, ContinuousSchedule(1.0, 1.0, 1.0), h=0.0)
     with pytest.raises(ValueError):

@@ -296,6 +296,49 @@ def test_line_search_trials_run_no_running_sums(kind):
         np.testing.assert_array_equal(got_stay, came_in)
     np.testing.assert_array_equal(lam, full)
 
+    # Stacks through every exit of the search's trial loop, near the
+    # solution of the regularized equation, where G(v - lam*s) is about
+    # (1 - lam) G: from lam0 = 6 the trials 6 and 3 fail and 1.5 passes.
+    # In the first, row 0 passes at its first trial, row 1 at its third, and
+    # row 2, sent uphill, never passes and keeps v, r, L v and lam0 bit for
+    # bit.  In the second every row fails its first trial and all pass at
+    # the same halving.  In the third the rows pass at three different
+    # trials, the last row leaving the stack empty.  Each row is its one-row
+    # search, bit for bit.
+    a = np.ones((3, 1))
+    f_values = model._split_values(v)[0] + a * v
+    f_values += 1e-2 * np.stack([np.sin(k * grid.nodes) for k in (1, 2, 3)])
+    fv, lv = model._split_values(v)
+    rv = fv - f_values
+    g, g_norm = regularized_residual(grid, rv, v, a)
+    step, lstep = model._newton_step(v, a, g)
+    uphill = np.array([[1.0], [1.0], [-1.0]])
+    model.kernel_calls = 0
+    for lam0, sign, k_pass in (
+        (np.array([1.0, 6.0, 1.0]), uphill, [0, 2, None]),
+        (np.full(3, 6.0), np.ones((3, 1)), [2, 2, 2]),
+        (np.array([1.0, 6.0, 12.0]), np.ones((3, 1)), [0, 2, 3]),
+    ):
+        direction, ldirection = sign * step, sign * lstep
+        with np.errstate(over="ignore", invalid="ignore"):
+            got = line_search(model, v, rv, lv, direction, ldirection, a, f_values, g_norm, lam0)
+            for row, k in enumerate(k_pass):
+                one = slice(row, row + 1)
+                alone = line_search(
+                    model, v[one], rv[one], lv[one], direction[one], ldirection[one], a[one],
+                    f_values[one], g_norm[one], lam0[one],
+                )
+                for got_alone, want in zip(alone, got, strict=True):
+                    np.testing.assert_array_equal(got_alone[0], want[row])
+                assert got[3][row] == (k is not None)
+                if k is None:
+                    for got_stay, came_in in zip(got[:3], (v, rv, lv), strict=True):
+                        np.testing.assert_array_equal(got_stay[row], came_in[row])
+                    assert got[4][row] == lam0[row]
+                else:
+                    assert got[4][row] == lam0[row] * 0.5 ** k
+        assert model.kernel_calls == 0
+
 
 def _stacked(model, f, shifts, start=None):
     # every shift's solve, from the node values start (default 0), as one
