@@ -53,7 +53,7 @@ import numpy as np
 
 from . import regsolve
 from .driver import ContinuousSchedule
-from .harness import _uniforms, calibrate_noise, exact_solution, sine_noise
+from .harness import _csv, _fmt, _table, _uniforms, calibrate_noise, exact_solution, sine_noise
 from .hilbert import GridFunction, GridMismatchError, QuadratureGrid, norm, norms
 from .operators import OperatorModel, SingularShiftError
 from .regsolve import ConvergenceError, _regularized_rows, solve_regularized
@@ -695,22 +695,15 @@ def run_lemma_suite(kinds=("identity", "arctan3", "cubic")) -> list:
     return reports
 
 
+def _report_cells(reports):
+    header = ["name", "passed", "worst_margin", "samples"]
+    return header, [[_fmt(getattr(r, key)) for key in header] for r in reports]
+
+
 def reports_to_csv(reports, path):
-    lines = ["name,passed,worst_margin,samples"]
-    for r in reports:
-        lines.append(f"{r.name},{str(r.passed).lower()},{r.worst_margin:.6g},{r.samples}")
     with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(_csv(*_report_cells(reports)))
 
 
 def format_reports(reports) -> str:
-    rows = [("name", "passed", "worst_margin", "samples")]
-    for r in reports:
-        rows.append((r.name, str(r.passed).lower(), f"{r.worst_margin:.6g}", str(r.samples)))
-    widths = [max(len(row[i]) for row in rows) for i in range(4)]
-    out = []
-    for k, row in enumerate(rows):
-        out.append("  ".join(cell.ljust(widths[i]) for i, cell in enumerate(row)).rstrip())
-        if k == 0:
-            out.append("  ".join("-" * w for w in widths))
-    return "\n".join(out)
+    return _table(*_report_cells(reports))

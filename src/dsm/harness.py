@@ -317,6 +317,7 @@ def run_experiment(config: ExperimentConfig) -> list:
 
 
 def _fmt(value) -> str:
+    # the one cell format of the result and lemma-report tables and CSVs
     if isinstance(value, bool):
         return str(value).lower()
     if isinstance(value, float):
@@ -324,11 +325,19 @@ def _fmt(value) -> str:
     return str(value)
 
 
+def _table(header, body) -> str:
+    # string cells, right-justified in columns two spaces apart under a dash rule
+    widths = [max(map(len, column)) for column in zip(header, *body)]
+    lines = [header, ["-" * w for w in widths], *body]
+    return "\n".join("  ".join(c.rjust(w) for c, w in zip(line, widths)) for line in lines)
+
+
+def _csv(header, body) -> str:
+    return "".join(",".join(line) + "\n" for line in [header, *body])
+
+
 def rows_to_csv(rows) -> str:
-    lines = [CSV_HEADER]
-    for row in rows:
-        lines.append(",".join(_fmt(v) for v in astuple(row)))
-    return "\n".join(lines) + "\n"
+    return _csv(CSV_HEADER.split(","), [[_fmt(v) for v in astuple(row)] for row in rows])
 
 
 def emit_csv(rows, path) -> None:
@@ -338,19 +347,7 @@ def emit_csv(rows, path) -> None:
 
 def format_table(rows) -> str:
     """Fixed-width table of the same fields, for terminal output."""
-    header = CSV_HEADER.split(",")
-    body = [[_fmt(v) for v in astuple(row)] for row in rows]
-    widths = [
-        max(len(header[i]), max((len(r[i]) for r in body), default=0))
-        for i in range(len(header))
-    ]
-    lines = [
-        "  ".join(h.rjust(widths[i]) for i, h in enumerate(header)),
-        "  ".join("-" * w for w in widths),
-    ]
-    for r in body:
-        lines.append("  ".join(r[i].rjust(widths[i]) for i in range(len(header))))
-    return "\n".join(lines)
+    return _table(CSV_HEADER.split(","), [[_fmt(v) for v in astuple(row)] for row in rows])
 
 
 def run_solution_dump(config: ExperimentConfig, out=None):
@@ -362,13 +359,10 @@ def run_solution_dump(config: ExperimentConfig, out=None):
         if len(getattr(config, key)) != 1:
             raise ValueError(f"a solution dump runs one cell; got {key} {getattr(config, key)}")
     cell = next(iter(run_cells(config)))
-    lines = ["x,u_exact,u_dsm"]
-    for x, ue, ud in zip(
-        cell.model.grid.nodes, cell.u_exact.values, cell.record.final.values
-    ):
-        # repr of Python floats round-trips exactly
-        lines.append(f"{float(x)!r},{float(ue)!r},{float(ud)!r}")
-    text = "\n".join(lines) + "\n"
+    columns = (cell.model.grid.nodes, cell.u_exact.values, cell.record.final.values)
+    # repr of Python floats round-trips exactly
+    body = [[repr(float(v)) for v in line] for line in zip(*columns)]
+    text = _csv(["x", "u_exact", "u_dsm"], body)
     if out is not None:
         with open(out, "w") as fh:
             fh.write(text)

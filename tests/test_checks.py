@@ -798,6 +798,12 @@ def test_suite_and_report_serialization(tmp_path):
     lines = path.read_text().splitlines()
     assert lines[0] == "name,passed,worst_margin,samples"
     assert len(lines) == len(reports) + 1
+    # the cells of the harness's CSV: lower-case booleans, .6g floats
+    first = reports[0]
+    assert lines[1].split(",") == [
+        first.name, "true", f"{first.worst_margin:.6g}", str(first.samples)
+    ]
+    assert lines[1].split(",")[3].isdigit()
 
     table = format_reports(reports)
     assert "worst_margin" in table

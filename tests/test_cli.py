@@ -429,7 +429,10 @@ def test_non_integral_count_is_configuration_error(tmp_path, capsys, key, value)
 def test_tiny_schedule_runs_through_the_rescaled_solve(tmp_path, monkeypatch):
     # c0 = 1e-25 gives shifts so small (a_0 = 8.6e-28) that the shifted
     # solve takes the operators' _RESCALE_DIAG branch, which scales a row's
-    # right-hand side by a power of 2; the run still stops, in 16 steps
+    # right-hand side by a power of 2; the run still stops, in 16 steps.
+    # Its record has the same bits without the branch; exp1-const at
+    # n = 1000 and c0 = 3e-306 is a config whose final iterate's bits the
+    # branch changes (tools/record_hash.py hashes it)
     rescaled = []
     solve = operators.OperatorModel._solve_factored
 

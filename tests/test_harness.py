@@ -23,6 +23,7 @@ from dsm.harness import (
     run_solution_dump,
     sine_noise,
 )
+from dsm.checks import CheckReport, format_reports
 from dsm.hilbert import GridFunction, QuadratureGrid, norm, rel_error
 
 
@@ -372,8 +373,22 @@ def test_format_table_has_two_header_lines():
     rows = run_experiment(FAST)
     lines = format_table(rows).splitlines()
     assert "delta_rel" in lines[0] and "wall_time_s" in lines[0]
-    assert set(lines[1]) <= {"-", " "}
-    assert len(lines) == len(rows) + 2
+    # the lemma reports print in the same layout: a header, a dash rule, one
+    # line per row, every column right-justified, so every line is as wide
+    reports = [
+        CheckReport("cubic:monotonicity", True, 3.8e-05, 38, 1e-9),
+        CheckReport("gronwall_majorant", False, -0.25, 10001, 0.0),
+    ]
+    report_lines = format_reports(reports).splitlines()
+    assert report_lines[0].split() == ["name", "passed", "worst_margin", "samples"]
+    assert report_lines[2].split() == ["cubic:monotonicity", "true", "3.8e-05", "38"]
+    for lines, n_rows in ((lines, len(rows)), (report_lines, len(reports))):
+        assert set(lines[1]) <= {"-", " "}
+        assert len(lines) == n_rows + 2
+        assert len({len(line) for line in lines}) == 1
+        assert [len(dashes) for dashes in lines[1].split()] == [
+            max(len(line.split()[i]) for line in lines) for i in range(len(lines[0].split()))
+        ]
 
 
 def test_solution_dump(tmp_path):
