@@ -22,7 +22,10 @@ tridiagonal: (1 - rho^2) E^{-1} = T with diagonal (1, 1 + rho^2, ...,
 1 + rho^2, 1) and off-diagonals -rho.  Applying F and solving the shifted
 Newton system (F'(u) + a I) s = r therefore cost O(n) each; no n x n
 matrix is formed on that path.  The step is one factorization of a
-symmetric positive definite tridiagonal matrix and one solve with it.
+symmetric positive definite tridiagonal matrix and one solve with it.  On
+a stack of rows T acts on each row on its own; the rows meet only in the
+factorization, one block-diagonal system whose zero couplings between rows
+live in the factor alone and split it into one block per row.
 Multiplying by the tridiagonal inverse amplifies rounding by about 1/h^2, so
 on grids of more than 1000 points, where that could exceed the step's
 relative residual bound of 1e-10, one step of iterative refinement follows
@@ -208,8 +211,8 @@ class OperatorModel:
         self._t_diag = np.full((1, grid.n), 1.0 + self._rho ** 2)
         self._t_diag[:, [0, -1]] = 1.0
         self._cw = -math.expm1(-2.0 * grid.h) * self._w
-        # T's off-diagonal over a flattened stack of rows, zero between the last
-        # node of a row and the first of the next; see _coupling
+        # the factor's off-diagonal over a flattened stack of rows, zero between
+        # the last node of a row and the first of the next; see _coupling
         self._couplings = np.full(grid.n - 1, -self._rho)
 
     def __repr__(self):
@@ -297,12 +300,15 @@ class OperatorModel:
         symmetric positive definite, and so is the whole matrix when D > 0,
         as it is for every monotone model and a > 0: LAPACK ``dpttrf``
         factors it as L D' L^T with no pivoting, ``dpttrs`` solves for y,
-        and s = y / D.  The rows go to it as one block-diagonal system of
-        S*n unknowns with zero couplings across row boundaries; a zero
-        coupling splits L D' L^T into independent blocks, so every row's
-        solution is bit for bit the one it has alone.  Multiplying by T
-        amplifies rounding by about eps/h^2: the 2-norm relative residual of
-        this one solve is at most about 0.15 eps/h^2, 3.4e-11 at n = 1000.
+        and s = y / D.  T rhs is formed row by row, from each row's own
+        entries.  Only the factor sees the stack whole: the rows go to
+        ``dpttrf`` as one block-diagonal system of S*n unknowns whose
+        couplings across row boundaries are zero, the only place those zero
+        couplings live, and a zero coupling splits L D' L^T into independent
+        blocks, so every row's solution is bit for bit the one it has alone.
+        Multiplying by T amplifies rounding by about eps/h^2: the 2-norm
+        relative residual of this one solve is at most about 0.15 eps/h^2,
+        3.4e-11 at n = 1000.
         On grids of up to 1000 points that is the step; on finer ones, where
         it could pass the 1e-10 bound, one step of iterative refinement
         against the O(n) operator follows, a second ``dpttrs`` with the same
@@ -349,84 +355,78 @@ class OperatorModel:
         else:
             shift = self._gprime(rows)
             shift += a
-        step = self._solve_tridiagonal(shift, b)
-        return step.reshape(values.shape), (b - shift * step).reshape(values.shape)
-
-    def _coupling(self, size):
-        # T's off-diagonal for a flattened stack of ``size`` nodes: -rho within
-        # a row and 0 across row boundaries.  The array for the largest stack
-        # so far is kept, and its prefix serves every smaller stack.
-        if self._couplings.size < size - 1:
-            n = self.grid.n
-            self._couplings = np.full(size - 1, -self._rho)
-            self._couplings[n - 1::n] = 0.0
-        return self._couplings[:size - 1]
-
-    def _t_times(self, rows, coupling):
-        # T = (1 - rho^2) E^{-1} applied to each row, on the flattened stack for
-        # dpttrs.  A zero coupling adds a signed zero across a row boundary, so
-        # every entry has its bits from the row alone but for a -0, which can
-        # turn +0 there; the rows must be finite (0 * inf is nan).
-        flat = rows.ravel()
-        out = (self._t_diag * rows).ravel()
-        out[1:] += coupling * flat[:-1]
-        out[:-1] += coupling * flat[1:]
-        return out
-
-    def _solve_factored(self, d, e, coupling, shift, rhs, top):
-        # s = y / D for (T + (1 - rho^2) W D^{-1}) y = T rhs, factored as (d, e).
-        # ``top`` holds each row's largest diagonal entry, or is None when no
-        # row's passes _RESCALE_DIAG.
-        b = self._t_times(rhs, coupling)
-        if top is None:
-            step = dpttrs(d, e, b, 1)[0].reshape(shift.shape)
-            step /= shift
-            return step
-        # A row past _RESCALE_DIAG solves for 2^k y, with T rhs scaled so that
-        # its largest entry is about sqrt(top): that keeps 2^k y, about
-        # 2^k T rhs / top where D is tiny, far from both ends of the double
-        # range.  Scaling by a power of 2 is exact, so a row whose y was not
-        # subnormal gets the same bits as unscaled.
-        b = b.reshape(shift.shape)
-        k = np.frexp(top)[1] // 2 - np.frexp(np.abs(b).max(axis=1, keepdims=True))[1]
-        k = np.where(top > _RESCALE_DIAG, np.maximum(k, 0), 0)
-        step = dpttrs(d, e, np.ldexp(b, k).ravel(), 1)[0].reshape(shift.shape)
-        step /= shift
-        return np.ldexp(step, -k)
-
-    def _solve_tridiagonal(self, shift, rhs):
-        n = self.grid.n
         diag = self._cw / shift
         diag += self._t_diag
-        if not (_all_finite(shift) and _all_finite(diag) and _all_finite(rhs)):
+        if not (_all_finite(shift) and _all_finite(diag) and _all_finite(b)):
             # checked first: an infinite D, or one so small that W D^{-1}
             # overflows, would give the finite but wrong step y / D = 0 there
-            bad = ~np.isfinite(shift) | ~np.isfinite(diag) | ~np.isfinite(rhs)
+            bad = ~np.isfinite(shift) | ~np.isfinite(diag) | ~np.isfinite(b)
             raise _singular(n, np.flatnonzero(bad)[0])
         # each row's largest diagonal entry, read before dpttrf overwrites
         # diag with the pivots
         top = None
         if diag.max() > _RESCALE_DIAG:
             top = diag.max(axis=1, keepdims=True)
-        coupling = self._coupling(diag.size)
-        # dpttrf overwrites d with the pivots and e with L's off-diagonal: diag
-        # is this step's own, and the kept couplings go as a copy
-        d, e, info = dpttrf(diag.ravel(), coupling.copy(), 1, 1)
+        # dpttrf overwrites d with the pivots and e with L's off-diagonal: both
+        # are this step's own
+        d, e, info = dpttrf(diag.ravel(), self._coupling(diag.size), 1, 1)
         if info:
             # info > 0 is the 1-based index of the first non-positive pivot,
             # counted across the stack; info < 0, a rejected argument, names
             # node 0 of row 0
             raise _singular(n, max(info - 1, 0))
-        step = self._solve_factored(d, e, coupling, shift, rhs, top)
-        # a non-finite step is not refined: T would carry it into the next row
+        step = self._solve_factored(d, e, shift, b, top)
+        # a non-finite step is not refined: the factor's forward sweep would
+        # carry it across a zero coupling into the next row (0 * inf is nan)
         if n > _UNREFINED_MAX_N and _all_finite(step):
-            correction = rhs - self._kernel_values(step)
+            correction = b - self._kernel_values(step)
             correction -= shift * step
-            step += self._solve_factored(d, e, coupling, shift, correction, top)
+            step += self._solve_factored(d, e, shift, correction, top)
         if not _all_finite(step):
             raise _singular(n, np.flatnonzero(~np.isfinite(step))[0])
-        return step
+        return step.reshape(values.shape), (b - shift * step).reshape(values.shape)
 
+    def _coupling(self, size):
+        # the factor's off-diagonal for a flattened stack of ``size`` nodes,
+        # a copy for dpttrf to overwrite: -rho within a row and 0 across row
+        # boundaries, so the factor splits into one block per row.  The array
+        # for the largest stack so far is kept, and its prefix serves every
+        # smaller stack.
+        if self._couplings.size < size - 1:
+            n = self.grid.n
+            self._couplings = np.full(size - 1, -self._rho)
+            self._couplings[n - 1::n] = 0.0
+        return self._couplings[:size - 1].copy()
+
+    def _solve_factored(self, d, e, shift, rhs, top):
+        # s = y / D for (T + (1 - rho^2) W D^{-1}) y = T rhs, factored as (d, e),
+        # on a stack (S, n).  ``top`` holds each row's largest diagonal entry,
+        # or is None when no row's passes _RESCALE_DIAG.
+        # T acts on each row on its own: its diagonal term less rho times each
+        # neighbour.  The two subtractions run along the flattened stack, where
+        # numpy's loops are contiguous (on (S, n) views they made batched
+        # passes 4-7% slower), and reach across row boundaries there; each
+        # row's first and last entries, whose rows of T have a diagonal of 1
+        # and one neighbour, are then written from the row alone.
+        p = self._rho * rhs
+        b = self._t_diag * rhs
+        flat, q = b.ravel(), p.ravel()
+        flat[1:] -= q[:-1]
+        flat[:-1] -= q[1:]
+        b[:, 0] = rhs[:, 0] - p[:, 1]
+        b[:, -1] = rhs[:, -1] - p[:, -2]
+        if top is not None:
+            # A row past _RESCALE_DIAG solves for 2^k y, with T rhs scaled so
+            # that its largest entry is about sqrt(top): that keeps 2^k y, about
+            # 2^k T rhs / top where D is tiny, far from both ends of the double
+            # range.  Scaling by a power of 2 is exact, so a row whose y was
+            # not subnormal gets the same bits as unscaled.
+            k = np.frexp(top)[1] // 2 - np.frexp(np.abs(b).max(axis=1, keepdims=True))[1]
+            k = np.where(top > _RESCALE_DIAG, np.maximum(k, 0), 0)
+            b = np.ldexp(b, k)
+        step = dpttrs(d, e, b.ravel(), 1)[0].reshape(shift.shape)
+        step /= shift
+        return step if top is None else np.ldexp(step, -k)
 
 def matvec(matrix: np.ndarray, w: GridFunction) -> GridFunction:
     """Apply a dense matrix to a grid function's values."""

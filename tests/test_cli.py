@@ -436,9 +436,9 @@ def test_tiny_schedule_runs_through_the_rescaled_solve(tmp_path, monkeypatch):
     rescaled = []
     solve = operators.OperatorModel._solve_factored
 
-    def spy(self, d, e, coupling, shift, rhs, top):
+    def spy(self, d, e, shift, rhs, top):
         rescaled.append(top is not None and bool((top > operators._RESCALE_DIAG).any()))
-        return solve(self, d, e, coupling, shift, rhs, top)
+        return solve(self, d, e, shift, rhs, top)
 
     monkeypatch.setattr(operators.OperatorModel, "_solve_factored", spy)
     out = tmp_path / "rows.csv"

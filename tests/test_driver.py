@@ -636,6 +636,24 @@ def test_euler_takes_full_steps_below_the_armijo_slack():
     assert record.step_lengths.tolist() == [1e-5] * 3
 
 
+@pytest.mark.parametrize("h", [0.5, 0.25])
+def test_stalled_run_leaves_below_its_cap(h):
+    """cubic on the data 1e6*(1 + x) with a tiny schedule reaches an iterate
+    whose line search passes no step length, and stalls there.  From a first
+    trial of h <= 1/2 the last trial's length is below 5.6e-13, where
+    1 - 1e-4*lam rounds to 1; the Armijo factor is held below 1, so a trial
+    that no longer moves the iterate fails too, and the run stalls instead
+    of taking steps of about 4.5e-13 to its cap."""
+    grid = QuadratureGrid(100)
+    f_delta = GridFunction(grid, 1e6 * (1.0 + grid.nodes))
+    schedule = ContinuousSchedule(d=1e10, c=1e12, b=1)
+    (record,) = run_batch(
+        OperatorModel("cubic", grid), [f_delta], [1e-3], [schedule], h=h, max_steps=200
+    )
+    assert record.n_stop < 200 and not record.stopped_by_discrepancy
+    assert record.step_lengths.min() >= 1e-12
+
+
 @pytest.mark.parametrize("h", [0.5, 0.25, 3.0])
 def test_step_lengths_are_flow_time(monkeypatch, h):
     """A run's step lengths are flow time, t += lam: each is h*2^-j.  The

@@ -260,6 +260,29 @@ class _CountingKernel(OperatorModel):
         return super()._kernel_values(rows)
 
 
+def test_line_search_fails_a_trial_that_does_not_move():
+    """A zero step leaves every trial at v, with the norm it came in with.
+    At lam0 = 1e-13, 1 - 1e-4*lam rounds to exactly 1, and a factor of 1
+    would pass that trial; the factor is held below 1, so it fails, from
+    any lam0, and the row keeps its inputs."""
+    grid = QuadratureGrid(30)
+    model = OperatorModel("cubic", grid)
+    v = np.tile(0.3 * np.cos(grid.nodes), (3, 1))
+    f_values = np.tile(1.0 + grid.nodes, (3, 1))
+    a = np.full((3, 1), 1e-2)
+    fv, lv = model._split_values(v)
+    rv = fv - f_values
+    g_norm = regularized_residual(grid, rv, v, a)[1]
+    zero = np.zeros_like(v)
+    lam0 = np.array([1.0, 1e-13, 1e-300])
+    assert 1.0 - 1e-4 * lam0[1] == 1.0
+    *stay, accepted, lam = line_search(model, v, rv, lv, zero, zero, a, f_values, g_norm, lam0)
+    assert not accepted.any()
+    for got_stay, came_in in zip(stay, (v, rv, lv), strict=True):
+        np.testing.assert_array_equal(got_stay, came_in)
+    np.testing.assert_array_equal(lam, lam0)
+
+
 @pytest.mark.parametrize("kind", ["arctan3", "cubic", "linear"])
 def test_line_search_trials_run_no_running_sums(kind):
     # three rows along their Newton directions (on the cubic model two of

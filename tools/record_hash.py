@@ -14,7 +14,7 @@ final values, residuals, a_values and step_lengths) and the reports of
 ``run_lemma_suite()`` and ``run_lemma_suite(("linear",))`` (name, passed,
 worst_margin, samples and details).  It only imports the workloads.
 
-Three more records reach paths that no workload does:
+Four more records reach paths that no workload does:
 
 - ``solve_regularized`` on ``cubic``, n = 100, data 1e6*(1 + x), a = 1e-2,
   whose last line search passes no step length: it stalls unconverged after
@@ -23,7 +23,10 @@ Three more records reach paths that no workload does:
   iterations;
 - the ``exp1-const`` cell at n = 1000, c0 = 3e-306, delta_rel 1%, seed 1,
   which stops in 186 steps and whose shifted solves take the tiny-shift
-  rescale (``operators._RESCALE_DIAG``) in a way that changes its final bits.
+  rescale (``operators._RESCALE_DIAG``) in a way that changes its final bits;
+- the ``exp1`` cell at n = 2000, delta_rel 1%, seed 1, the one record whose
+  Newton loop runs on more than 1000 nodes, where every shifted solve takes
+  its refinement step (``operators._UNREFINED_MAX_N``).
 
 For each regularized solve it hashes the iterations, the converged flag,
 the residual norm and the solution's values.
@@ -61,7 +64,8 @@ def _record(digest, record, max_iter):
 
 def record_hash():
     """The hex SHA-256 over the workloads' records, the lemma reports and
-    the three records that reach a stall, a cap and the tiny-shift rescale."""
+    the four records that reach a stall, a cap, the tiny-shift rescale and
+    the refined solve."""
     sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "benchmarks")]
     from dsm.checks import run_lemma_suite
     from dsm.harness import PRESETS, run_cells
@@ -88,11 +92,12 @@ def record_hash():
         digest.update(struct.pack("<q?d", solved.iterations, solved.converged,
                                   solved.residual_norm))
         _floats(digest, solved.solution.values)
-    rescaled = PRESETS["exp1-const"].override(
-        n_points=1000, c0=3e-306, delta_rel=(0.01,), seeds=(1,)
-    )
-    for cell in run_cells(rescaled):
-        _record(digest, cell.record, rescaled.max_iter)
+    for config in (
+        PRESETS["exp1-const"].override(n_points=1000, c0=3e-306, delta_rel=(0.01,), seeds=(1,)),
+        PRESETS["exp1"].override(n_points=2000, delta_rel=(0.01,), seeds=(1,)),
+    ):
+        for cell in run_cells(config):
+            _record(digest, cell.record, config.max_iter)
     return digest.hexdigest()
 
 
