@@ -111,8 +111,6 @@ def regularized_residual(grid, r, v, a):
 
 _HALVINGS = 40
 _DECREASE_SLACK = 1e-4
-# the largest Armijo factor, the double just below 1; see line_search
-_LARGEST_FACTOR = np.nextafter(1.0, 0.0)
 
 
 def line_search(model: OperatorModel, v, rv, lv, step, lstep, a, f_values, g_norm, lam0):
@@ -130,15 +128,15 @@ def line_search(model: OperatorModel, v, rv, lv, step, lstep, a, f_values, g_nor
     so F is carried, exact up to the rounding of the carried L v and of
     L step; the trial subtracts f_delta from it once, for its data residual
     r.  Each row tries k = 0, 1, ... (``_HALVINGS`` halvings) and accepts its
-    first candidate with ||G|| <= (1 - 1e-4*lam) * g_norm (Armijo).  For a
+    first candidate with ||G|| < (1 - 1e-4*lam) * g_norm (Armijo).  For a
     Newton direction the slope of ||G(v - lam*s)|| at lam = 0 is -g_norm, so
     a small enough lam always passes unless rounding intervenes, whatever
-    lam0 is.  The factor 1 - 1e-4*lam is held below 1, at most the double
-    just below it: it rounds to exactly 1 once lam < 2^-54/1e-4, about
-    5.6e-13, which trial 40 reaches from any lam0 <= 1/2, and a factor of 1
-    passes a trial that leaves v where it was.  A row whose trials no
-    longer move it thus fails every one and stalls, instead of taking steps
-    of length 4.5e-13 to its caller's cap.
+    lam0 is.  The test is strict, so a trial that leaves v where it was
+    (its norm is g_norm) fails at every lam, also once 1 - 1e-4*lam rounds
+    to exactly 1, below lam = 2^-54/1e-4, about 5.6e-13, which trial 40
+    reaches from any lam0 <= 1/2.  A row whose trials no longer move it
+    thus fails every one and stalls, instead of taking steps of length
+    4.5e-13 to its caller's cap.
 
     One loop runs the trials k = 0, 1, ..., ``_HALVINGS`` on a stack of the
     rows still searching, so a row's trial count is k + 1 at the k where it
@@ -165,7 +163,7 @@ def line_search(model: OperatorModel, v, rv, lv, step, lstep, a, f_values, g_nor
         lc = lvk - column * lsk
         rc = model._with_g(candidate, lc) - fk
         norm = regularized_residual(grid, rc, candidate, ak)[1]
-        passed = norm <= np.minimum(1.0 - _DECREASE_SLACK * lam, _LARGEST_FACTOR) * gk
+        passed = norm < (1.0 - _DECREASE_SLACK * lam) * gk
         n_passed = np.count_nonzero(passed)
         if n_passed == len(v):
             # no row passed before this trial, and every row passes here

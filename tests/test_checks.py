@@ -283,6 +283,9 @@ def test_find_crossing_time_validation():
     with pytest.raises(ValueError):
         # C*delta above ||F(0) - f||: nothing to cross
         find_crossing_time(model, f, 10.0, 1.01, schedule)
+    with pytest.raises(ValueError, match="C must be > 1 and finite"):
+        # an infinite C passed the C > 1 check and then found no crossing
+        find_crossing_time(model, f, 0.01, math.inf, schedule)
 
 
 class _CountingModel(OperatorModel):
@@ -523,6 +526,8 @@ def test_exponential_integral_bound_margins():
     # the margin grows from 1/c^b at t = 0, so that is a floor
     assert report.worst_margin >= 0.99 / c ** b
     assert report.samples == len(t_values)
+    # at t = 0 the Simpson integral is exactly 0.0
+    assert report.details[0] == 1.0 / c ** b
 
 
 def test_exponential_integral_bound_validation():
@@ -542,13 +547,25 @@ def test_exponential_integral_bound_rejects_non_finite_parameters(args):
 
 
 @pytest.mark.parametrize(
-    "t_values", [[1.0, math.nan], [math.inf], [[0.5, 1.0], [2.0, 3.0]], 1.0]
+    "p, b, c, t_values, match",
+    [
+        (0.8, 1.0, 3.0, [1.0, math.nan], "t_values"),
+        (0.8, 1.0, 3.0, [math.inf], "t_values"),
+        (0.8, 1.0, 3.0, [[0.5, 1.0], [2.0, 3.0]], "t_values"),
+        (0.8, 1.0, 3.0, 1.0, "t_values"),
+        (1.5, 1.0, 3.0, [1000.0], "not finite at t=1000"),
+        (1.0, 2.0, 1e-300, [0.0], "not finite at t=0"),
+        (1.0, 2.0, 1e-300, [0.5], "not finite at t=0.5"),
+    ],
+    ids=["t_values0", "t_values1", "t_values2", "1.0", "exp-overflow", "rhs-inf", "sum-inf"],
 )
-def test_exponential_integral_bound_rejects_bad_t_values(t_values):
+def test_exponential_integral_bound_rejects_bad_t_values(p, b, c, t_values, match):
     # a NaN or inf t gave passed=False with worst_margin nan, and a 2-d
-    # t_values a TypeError
-    with pytest.raises(ValueError, match="t_values"):
-        check_exponential_integral_bound(0.8, 1.0, 3.0, t_values)
+    # t_values a TypeError; exp(p t) past the largest double raised
+    # OverflowError, and an infinite right side or Simpson sum passed with
+    # worst_margin inf
+    with pytest.raises(ValueError, match=match):
+        check_exponential_integral_bound(p, b, c, t_values)
 
 
 def test_a_check_of_nothing_raises():
@@ -745,6 +762,15 @@ def test_gronwall_memory_does_not_grow_with_steps():
             tracemalloc.stop()
     # keeping every step's g would add 6144 floats, about 200 kB
     assert peaks[1] <= peaks[0] + 16_000
+
+
+def test_every_margin_report_is_built_from_its_margins():
+    # every report but the Gronwall one, which keeps O(1) floats, lists its
+    # margins in details
+    for r in run_lemma_suite():
+        if r.name != "gronwall_majorant":
+            assert r.worst_margin == min(r.details), r.name
+            assert r.samples == len(r.details), r.name
 
 
 def test_default_suite_passes():

@@ -641,9 +641,9 @@ def test_stalled_run_leaves_below_its_cap(h):
     """cubic on the data 1e6*(1 + x) with a tiny schedule reaches an iterate
     whose line search passes no step length, and stalls there.  From a first
     trial of h <= 1/2 the last trial's length is below 5.6e-13, where
-    1 - 1e-4*lam rounds to 1; the Armijo factor is held below 1, so a trial
-    that no longer moves the iterate fails too, and the run stalls instead
-    of taking steps of about 4.5e-13 to its cap."""
+    1 - 1e-4*lam rounds to 1; the Armijo test is strict, so a trial that no
+    longer moves the iterate fails too, and the run stalls instead of taking
+    steps of about 4.5e-13 to its cap."""
     grid = QuadratureGrid(100)
     f_delta = GridFunction(grid, 1e6 * (1.0 + grid.nodes))
     schedule = ContinuousSchedule(d=1e10, c=1e12, b=1)
@@ -858,3 +858,55 @@ def test_batch_validation(identity_setup):
         run_batch(model, [f_delta, f_delta], [0.05], [discrete, discrete])
     with pytest.raises(ValueError):
         run_batch(model, [f_delta], [0.05], [lambda n: 1.0])
+
+
+@given(
+    kind=st.sampled_from(MODEL_KINDS),
+    n=st.integers(min_value=2, max_value=1200),
+    c0=st.floats(1e-8, 1e4),
+    p=st.floats(0.05, 1.0),
+    shift=st.integers(min_value=1, max_value=10),
+    levels=st.lists(st.floats(1e-4, 0.2), min_size=1, max_size=4),
+    h=st.sampled_from([0.5, 1.0, 2.0]),
+    cap=st.integers(min_value=0, max_value=200),
+)
+@settings(max_examples=200, deadline=None)
+def test_every_batched_run_ends_in_a_named_state(kind, n, c0, p, shift, levels, h, cap):
+    """Every row of a batch, wherever it starts, either stops with a valid
+    certificate (its last residual below C*delta^gamma, every earlier one at
+    or above it) or ends unstopped at or below its cap with its last residual
+    at or above the threshold.  Its last residual is ||F(final) - f_delta||
+    from model.apply bit for bit, its residuals, shifts and final iterate
+    are finite, its shifts strictly decrease and each step length is
+    h*2^-j."""
+    grid = QuadratureGrid(n)
+    model = OperatorModel(kind, grid)
+    f = model.apply(GridFunction(grid, 1.0 - grid.nodes + 0.5 * np.sin(4.0 * grid.nodes)))
+    rule = StoppingRule()
+    f_deltas, deltas = [], []
+    for k, level in enumerate(levels):
+        noise = GridFunction(grid, np.cos((3.0 + k) * np.pi * grid.nodes))
+        f_delta, delta = calibrate_noise(f, noise, level)
+        f_deltas.append(f_delta)
+        deltas.append(delta)
+    schedules = [DiscreteSchedule(c0, delta, p, shift) for delta in deltas]
+    batch = run_batch(model, f_deltas, deltas, schedules, rule, h=h, max_steps=cap)
+    assert len(batch) == len(levels)
+    for record, f_delta, delta in zip(batch, f_deltas, deltas):
+        threshold = rule.threshold(delta)
+        residuals = record.residuals
+        assert record.n_stop <= cap
+        assert len(residuals) == len(record.a_values) == record.n_stop + 1
+        assert np.all(residuals[:-1] >= threshold)
+        if record.stopped_by_discrepancy:
+            assert residuals[-1] < threshold
+        else:
+            assert residuals[-1] >= threshold
+        exact = norms(grid, model.apply(record.final).values - f_delta.values)
+        assert residuals[-1] == exact
+        for values in (residuals, record.a_values, record.final.values):
+            assert np.all(np.isfinite(values))
+        assert np.all(np.diff(record.a_values) < 0)
+        lengths = record.step_lengths / h
+        assert len(lengths) == record.n_stop
+        assert np.all((lengths <= 1.0) & (np.frexp(lengths)[0] == 0.5))

@@ -262,9 +262,9 @@ class _CountingKernel(OperatorModel):
 
 def test_line_search_fails_a_trial_that_does_not_move():
     """A zero step leaves every trial at v, with the norm it came in with.
-    At lam0 = 1e-13, 1 - 1e-4*lam rounds to exactly 1, and a factor of 1
-    would pass that trial; the factor is held below 1, so it fails, from
-    any lam0, and the row keeps its inputs."""
+    At lam0 = 1e-13, 1 - 1e-4*lam rounds to exactly 1, and a test with <=
+    would pass that trial; the test is strict, so it fails, from any lam0,
+    and the row keeps its inputs."""
     grid = QuadratureGrid(30)
     model = OperatorModel("cubic", grid)
     v = np.tile(0.3 * np.cos(grid.nodes), (3, 1))
